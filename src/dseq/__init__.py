@@ -26,9 +26,7 @@ from .parser import format_map, parse_component, parse_map
 from .poly import Poly, PolyMap
 from .reports import LawEntry, LawReport
 from .selftest import run_selftest
-from .sequences import (PreDSeq, seq_add, seq_compose, seq_differential,
-                        seq_equal, seq_identity, seq_lscalar, seq_pair,
-                        seq_product, seq_proj, seq_rscalar, seq_tangent,
+from .sequences import (PreDSeq, seq_identity, seq_product, seq_proj,
                         seq_terminal, seq_zero)
 
 __version__ = "0.1.0"
@@ -45,9 +43,7 @@ __all__ = [
     "dump_seq", "faa_univariate", "format_map", "identity", "is_linear",
     "load_map", "load_seq", "nth_symbolic_derivative", "omega",
     "parse_component", "parse_map", "partitions", "pattern_derivative",
-    "pfunctor_apply", "proj", "run_selftest", "seq_add", "seq_compose",
-    "seq_differential", "seq_equal", "seq_identity", "seq_lscalar",
-    "seq_pair", "seq_product", "seq_proj", "seq_rscalar", "seq_tangent",
-    "seq_terminal", "seq_zero", "t2", "tangent_map", "unit_speed_pattern",
-    "zero_map",
+    "pfunctor_apply", "proj", "run_selftest", "seq_identity", "seq_product",
+    "seq_proj", "seq_terminal", "seq_zero", "t2", "tangent_map",
+    "unit_speed_pattern", "zero_map",
 ]

@@ -5,12 +5,15 @@ the law suites on a given input, cross-check the partition-formula
 derivative, evaluate tower terms at points, and run the seeded selftest.
 
 Exit codes: 0 all checks passed, 1 at least one law entry failed, 2 bad
-input (unreadable file, parse error, dimension mismatch, order guard).
+input (unreadable file, parse error, dimension mismatch, order guard,
+out-of-range option, a point where evaluation leaves the float range).
 All JSON output is canonical: two-space indent, stable key order, ASCII,
-trailing newline.  Identical invocations produce byte-identical output.
+trailing newline, no NaN or infinity.  Identical invocations produce
+byte-identical output.
 """
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,6 +55,21 @@ def guard_order(order, allow_large):
             f"order {order} exceeds the guard ({limit}); "
             "pass --allow-large or set DSEQ_MAX_ORDER")
     return order
+
+
+def _tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _trials(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
 
 
 def _emit(payload, out):
@@ -188,9 +206,12 @@ def _parse_point(text, base, size):
     try:
         if base == "poly":
             return [Fraction(tok) for tok in tokens]
-        return [float(tok) for tok in tokens]
+        point = [float(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise EngineError(f"bad point coordinate: {exc}")
+    if not all(math.isfinite(x) for x in point):
+        raise EngineError("point coordinates must be finite")
+    return point
 
 
 def cmd_eval(args):
@@ -200,12 +221,17 @@ def cmd_eval(args):
     tower = load_seq(obj, what=args.seq)
     term = tower.term(args.term)
     point = _parse_point(args.point, tower.base, term.dom)
-    value = term.eval(point)
+    try:
+        value = term.eval(point)
+    except (ValueError, OverflowError) as exc:
+        raise EngineError(f"cannot evaluate at this point: {exc}")
     if tower.base == "poly":
         payload = {"term": args.term, "point": [str(x) for x in point],
                    "value": [str(v) for v in value]}
     else:
-        payload = {"term": args.term, "point": list(point),
+        if not all(math.isfinite(v) for v in value):
+            raise EngineError("value leaves the float range at this point")
+        payload = {"term": args.term, "point": point,
                    "value": [float(v) for v in value]}
     sys.stdout.write(to_canonical_json(payload))
     return 0
@@ -241,7 +267,7 @@ def build_parser():
             p.add_argument("--allow-large", action="store_true",
                            help="bypass the order guard")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=None,
+            p.add_argument("--tolerance", type=_tolerance, default=None,
                            help="sampled-equality tolerance (elementary "
                                 "base; default 1e-9)")
 
@@ -267,7 +293,7 @@ def build_parser():
     p.add_argument("--format", default="json", choices=("json", "text"))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="stream seed for generated partners and fixtures")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    p.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS,
                    help="trials for the randomized identity battery")
     add_common(p, tolerance=True)
     p.set_defaults(func=cmd_check)
@@ -278,7 +304,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="derivative order")
     p.add_argument("--allow-large", action="store_true",
                    help="bypass the order guard")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.set_defaults(func=cmd_faa)
 
     p = sub.add_parser("eval", help="evaluate one tower term at a point")
@@ -290,9 +316,9 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run every law suite on seeded input")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS)
     p.add_argument("--format", default="json", choices=("json", "text"))
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -9,7 +9,8 @@ printed form mirrors how an expression was built.
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TagMismatch
+from .errors import DimensionMismatch
+from .maps import CoordMap
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
 ELEM_EQ_SAMPLES = 20
@@ -161,7 +162,7 @@ def tree_max_var(node):
     return tree_max_var(node[1])
 
 
-class ElemMap:
+class ElemMap(CoordMap):
     """Map between coordinate spaces with one expression tree per output.
 
     Equality is decided by sampling: both maps are evaluated at a fixed
@@ -172,73 +173,34 @@ class ElemMap:
     """
 
     base = "elementary"
-    __slots__ = ("dom", "cod", "components")
+    __slots__ = ()
 
-    def __init__(self, dom, cod, components):
-        components = tuple(components)
-        if len(components) != cod:
+    @staticmethod
+    def _check_component(t, dom):
+        top = tree_max_var(t)
+        if top >= dom:
             raise DimensionMismatch(
-                f"{len(components)} components for codomain {cod}")
-        for t in components:
-            if tree_max_var(t) >= dom:
-                raise DimensionMismatch(
-                    f"component uses variable x{tree_max_var(t)}, domain is {dom}")
-        self.dom = dom
-        self.cod = cod
-        self.components = components
+                f"component uses variable x{top}, domain is {dom}")
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, dim, [var(j) for j in range(dim)])
+    @staticmethod
+    def _variable(nvars, j):
+        return var(j)
 
-    @classmethod
-    def zero_map(cls, dom, cod):
-        return cls(dom, cod, [const(0)] * cod)
+    @staticmethod
+    def _zero(nvars):
+        return const(0)
 
-    @classmethod
-    def coord_slice(cls, total, start, size):
-        assert 0 <= start and start + size <= total
-        return cls(total, size, [var(start + j) for j in range(size)])
+    _add = staticmethod(add)
 
-    @classmethod
-    def proj(cls, a, b, j):
-        assert j in (0, 1)
-        return cls.coord_slice(a + b, 0 if j == 0 else a, a if j == 0 else b)
-
-    def _require_same_kind(self, other):
-        if not isinstance(other, ElemMap):
-            raise TagMismatch("cannot mix polynomial and elementary maps")
+    @staticmethod
+    def _shift(t, offset, nvars):
+        return tree_shift(t, offset)
 
     def then(self, other):
-        self._require_same_kind(other)
-        if self.cod != other.dom:
-            raise DimensionMismatch(
-                f"composite needs cod {self.cod} == dom {other.dom}")
+        self._require_composable(other)
         reps = list(self.components)
         return ElemMap(self.dom, other.cod,
                        [tree_subst(t, reps) for t in other.components])
-
-    def pair(self, other):
-        self._require_same_kind(other)
-        if self.dom != other.dom:
-            raise DimensionMismatch("pairing needs equal domains")
-        return ElemMap(self.dom, self.cod + other.cod,
-                       self.components + other.components)
-
-    def __add__(self, other):
-        self._require_same_kind(other)
-        if self.dom != other.dom or self.cod != other.cod:
-            raise DimensionMismatch("sum needs equal domains and codomains")
-        return ElemMap(self.dom, self.cod,
-                       [add(a, b) for a, b in zip(self.components, other.components)])
-
-    def tile(self, copies):
-        dom, cod = self.dom * copies, self.cod * copies
-        comps = []
-        for c in range(copies):
-            off = c * self.dom
-            comps.extend(tree_shift(t, off) for t in self.components)
-        return ElemMap(dom, cod, comps)
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction)."""
@@ -252,9 +214,7 @@ class ElemMap:
         return ElemMap(2 * d, self.cod, comps)
 
     def eval(self, point):
-        if len(point) != self.dom:
-            raise DimensionMismatch(
-                f"point of length {len(point)} for domain {self.dom}")
+        self._require_point(point)
         fp = [float(x) for x in point]
         return tuple(tree_eval(t, fp) for t in self.components)
 
@@ -278,9 +238,7 @@ class ElemMap:
 
     def equal_witness(self, other, tol=None):
         """(equal?, first failing sample point or None)."""
-        self._require_same_kind(other)
-        if self.dom != other.dom or self.cod != other.cod:
-            raise DimensionMismatch("comparison needs equal signatures")
+        self._require_same_signature(other, "comparison needs equal signatures")
         if tol is None:
             tol = ELEM_TOLERANCE
         for point in self.sample_points():
@@ -294,18 +252,3 @@ class ElemMap:
                 if abs(a - b) > tol * max(1.0, abs(a)):
                     return False, point
         return True, None
-
-    def equal(self, other, tol=None):
-        return self.equal_witness(other, tol)[0]
-
-    def __eq__(self, other):
-        return (isinstance(other, ElemMap) and self.dom == other.dom
-                and self.cod == other.cod and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.components))
-
-    def __repr__(self):
-        from .parser import format_tree
-        body = ", ".join(format_tree(t) for t in self.components)
-        return f"ElemMap({self.dom}->{self.cod}: [{body}])"

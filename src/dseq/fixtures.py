@@ -70,7 +70,11 @@ def random_nonlinear_map(rng, dom, cod):
     exps = tuple(e + (2 if i == j else 0) for i, e in enumerate(exps))
     spike = Poly(dom, [(exps, random_fraction(rng, nonzero=True))])
     comps = list(m.components)
-    comps[rng.randrange(cod)] += spike
+    i = rng.randrange(cod)
+    comps[i] += spike
+    if all(p.degree() < 2 for p in comps):
+        # the spike cancelled a monomial the map already had
+        comps[i] += spike
     return PolyMap(dom, cod, comps)
 
 

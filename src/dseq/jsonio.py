@@ -10,9 +10,7 @@ with term n over 2^n blocks of the domain.
 import json
 
 from .errors import EngineError, OrderMismatch
-from .expr import ElemMap
 from .parser import format_map, parse_map
-from .poly import PolyMap
 from .sequences import PreDSeq
 
 BASES = ("poly", "elementary")
@@ -97,7 +95,7 @@ def read_json(path):
 
 def to_canonical_json(obj):
     """Fixed-layout serialization so identical data yields identical bytes."""
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
-from .poly import Poly, PolyMap
-from .expr import ElemMap
+from .maps import map_class
+from .poly import Poly
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -229,8 +229,7 @@ def parse_component(text, dom, base="poly"):
 
 def parse_map(components, dom, cod, base="poly"):
     parsed = [parse_component(c, dom, base) for c in components]
-    cls = PolyMap if base == "poly" else ElemMap
-    return cls(dom, cod, parsed)
+    return map_class(base)(dom, cod, parsed)
 
 
 def _format_coeff_monomial(coeff, exps):
@@ -292,5 +291,5 @@ def format_component(comp):
 
 
 def format_map(m):
-    return [format_poly(p) for p in m.components] if isinstance(m, PolyMap) \
-        else [format_tree(t) for t in m.components]
+    fmt = format_poly if m.base == "poly" else format_tree
+    return [fmt(c) for c in m.components]

@@ -6,9 +6,11 @@ in descending graded-lexicographic order with no zero coefficients, so two
 polynomials are mathematically equal iff their term tuples compare equal.
 """
 
+import operator
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TagMismatch
+from .errors import DimensionMismatch
+from .maps import CoordMap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,106 +202,42 @@ class Poly:
                 acc[e2] = add if prev is None else prev + add
         return Poly(nvars_out, list(acc.items()))
 
-    def coefficient_of(self, j, e):
-        """Collect the coefficient of x_j^e as a polynomial with x_j removed."""
-        items = []
-        for exps, coeff in self.terms:
-            if exps[j] == e:
-                items.append((exps[:j] + exps[j + 1:], coeff))
-        return Poly(self.nvars - 1, items)
-
 
 def _is_sorted(items):
     keys = [(sum(e), e) for e, _ in items]
     return all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
 
 
-class PolyMap:
-    """Map between coordinate spaces with one polynomial per output coordinate.
-
-    Composition is written diagrammatically: f.then(g) runs f first.
-    """
+class PolyMap(CoordMap):
+    """Map between coordinate spaces with one polynomial per output coordinate."""
 
     base = "poly"
-    __slots__ = ("dom", "cod", "components")
+    __slots__ = ()
 
-    def __init__(self, dom, cod, components):
-        components = tuple(components)
-        if len(components) != cod:
+    @staticmethod
+    def _check_component(p, dom):
+        if p.nvars != dom:
             raise DimensionMismatch(
-                f"{len(components)} components for codomain {cod}")
-        for p in components:
-            if p.nvars != dom:
-                raise DimensionMismatch(
-                    f"component in {p.nvars} variables, domain is {dom}")
-        self.dom = dom
-        self.cod = cod
-        self.components = components
+                f"component in {p.nvars} variables, domain is {dom}")
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, dim, [Poly.variable(dim, j) for j in range(dim)])
+    _variable = staticmethod(Poly.variable)
+    _zero = staticmethod(Poly.zero)
 
-    @classmethod
-    def zero_map(cls, dom, cod):
-        return cls(dom, cod, [Poly.zero(dom)] * cod)
-
-    @classmethod
-    def coord_slice(cls, total, start, size):
-        """Projection keeping coordinates [start, start+size)."""
-        assert 0 <= start and start + size <= total
-        return cls(total, size,
-                   [Poly.variable(total, start + j) for j in range(size)])
-
-    @classmethod
-    def proj(cls, a, b, j):
-        """Projection A x B -> A (j=0) or A x B -> B (j=1)."""
-        assert j in (0, 1)
-        return cls.coord_slice(a + b, 0 if j == 0 else a, a if j == 0 else b)
-
-    def _require_same_kind(self, other):
-        if not isinstance(other, PolyMap):
-            raise TagMismatch("cannot mix polynomial and elementary maps")
+    _add = staticmethod(operator.add)
+    _shift = staticmethod(Poly.shift)
 
     def then(self, other):
         """Diagrammatic composite: self first, then other."""
-        self._require_same_kind(other)
-        if self.cod != other.dom:
-            raise DimensionMismatch(
-                f"composite needs cod {self.cod} == dom {other.dom}")
+        self._require_composable(other)
         comps = [p.subst(list(self.components), self.dom)
                  for p in other.components]
         return PolyMap(self.dom, other.cod, comps)
-
-    def pair(self, other):
-        """Pairing into the product of the codomains."""
-        self._require_same_kind(other)
-        if self.dom != other.dom:
-            raise DimensionMismatch("pairing needs equal domains")
-        return PolyMap(self.dom, self.cod + other.cod,
-                       self.components + other.components)
-
-    def __add__(self, other):
-        self._require_same_kind(other)
-        if self.dom != other.dom or self.cod != other.cod:
-            raise DimensionMismatch("sum needs equal domains and codomains")
-        return PolyMap(self.dom, self.cod,
-                       [p + q for p, q in zip(self.components, other.components)])
 
     def __neg__(self):
         return PolyMap(self.dom, self.cod, [-p for p in self.components])
 
     def __sub__(self, other):
         return self + (-other)
-
-    def tile(self, copies):
-        """Block-diagonal repetition acting on `copies` stacked domains."""
-        dom, cod = self.dom * copies, self.cod * copies
-        comps = []
-        for c in range(copies):
-            off = c * self.dom
-            comps.extend(p.shift(off, dom) for p in self.components)
-        return PolyMap(dom, cod, comps)
 
     def differential(self):
         """Joint derivative as a map on the doubled domain.
@@ -321,26 +259,13 @@ class PolyMap:
         return PolyMap(2 * d, self.cod, comps)
 
     def eval(self, point):
-        if len(point) != self.dom:
-            raise DimensionMismatch(
-                f"point of length {len(point)} for domain {self.dom}")
+        self._require_point(point)
         return tuple(p.eval(point) for p in self.components)
 
-    def equal(self, other, tol=None):
-        """Exact structural equality of canonical forms."""
-        self._require_same_kind(other)
-        if self.dom != other.dom or self.cod != other.cod:
-            raise DimensionMismatch("comparison needs equal signatures")
-        return self.components == other.components
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyMap) and self.dom == other.dom
-                and self.cod == other.cod and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.components))
-
-    def __repr__(self):
-        from .parser import format_poly
-        body = ", ".join(format_poly(p) for p in self.components)
-        return f"PolyMap({self.dom}->{self.cod}: [{body}])"
+    def equal_witness(self, other, tol=None):
+        """(equal?, difference map or None): exact equality of canonical
+        forms."""
+        self._require_same_signature(other, "comparison needs equal signatures")
+        if self.components == other.components:
+            return True, None
+        return False, self - other

@@ -11,8 +11,7 @@ reports are byte-stable.
 
 from dataclasses import dataclass, field
 
-from .maps import compare_maps
-from .poly import PolyMap
+from .maps import CoordMap, compare_maps
 
 
 @dataclass
@@ -37,9 +36,6 @@ class LawReport:
     def add(self, entry):
         self.entries.append(entry)
 
-    def extend(self, entries):
-        self.entries.extend(entries)
-
     def sort(self):
         self.entries.sort(key=lambda e: (e.axiom, e.n, e.k))
         return self
@@ -52,7 +48,7 @@ class LawReport:
         entries = []
         for e in sorted(self.entries, key=lambda x: (x.axiom, x.n, x.k)):
             witness = e.witness
-            if isinstance(witness, PolyMap):
+            if isinstance(witness, CoordMap):
                 witness = dump_map(witness)
             elif witness is not None and not isinstance(witness, str):
                 witness = [float(x) for x in witness]

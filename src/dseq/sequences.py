@@ -10,8 +10,7 @@ truncate to the smaller input order.
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InsufficientOrder, TagMismatch
-from .maps import (canonical_map, compose, coord_slice, identity, pfunctor_apply,
-                   proj, zero_map)
+from .maps import compose, coord_slice, pfunctor_apply, proj, zero_map
 
 
 @dataclass(frozen=True)
@@ -180,37 +179,3 @@ def seq_product(factors):
         out = piece if out is None else out.pair(piece)
         start += d
     return out
-
-
-def seq_equal(f, g, tol=None):
-    return f.eq(g, tol)
-
-
-# Functional aliases mirroring the method API.
-
-def seq_tangent(f):
-    return f.tangent()
-
-
-def seq_differential(f):
-    return f.differential()
-
-
-def seq_compose(f, g):
-    return f.compose(g)
-
-
-def seq_pair(f, g):
-    return f.pair(g)
-
-
-def seq_add(f, g):
-    return f + g
-
-
-def seq_lscalar(h, f):
-    return f.lmul(h)
-
-
-def seq_rscalar(f, k):
-    return f.rmul(k)

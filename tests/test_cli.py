@@ -6,6 +6,7 @@ import os
 import pytest
 
 from dseq.cli import main
+from dseq.jsonio import to_canonical_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -231,3 +232,93 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["check", "--suite", "bogus", "--input", "x.json"])
     assert err.value.code == 2
+
+
+def usage_exit_code(*argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    return err.value.code
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def elementary_tower(tmp_path, capsys, component, order):
+    """Derive the tower of a 1->1 elementary map into a file; return its
+    JSON object and path."""
+    src = write_json(tmp_path / "map.json",
+                     {"base": "elementary", "dom": 1, "cod": 1,
+                      "components": [component]})
+    out = tmp_path / "tower.json"
+    code, _, _ = run(capsys, "derive", "--map", src, "--order", str(order),
+                     "--out", str(out))
+    assert code == 0
+    return json.loads(out.read_text()), str(out)
+
+
+def test_bad_tolerance_exits_two(tmp_path, capsys):
+    tower, path = elementary_tower(tmp_path, capsys, "sin(x0)", 2)
+    top = tower["terms"][2]["components"]
+    top[0] += " + 2*x1^2*x2^2"
+    broken = write_json(tmp_path / "broken.json", tower)
+    code, out, _ = run(capsys, "check", "--input", broken, "--suite", "ds",
+                       "--format", "text")
+    assert code == 1 and out.rstrip().endswith("FAIL")
+    for bad in ("nan", "inf", "-1e-9"):
+        assert usage_exit_code("check", "--input", broken, "--suite", "ds",
+                               "--tolerance", bad) == 2
+        assert usage_exit_code("faa", "--inner", fx("map_square.json"),
+                               "--outer", fx("map_cube.json"), "--n", "2",
+                               "--tolerance", bad) == 2
+        assert usage_exit_code("selftest", "--trials", "1",
+                               "--tolerance", bad) == 2
+    code, _, _ = run(capsys, "check", "--input", broken, "--suite", "ds",
+                     "--tolerance", "0")
+    assert code == 1
+
+
+def test_trials_below_one_exits_two():
+    for bad in ("0", "-3"):
+        assert usage_exit_code("selftest", "--trials", bad) == 2
+        assert usage_exit_code("check", "--input", fx("map_square.json"),
+                               "--trials", bad) == 2
+
+
+def test_eval_rejects_non_finite_point(tmp_path, capsys):
+    _, path = elementary_tower(tmp_path, capsys, "sin(x0)", 1)
+    for point in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "eval", "--seq", path, "--term", "0",
+                             "--point=" + point)
+        assert code == 2 and out == "" and "finite" in err
+    code, _, err = run(capsys, "eval", "--seq", fx("seq_square.json"),
+                       "--term", "0", "--point", "nan")
+    assert code == 2 and err
+
+
+def test_eval_overflow_exits_two(tmp_path, capsys):
+    _, path = elementary_tower(tmp_path, capsys, "exp(x0)", 0)
+    code, out, err = run(capsys, "eval", "--seq", path, "--term", "0",
+                         "--point", "1000")
+    assert code == 2 and out == "" and "evaluate" in err
+
+
+def test_eval_domain_error_exits_two(tmp_path, capsys):
+    # x0*x0 overflows to inf without raising; sin(inf) raises ValueError
+    _, path = elementary_tower(tmp_path, capsys, "sin(x0*x0)", 0)
+    code, out, err = run(capsys, "eval", "--seq", path, "--term", "0",
+                         "--point", "1e200")
+    assert code == 2 and out == "" and "evaluate" in err
+
+
+def test_eval_non_finite_value_exits_two(tmp_path, capsys):
+    _, path = elementary_tower(tmp_path, capsys, "x0*x0", 0)
+    code, out, err = run(capsys, "eval", "--seq", path, "--term", "0",
+                         "--point", "1e200")
+    assert code == 2 and out == "" and "float range" in err
+
+
+def test_canonical_json_rejects_nan():
+    with pytest.raises(ValueError):
+        to_canonical_json({"value": [float("nan")]})

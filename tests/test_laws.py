@@ -1,6 +1,6 @@
 """Randomized law batteries stay green and are reproducible."""
 
-from dseq.fixtures import rng_for
+from dseq.fixtures import random_dim, random_nonlinear_map, rng_for
 from dseq.laws import (base_category_laws, omega_structure_laws,
                        tower_axiom_closure_laws, tower_identity_laws,
                        tower_naturality_laws)
@@ -54,3 +54,11 @@ def test_batteries_are_deterministic():
     a = tower_identity_laws(rng_for(9, "t-repeat"), 3)
     b = tower_identity_laws(rng_for(9, "t-repeat"), 3)
     assert report_ids(a) == report_ids(b)
+
+
+def test_nonlinear_fixture_keeps_a_nonlinear_monomial():
+    # seed 273761 once drew a spike that cancelled to PolyMap(1->1: [-4*x0])
+    for seed in range(3000):
+        rng = rng_for(seed, "t-nonlinear")
+        m = random_nonlinear_map(rng, random_dim(rng), random_dim(rng))
+        assert max(p.degree() for p in m.components) >= 2, (seed, m)
