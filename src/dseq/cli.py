@@ -40,10 +40,10 @@ def _order_limit():
     raw = os.environ.get("DSEQ_MAX_ORDER")
     if raw is None:
         return ORDER_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise EngineError(f"DSEQ_MAX_ORDER must be an integer, got {raw!r}")
+    if not raw.isdecimal():
+        raise EngineError(
+            f"DSEQ_MAX_ORDER must be a natural number, got {raw!r}")
+    return int(raw)
 
 
 def guard_order(order, allow_large):

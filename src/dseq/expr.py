@@ -1,12 +1,22 @@
 """Elementary smooth expressions: trees over +, *, integer powers, sin, cos, exp.
 
-Trees are tagged tuples: ("const", Fraction), ("var", i), ("add", a, b),
-("mul", a, b), ("pow", a, n), ("sin", a), ("cos", a), ("exp", a).
-Only rational subtrees are folded; no other rewriting happens, so the
-printed form mirrors how an expression was built.
+Trees are tagged tuples built by the smart constructors below: ("const",
+Fraction), ("var", i), ("add", a, b), ("mul", a, b), ("pow", a, n), ("sin", a),
+("cos", a), ("exp", a).  Only rational subtrees are folded, so the printed
+form mirrors how an expression was built.
+
+Terms of a composite tower repeat their subexpressions heavily, so no
+operation walks a tree: `_tape` hash-conses the trees under a list of roots
+into a straight-line program, one instruction per structurally distinct
+subtree, and `_run` evaluates it in an algebra, a table of add/mul/pow/sin/
+cos/exp plus a leaf function.  `eval` runs it over floats, `then` and `tile`
+over the smart constructors (`ElemMap._ops`, the component algebra the
+parser also builds with), `differential` over (tree, derivative) pairs and
+the printer over (text, precedence) pairs.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch
@@ -71,95 +81,92 @@ def neg(a):
     return mul(const(-1), a)
 
 
+def _tape(roots):
+    """Hash-cons the trees under `roots` into (code, root indices).
+
+    An instruction is a node whose subtrees are replaced by the indices of
+    their own, earlier, instructions; structurally equal subtrees share one
+    instruction.  Iterative, so tree depth is not bounded by the stack.
+    """
+    code, index, seen = [], {}, {}     # seen: id(node) -> instruction index
+    stack = list(reversed(roots))
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        todo = [p for p in node if type(p) is tuple and id(p) not in seen]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        ins = tuple(seen[id(p)] if type(p) is tuple else p for p in node)
+        k = index.setdefault(ins, len(code))
+        if k == len(code):
+            code.append(ins)
+        seen[id(node)] = k
+    return code, [seen[id(r)] for r in roots]
+
+
+def _run(tape, ops, leaf):
+    """Values of the tape's roots in the algebra `ops`; `leaf` maps a
+    const or var node to a value."""
+    code, roots = tape
+    vals = []
+    push = vals.append
+    for ins in code:
+        tag = ins[0]
+        if tag == "add" or tag == "mul":
+            push(ops[tag](vals[ins[1]], vals[ins[2]]))
+        elif tag == "pow":
+            push(ops["pow"](vals[ins[1]], ins[2]))
+        elif tag == "const" or tag == "var":
+            push(leaf(ins))
+        else:
+            push(ops[tag](vals[ins[1]]))
+    return [vals[r] for r in roots]
+
+
+_FLOATS = {"add": operator.add, "mul": operator.mul, "pow": operator.pow,
+           "sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+# (tree, partial derivative) pairs: forward mode along one direction.
+_PAIRS = {
+    "add": lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
+    "mul": lambda p, q: (mul(p[0], q[0]),
+                         add(mul(p[1], q[0]), mul(p[0], q[1]))),
+    "pow": lambda p, n: (pow_(p[0], n),
+                         mul(mul(const(n), pow_(p[0], n - 1)), p[1])),
+    "sin": lambda p: (sin(p[0]), mul(cos(p[0]), p[1])),
+    "cos": lambda p: (cos(p[0]), mul(neg(sin(p[0])), p[1])),
+    "exp": lambda p: (exp(p[0]), mul(exp(p[0]), p[1])),
+}
+
+
+def _float_values(tape, point):
+    return _run(tape, _FLOATS,
+                lambda ins: float(point[ins[1]] if ins[0] == "var" else ins[1]))
+
+
+def _partials(tape, j):
+    """Partial derivatives of the tape's roots with respect to x_j."""
+    return [d for _, d in _run(tape, _PAIRS,
+                               lambda ins: (ins, const(int(ins == ("var", j)))))]
+
+
+def _substitute(trees, rep):
+    """The trees with each variable x_i replaced by the tree rep(i)."""
+    return _run(_tape(trees), ElemMap._ops,
+                lambda ins: rep(ins[1]) if ins[0] == "var" else ins)
+
+
 def tree_eval(node, point):
-    tag = node[0]
-    if tag == "const":
-        return float(node[1])
-    if tag == "var":
-        return point[node[1]]
-    if tag == "add":
-        return tree_eval(node[1], point) + tree_eval(node[2], point)
-    if tag == "mul":
-        return tree_eval(node[1], point) * tree_eval(node[2], point)
-    if tag == "pow":
-        return tree_eval(node[1], point) ** node[2]
-    if tag == "sin":
-        return math.sin(tree_eval(node[1], point))
-    if tag == "cos":
-        return math.cos(tree_eval(node[1], point))
-    if tag == "exp":
-        return math.exp(tree_eval(node[1], point))
-    raise AssertionError(f"bad node {tag}")
+    return _float_values(_tape([node]), point)[0]
 
 
 def tree_deriv(node, j):
     """Partial derivative with respect to variable j."""
-    tag = node[0]
-    if tag == "const":
-        return const(0)
-    if tag == "var":
-        return const(1 if node[1] == j else 0)
-    if tag == "add":
-        return add(tree_deriv(node[1], j), tree_deriv(node[2], j))
-    if tag == "mul":
-        a, b = node[1], node[2]
-        return add(mul(tree_deriv(a, j), b), mul(a, tree_deriv(b, j)))
-    if tag == "pow":
-        a, n = node[1], node[2]
-        return mul(mul(const(n), pow_(a, n - 1)), tree_deriv(a, j))
-    if tag == "sin":
-        return mul(cos(node[1]), tree_deriv(node[1], j))
-    if tag == "cos":
-        return mul(neg(sin(node[1])), tree_deriv(node[1], j))
-    if tag == "exp":
-        return mul(exp(node[1]), tree_deriv(node[1], j))
-    raise AssertionError(f"bad node {tag}")
-
-
-def tree_subst(node, replacements):
-    """Replace each variable i by replacements[i] (a tree)."""
-    tag = node[0]
-    if tag == "const":
-        return node
-    if tag == "var":
-        return replacements[node[1]]
-    if tag == "add":
-        return add(tree_subst(node[1], replacements),
-                   tree_subst(node[2], replacements))
-    if tag == "mul":
-        return mul(tree_subst(node[1], replacements),
-                   tree_subst(node[2], replacements))
-    if tag == "pow":
-        return pow_(tree_subst(node[1], replacements), node[2])
-    return (tag, tree_subst(node[1], replacements))
-
-
-def tree_shift(node, offset):
-    tag = node[0]
-    if tag == "const":
-        return node
-    if tag == "var":
-        return ("var", node[1] + offset)
-    if tag == "add":
-        return ("add", tree_shift(node[1], offset), tree_shift(node[2], offset))
-    if tag == "mul":
-        return ("mul", tree_shift(node[1], offset), tree_shift(node[2], offset))
-    if tag == "pow":
-        return ("pow", tree_shift(node[1], offset), node[2])
-    return (tag, tree_shift(node[1], offset))
-
-
-def tree_max_var(node):
-    tag = node[0]
-    if tag == "const":
-        return -1
-    if tag == "var":
-        return node[1]
-    if tag == "pow":
-        return tree_max_var(node[1])
-    if tag in ("add", "mul"):
-        return max(tree_max_var(node[1]), tree_max_var(node[2]))
-    return tree_max_var(node[1])
+    return _partials(_tape([node]), j)[0]
 
 
 class ElemMap(CoordMap):
@@ -169,54 +176,55 @@ class ElemMap(CoordMap):
     seeded cloud of points in [-1, 1]^dom and compared coordinatewise to a
     relative tolerance (absolute when the reference magnitude is below 1).
     Trees that agree on the cloud but differ elsewhere are declared equal;
-    that false-positive risk is accepted by design for this base.
+    that false-positive risk is accepted by design for this base.  A
+    comparison with no sample point where both sides are finite fails.
     """
 
     base = "elementary"
     __slots__ = ()
 
+    _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
+            "exp": exp}
+
     @staticmethod
     def _check_component(t, dom):
-        top = tree_max_var(t)
+        code, _ = _tape([t])
+        top = max((ins[1] for ins in code if ins[0] == "var"), default=-1)
         if top >= dom:
             raise DimensionMismatch(
                 f"component uses variable x{top}, domain is {dom}")
+
+    @staticmethod
+    def _constant(nvars, value):
+        return const(value)
 
     @staticmethod
     def _variable(nvars, j):
         return var(j)
 
     @staticmethod
-    def _zero(nvars):
-        return const(0)
-
-    _add = staticmethod(add)
-
-    @staticmethod
     def _shift(t, offset, nvars):
-        return tree_shift(t, offset)
+        return _substitute([t], lambda i: var(i + offset))[0]
 
     def then(self, other):
         self._require_composable(other)
-        reps = list(self.components)
         return ElemMap(self.dom, other.cod,
-                       [tree_subst(t, reps) for t in other.components])
+                       _substitute(other.components,
+                                   self.components.__getitem__))
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction)."""
         d = self.dom
-        comps = []
-        for t in self.components:
-            total = const(0)
-            for j in range(d):
-                total = add(total, mul(tree_deriv(t, j), var(d + j)))
-            comps.append(total)
+        tape = _tape(self.components)
+        comps = [const(0)] * self.cod
+        for j in range(d):
+            comps = [add(total, mul(dt, var(d + j)))
+                     for total, dt in zip(comps, _partials(tape, j))]
         return ElemMap(2 * d, self.cod, comps)
 
     def eval(self, point):
         self._require_point(point)
-        fp = [float(x) for x in point]
-        return tuple(tree_eval(t, fp) for t in self.components)
+        return tuple(_float_values(_tape(self.components), point))
 
     def sample_points(self):
         import random
@@ -224,15 +232,16 @@ class ElemMap(CoordMap):
         return [[rng.uniform(-1.0, 1.0) for _ in range(self.dom)]
                 for _ in range(ELEM_EQ_SAMPLES)]
 
-    def _eval_finite(self, point):
-        """Values at point, or None when evaluation leaves float range.
-        Nested exp chains overflow on parts of the sample box; such points
-        carry no information for a sampled-equality verdict."""
+    @staticmethod
+    def _eval_finite(tape, point):
+        """Values at point, or None where evaluation leaves float range or
+        a function's domain (nested exp chains overflow on parts of the
+        sample box): such points carry no information."""
         try:
-            vals = self.eval(point)
-        except OverflowError:
+            vals = _float_values(tape, point)
+        except (OverflowError, ValueError):
             return None
-        if any(math.isinf(v) or math.isnan(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             return None
         return vals
 
@@ -241,14 +250,17 @@ class ElemMap(CoordMap):
         self._require_same_signature(other, "comparison needs equal signatures")
         if tol is None:
             tol = ELEM_TOLERANCE
-        for point in self.sample_points():
-            ref = self._eval_finite(point)
-            got = other._eval_finite(point)
+        mine, theirs = _tape(self.components), _tape(other.components)
+        points = self.sample_points()
+        informative = False
+        for point in points:
+            ref = self._eval_finite(mine, point)
+            got = self._eval_finite(theirs, point)
             if ref is None and got is None:
                 continue
-            if ref is None or got is None:
+            if ref is None or got is None or any(
+                    abs(a - b) > tol * max(1.0, abs(a))
+                    for a, b in zip(ref, got)):
                 return False, point
-            for a, b in zip(ref, got):
-                if abs(a - b) > tol * max(1.0, abs(a)):
-                    return False, point
-        return True, None
+            informative = True
+        return (True, None) if informative else (False, points[0])

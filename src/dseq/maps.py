@@ -20,10 +20,11 @@ class CoordMap:
     """Map between coordinate spaces with one component per output coordinate.
 
     A base subclass sets its `base` tag, which registers it for
-    `map_class`, and supplies the component algebra: `_check_component`,
-    `_variable`, `_zero`, `_add` and `_shift`, plus `then`, `differential`,
-    `eval` and `equal_witness`.  Composition is written diagrammatically:
-    f.then(g) runs f first.
+    `map_class`, and supplies the component algebra the parser also builds
+    with: `_constant`, `_variable`, `_ops` (add, mul, pow and the functions
+    the base admits), `_check_component` and `_shift`; plus `then`,
+    `differential`, `eval` and `equal_witness`.  Composition is written
+    diagrammatically: f.then(g) runs f first.
     """
 
     base = None
@@ -50,7 +51,7 @@ class CoordMap:
 
     @classmethod
     def zero_map(cls, dom, cod):
-        return cls(dom, cod, [cls._zero(dom)] * cod)
+        return cls(dom, cod, [cls._constant(dom, 0)] * cod)
 
     @classmethod
     def coord_slice(cls, total, start, size):
@@ -96,7 +97,7 @@ class CoordMap:
     def __add__(self, other):
         self._require_same_signature(
             other, "sum needs equal domains and codomains")
-        add = self._add
+        add = self._ops["add"]
         return type(self)(self.dom, self.cod,
                           [add(a, b) for a, b in zip(self.components,
                                                      other.components)])

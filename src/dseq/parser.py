@@ -75,70 +75,19 @@ def _tokenize(text):
     return tokens
 
 
-class _PolyBuilder:
-    def __init__(self, dom):
-        self.dom = dom
-
-    def const(self, value):
-        return Poly.constant(self.dom, value)
-
-    def var(self, index, pos):
-        if index >= self.dom:
-            raise UnknownVariable(
-                f"variable x{index} outside domain of dimension {self.dom}", pos)
-        return Poly.variable(self.dom, index)
-
-    def fn(self, name, arg, pos):
-        raise FunctionNotAllowed(
-            f"function {name} not allowed in a polynomial component", pos)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, n):
-        return a ** n
-
-    def neg(self, a):
-        return a.scale(-1)
-
-
-class _ElemBuilder:
-    def __init__(self, dom):
-        self.dom = dom
-
-    def const(self, value):
-        return et.const(value)
-
-    def var(self, index, pos):
-        if index >= self.dom:
-            raise UnknownVariable(
-                f"variable x{index} outside domain of dimension {self.dom}", pos)
-        return et.var(index)
-
-    def fn(self, name, arg, pos):
-        return getattr(et, name)(arg)
-
-    def add(self, a, b):
-        return et.add(a, b)
-
-    def mul(self, a, b):
-        return et.mul(a, b)
-
-    def pow(self, a, n):
-        return et.pow_(a, n)
-
-    def neg(self, a):
-        return et.neg(a)
-
-
 class _Parser:
-    def __init__(self, tokens, builder):
+    """Recursive descent that builds components in a base's component
+    algebra (`CoordMap._constant`, `_variable` and `_ops`)."""
+
+    def __init__(self, tokens, cls, dom):
         self.tokens = tokens
         self.i = 0
-        self.b = builder
+        self.cls = cls
+        self.dom = dom
+        self.ops = cls._ops
+
+    def neg(self, value):
+        return self.ops["mul"](self.cls._constant(self.dom, -1), value)
 
     def peek(self):
         return self.tokens[self.i]
@@ -169,26 +118,26 @@ class _Parser:
             op = self.take()
             rhs = self.term()
             if op.kind == "-":
-                rhs = self.b.neg(rhs)
-            value = self.b.add(value, rhs)
+                rhs = self.neg(rhs)
+            value = self.ops["add"](value, rhs)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek().kind == "*":
             self.take()
-            value = self.b.mul(value, self.factor())
+            value = self.ops["mul"](value, self.factor())
         return value
 
     def factor(self):
         if self.peek().kind == "-":
             self.take()
-            return self.b.neg(self.factor())
+            return self.neg(self.factor())
         value = self.atom()
         if self.peek().kind == "^":
             self.take()
             tok = self.expect("num", ("natural exponent",))
-            value = self.b.pow(value, int(tok.text))
+            value = self.ops["pow"](value, int(tok.text))
         return value
 
     def atom(self):
@@ -202,17 +151,26 @@ class _Parser:
                     raise ParseError("zero denominator", den.pos,
                                      ("positive denominator",))
                 value = Fraction(int(tok.text), int(den.text))
-            return self.b.const(value)
+            return self.cls._constant(self.dom, value)
         if tok.kind == "var":
-            return self.b.var(int(tok.text), tok.pos)
+            index = int(tok.text)
+            if index >= self.dom:
+                raise UnknownVariable(f"variable x{index} outside domain "
+                                      f"of dimension {self.dom}", tok.pos)
+            return self.cls._variable(self.dom, index)
         if tok.kind == "name":
             if tok.text not in _FUNCTIONS:
                 raise ParseError(f"unknown function {tok.text!r}", tok.pos,
                                  _FUNCTIONS)
+            fn = self.ops.get(tok.text)
+            if fn is None:
+                raise FunctionNotAllowed(f"function {tok.text} not allowed "
+                                         f"in a {self.cls.base} component",
+                                         tok.pos)
             self.expect("(", ("'('",))
             arg = self.expr()
             self.expect(")", ("')'",))
-            return self.b.fn(tok.text, arg, tok.pos)
+            return fn(arg)
         if tok.kind == "(":
             value = self.expr()
             self.expect(")", ("')'",))
@@ -223,8 +181,12 @@ class _Parser:
 
 def parse_component(text, dom, base="poly"):
     """Parse one component expression into a polynomial or a tree."""
-    builder = _PolyBuilder(dom) if base == "poly" else _ElemBuilder(dom)
-    return _Parser(_tokenize(text), builder).parse()
+    parser = _Parser(_tokenize(text), map_class(base), dom)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek().pos) from None
 
 
 def parse_map(components, dom, cod, base="poly"):
@@ -257,31 +219,52 @@ def format_poly(p):
     return "".join(out)
 
 
-def format_tree(node, ctx=1):
-    """Structural text form; reparsing yields an equal map.
+def _wrap(value, ctx):
+    """Pieces of a (pieces, precedence) value placed in a context that
+    binds at ctx: 1 a summand, 2 a factor, 3 a power base."""
+    pieces, prec = value
+    return pieces if prec >= ctx else ("(", pieces, ")")
 
-    ctx: 1 inside a sum, 2 inside a product, 3 as a power base.
-    """
-    tag = node[0]
-    if tag == "const":
-        v = node[1]
-        if ctx >= 3 and (v < 0 or v.denominator != 1):
-            return f"({v})"
-        return str(v)
-    if tag == "var":
-        return f"x{node[1]}"
-    if tag in _FUNCTIONS:
-        return f"{tag}({format_tree(node[1], 1)})"
-    if tag == "pow":
-        s = f"{format_tree(node[1], 3)}^{node[2]}"
-        return f"({s})" if ctx >= 3 else s
-    if tag == "mul":
-        s = f"{format_tree(node[1], 2)}*{format_tree(node[2], 2)}"
-        return f"({s})" if ctx >= 3 else s
-    if tag == "add":
-        s = f"{format_tree(node[1], 1)} + {format_tree(node[2], 1)}"
-        return f"({s})" if ctx >= 2 else s
-    raise AssertionError(f"bad node {tag}")
+
+# Trees print as (pieces, precedence) pairs; pieces nest, and are joined once
+# at the end so that a deep tree costs time and memory linear in its text.
+# Precedence: 1 a sum, 2 a product, power or signed or fractional constant,
+# 3 an atom.
+_TEXT = {
+    "add": lambda p, q: ((p[0], " + ", q[0]), 1),
+    "mul": lambda p, q: ((_wrap(p, 2), "*", _wrap(q, 2)), 2),
+    "pow": lambda p, n: ((_wrap(p, 3), f"^{n}"), 2),
+    **{name: (lambda p, name=name: ((f"{name}(", p[0], ")"), 3))
+       for name in _FUNCTIONS},
+}
+
+
+def _text_leaf(node):
+    if node[0] == "var":
+        return f"x{node[1]}", 3
+    v = node[1]
+    return str(v), 2 if v < 0 or v.denominator != 1 else 3
+
+
+def _join(pieces):
+    out, stack = [], [pieces]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+        else:
+            stack.extend(reversed(top))
+    return "".join(out)
+
+
+def _format_trees(trees):
+    return [_join(pieces)
+            for pieces, _ in et._run(et._tape(trees), _TEXT, _text_leaf)]
+
+
+def format_tree(node):
+    """Structural text form; reparsing yields an equal map."""
+    return _format_trees([node])[0]
 
 
 def format_component(comp):
@@ -291,5 +274,6 @@ def format_component(comp):
 
 
 def format_map(m):
-    fmt = format_poly if m.base == "poly" else format_tree
-    return [fmt(c) for c in m.components]
+    if m.base == "poly":
+        return [format_poly(c) for c in m.components]
+    return _format_trees(m.components)

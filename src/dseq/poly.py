@@ -220,10 +220,9 @@ class PolyMap(CoordMap):
             raise DimensionMismatch(
                 f"component in {p.nvars} variables, domain is {dom}")
 
+    _constant = staticmethod(Poly.constant)
     _variable = staticmethod(Poly.variable)
-    _zero = staticmethod(Poly.zero)
-
-    _add = staticmethod(operator.add)
+    _ops = {"add": operator.add, "mul": operator.mul, "pow": operator.pow}
     _shift = staticmethod(Poly.shift)
 
     def then(self, other):

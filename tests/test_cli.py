@@ -322,3 +322,44 @@ def test_eval_non_finite_value_exits_two(tmp_path, capsys):
 def test_canonical_json_rejects_nan():
     with pytest.raises(ValueError):
         to_canonical_json({"value": [float("nan")]})
+
+
+def test_check_without_finite_sample_points_fails(tmp_path, capsys):
+    # C*x0*C overflows to inf and sin(inf) raises ValueError at every
+    # sample point: the sampled comparisons have no evidence and must fail
+    c = "1" + "0" * 300
+    src = write_json(tmp_path / "map.json",
+                     {"base": "elementary", "dom": 1, "cod": 1,
+                      "components": [f"sin({c}*x0*{c})"]})
+    code, out, _ = run(capsys, "check", "--input", src, "--suite", "ds",
+                       "--format", "text")
+    assert code == 1 and out.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("component", ["(" * 5000 + "x0" + ")" * 5000,
+                                       "-" * 5000 + "x0"],
+                         ids=["parentheses", "unary-minus"])
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_deeply_nested_component_exits_two(tmp_path, capsys, component, base):
+    src = write_json(tmp_path / "map.json",
+                     {"base": base, "dom": 1, "cod": 1,
+                      "components": [component]})
+    code, out, err = run(capsys, "derive", "--map", src, "--order", "1")
+    assert code == 2 and out == "" and "nested too deeply" in err
+
+
+def test_derive_long_flat_sum(tmp_path, capsys):
+    src = write_json(tmp_path / "map.json",
+                     {"base": "elementary", "dom": 1, "cod": 1,
+                      "components": [" + ".join(["sin(x0)"] * 2000)]})
+    code, out, _ = run(capsys, "derive", "--map", src, "--order", "1")
+    assert code == 0
+    assert json.loads(out)["terms"][1]["components"][0].count("cos(x0)") == 2000
+
+
+def test_negative_order_guard_env_is_a_bad_setting(capsys, monkeypatch):
+    monkeypatch.setenv("DSEQ_MAX_ORDER", "-1")
+    code, out, err = run(capsys, "derive", "--map", fx("map_square.json"),
+                         "--order", "0")
+    assert code == 2 and out == ""
+    assert "DSEQ_MAX_ORDER must be" in err and "exceeds" not in err

@@ -117,3 +117,20 @@ def test_neg_is_scaling():
 
 def test_default_tolerance_value():
     assert ELEM_TOLERANCE == 1e-9
+
+
+def test_domain_error_points_are_uninformative():
+    # exp(700*x0)^2 overflows to inf without raising for x0 > 0.51, and
+    # sin(inf) raises ValueError there; the other points still decide
+    u = exp(mul(const(700), var(0)))
+    f = ElemMap(1, 1, (sin(mul(u, u)),))
+    g = ElemMap(1, 1, (sin(mul(exp(mul(var(0), const(700))), u)),))
+    assert f.equal(g)
+    assert not f.equal(ElemMap(1, 1, (cos(mul(u, u)),)))
+
+
+def test_no_finite_sample_point_is_not_equal():
+    c = const(10 ** 300)
+    f = ElemMap(1, 1, (sin(mul(mul(c, var(0)), c)),))
+    ok, point = f.equal_witness(f)
+    assert not ok and point == f.sample_points()[0]
