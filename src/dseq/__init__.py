@@ -21,7 +21,7 @@ from .faa import (Partition, bell_number, chain_equivalence_check,
                   pattern_derivative, unit_speed_pattern)
 from .jsonio import dump_map, dump_seq, load_map, load_seq
 from .maps import (canonical_map, compose, identity, pfunctor_apply, proj,
-                   tangent_map, zero_map)
+                   zero_map)
 from .parser import format_map, parse_component, parse_map
 from .poly import Poly, PolyMap
 from .reports import LawEntry, LawReport
@@ -44,6 +44,6 @@ __all__ = [
     "load_map", "load_seq", "nth_symbolic_derivative", "omega",
     "parse_component", "parse_map", "partitions", "pattern_derivative",
     "pfunctor_apply", "proj", "run_selftest", "seq_identity", "seq_product",
-    "seq_proj", "seq_terminal", "seq_zero", "t2", "tangent_map",
-    "unit_speed_pattern", "zero_map",
+    "seq_proj", "seq_terminal", "seq_zero", "t2", "unit_speed_pattern",
+    "zero_map",
 ]

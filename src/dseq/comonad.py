@@ -5,13 +5,14 @@ derivative.  counit extracts the order-0 term; comult views a tower as the
 triangle of all its shifts, sharing terms with the source rather than
 copying them.  The three comonad laws hold for arbitrary towers because
 both sides of each law reduce to index arithmetic over one shared family.
+The CD.1-CD.7 statement here serves base maps as well as towers.
 """
 
 from .axioms import DSeq
 from .errors import AxiomViolation, InsufficientOrder
-from .maps import canonical_map, compose, proj
+from .maps import canonical_map, identity, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
-from .sequences import PreDSeq, seq_identity, seq_proj, seq_zero
+from .sequences import PreDSeq, seq_identity
 
 
 def omega(f, order):
@@ -101,117 +102,96 @@ def check_coalgebra(f, order, tol=None):
 
 
 def _require_stamped(fixtures):
-    out = []
-    for fx in fixtures:
-        group = []
-        for item in (fx if isinstance(fx, tuple) else (fx,)):
-            if isinstance(item, DSeq):
-                if item.order < 3:
-                    raise InsufficientOrder(
-                        "CD battery needs stamped towers of order >= 3")
-                group.append(item.seq)
-            else:
-                raise AxiomViolation("CD battery takes stamped towers")
-        out.append(tuple(group))
-    return out
+    groups = [fx if isinstance(fx, tuple) else (fx,) for fx in fixtures]
+    for item in (item for group in groups for item in group):
+        if not isinstance(item, DSeq):
+            raise AxiomViolation("CD battery takes stamped towers")
+        if item.order < 3:
+            raise InsufficientOrder(
+                "CD battery needs stamped towers of order >= 3")
+    return [tuple(item.seq for item in group) for group in groups]
 
 
-def check_cd_axioms(fixtures, tol=None):
-    """Differential-combinator axioms at the tower level.
+def _cd_laws(lift, compose, single=None, parallel=None, composable=None):
+    """CD.1-CD.7 as (axiom, k, lhs, rhs) instances, for base maps and towers.
 
-    Fixtures are stamped towers (singletons) or stamped pairs; pairs with
-    equal signatures feed the additive and pairing axioms, pairs with
-    composable signatures feed the chain rule.  The identifiers follow the
-    usual numbering:
+    `lift` turns a structural base map into a morphism of the category,
+    `compose(f, g)` runs f first.  `single` feeds the laws of one morphism,
+    `parallel` (equal signatures) the additive and pairing laws and
+    `composable` the chain rule:
 
-    CD.1 shift is additive          CD.5 chain rule (two routes)
+    CD.1 shift is additive          CD.5 chain rule
     CD.2 shift is linear in the     CD.6 second shift restricted to
          direction argument              (a,0,0,b) is the first shift
     CD.3 shift of identities and    CD.7 second shift is symmetric in
          projections                     the two middle blocks
     CD.4 shift respects pairing
-    plus CD.4-implied, the meta check that CD.4 never fails while CD.3
-    and CD.5 pass.
+    """
+    if single is not None:
+        f = single
+        a, b, base = f.dom, f.cod, f.base
+        df = f.differential()
+        d2 = df.differential()
+
+        def along(kind, m):
+            return compose(lift(canonical_map(kind, a, base)), m)
+
+        zero = lift(zero_map(a, b, base))
+        yield "CD.1", 1, zero.differential(), lift(zero_map(2 * a, b, base))
+        yield ("CD.2", 0, along("sumv", df),
+               along("sumproj0", df) + along("sumproj1", df))
+        yield "CD.2", 1, along("zpair", df), zero
+        yield ("CD.3", 0, lift(identity(a, base)).differential(),
+               lift(proj(a, a, 1, base)))
+        for j in (0, 1):
+            pj = proj(a, b, j, base)
+            yield ("CD.3", 1 + j, lift(pj).differential(),
+                   lift(proj(a + b, a + b, 1, base).then(pj)))
+        yield "CD.6", 0, along("lift", d2), df
+        yield "CD.7", 0, along("flip", d2), d2
+    if parallel is not None:
+        f, g = parallel
+        yield ("CD.1", 0, (f + g).differential(),
+               f.differential() + g.differential())
+        yield ("CD.4", 0, f.pair(g).differential(),
+               f.differential().pair(g.differential()))
+    if composable is not None:
+        f, g = composable
+        yield ("CD.5", 0, compose(f, g).differential(),
+               compose(f.tangent(), g.differential()))
+
+
+def check_cd_axioms(fixtures, tol=None):
+    """Differential-combinator axioms (`_cd_laws`) at the tower level.
+
+    Fixtures are stamped towers (singletons) or stamped pairs; a singleton
+    f also feeds the pair (f, f).  Composable pairs check the chain rule
+    along a second, explicit route too (CD.5 k=1), and CD.4-implied is the
+    meta check that CD.4 never fails while CD.3 and CD.5 pass.
     """
     report = LawReport("cd")
-    groups = _require_stamped(fixtures)
+    for idx, group in enumerate(_require_stamped(fixtures)):
+        f, g = group * 2 if len(group) == 1 else group
+        chain = len(group) == 2 and f.cod == g.dom
 
-    def ident_scaled(kind, dim, base, order):
-        # tower-level structural map: identity tower scaled by the block map
-        k = canonical_map(kind, dim, base)
-        return seq_identity(k.dom, order, base).rmul(k)
+        def lift(k, order=f.order, base=f.base):
+            return seq_identity(k.dom, order, base).rmul(k)
 
-    for idx, group in enumerate(groups):
-        if len(group) == 1:
-            f, = group
-            n_ord = f.order
-            base = f.base
-            a = f.dom
-
-            zero = seq_zero(a, f.cod, n_ord, base)
-            report.add(seq_entry("CD.1", idx, 0, (f + f).differential(),
-                                 f.differential() + f.differential(), tol))
-            report.add(seq_entry("CD.1", idx, 1, zero.differential(),
-                                 seq_zero(2 * a, f.cod, n_ord - 1, base), tol))
-
-            df = f.differential()
-            report.add(seq_entry(
-                "CD.2", idx, 0,
-                ident_scaled("sumv", a, base, n_ord).compose(df),
-                ident_scaled("sumproj0", a, base, n_ord).compose(df)
-                + ident_scaled("sumproj1", a, base, n_ord).compose(df), tol))
-            report.add(seq_entry(
-                "CD.2", idx, 1,
-                ident_scaled("zpair", a, base, n_ord).compose(df),
-                seq_zero(a, f.cod, n_ord, base), tol))
-
-            ident = seq_identity(a, n_ord, base)
-            report.add(seq_entry(
-                "CD.3", idx, 0, ident.differential(),
-                seq_identity(2 * a, n_ord, base).rmul(proj(a, a, 1, base)), tol))
-            for j in (0, 1):
-                pj = seq_proj(a, a, j, n_ord, base)
-                back = compose(proj(2 * a, 2 * a, 1, base), proj(a, a, j, base))
-                report.add(seq_entry(
-                    "CD.3", idx, 1 + j, pj.differential(),
-                    seq_identity(4 * a, n_ord, base).rmul(back), tol))
-
-            report.add(seq_entry("CD.4", idx, 0, f.pair(f).differential(),
-                                 f.differential().pair(f.differential()), tol))
-
-            d2 = f.differential().differential()
-            report.add(seq_entry(
-                "CD.6", idx, 0,
-                ident_scaled("lift", a, base, n_ord).compose(d2),
-                f.differential().truncate(n_ord - 2), tol))
-            report.add(seq_entry(
-                "CD.7", idx, 0,
-                ident_scaled("flip", a, base, n_ord).compose(d2), d2, tol))
-            continue
-
-        f, g = group
-        if f.dom == g.dom and f.cod == g.cod:
-            report.add(seq_entry("CD.1", idx, 0, (f + g).differential(),
-                                 f.differential() + g.differential(), tol))
-            report.add(seq_entry("CD.4", idx, 0, f.pair(g).differential(),
-                                 f.differential().pair(g.differential()), tol))
-        if f.cod == g.dom:
-            report.add(seq_entry("CD.5", idx, 0, f.compose(g).differential(),
-                                 f.tangent().compose(g.differential()), tol))
-            explicit = seq_proj(f.dom, f.dom, 0, f.order, f.base).compose(f) \
+        laws = _cd_laws(
+            lift, PreDSeq.compose, single=f if len(group) == 1 else None,
+            parallel=(f, g) if (f.dom, f.cod) == (g.dom, g.cod) else None,
+            composable=(f, g) if chain else None)
+        for axiom, k, lhs, rhs in laws:
+            report.add(seq_entry(axiom, idx, k, lhs, rhs, tol))
+        if chain:
+            explicit = lift(proj(f.dom, f.dom, 0, f.base)).compose(f) \
                 .pair(f.differential()) \
                 .compose(g.differential())
             report.add(seq_entry("CD.5", idx, 1, f.compose(g).differential(),
                                  explicit, tol))
 
-    cd3_ok = cd4_ok = cd5_ok = True
-    for e in report.entries:
-        if e.axiom == "CD.3":
-            cd3_ok = cd3_ok and e.passed
-        elif e.axiom == "CD.4":
-            cd4_ok = cd4_ok and e.passed
-        elif e.axiom == "CD.5":
-            cd5_ok = cd5_ok and e.passed
+    ok = {axiom: all(e.passed for e in report.entries if e.axiom == axiom)
+          for axiom in ("CD.3", "CD.4", "CD.5")}
     report.add(bool_entry("CD.4-implied", 0, 0,
-                          not (cd3_ok and cd5_ok) or cd4_ok))
+                          not (ok["CD.3"] and ok["CD.5"]) or ok["CD.4"]))
     return report.sort()

@@ -9,10 +9,11 @@ Terms of a composite tower repeat their subexpressions heavily, so no
 operation walks a tree: `_tape` hash-conses the trees under a list of roots
 into a straight-line program, one instruction per structurally distinct
 subtree, and `_run` evaluates it in an algebra, a table of add/mul/pow/sin/
-cos/exp plus a leaf function.  `eval` runs it over floats, `then` and `tile`
-over the smart constructors (`ElemMap._ops`, the component algebra the
-parser also builds with), `differential` over (tree, derivative) pairs and
-the printer over (text, precedence) pairs.
+cos/exp plus a leaf function.  An `ElemMap` tapes its components once, at
+construction, and keeps the tape.  `eval` runs it over floats, `then` and
+`tile` over the smart constructors (`ElemMap._ops`, the component algebra
+the parser also builds with), `differential` over (tree, derivative) pairs
+and the printer over (text, precedence) pairs.
 """
 
 import math
@@ -154,9 +155,9 @@ def _partials(tape, j):
                                lambda ins: (ins, const(int(ins == ("var", j)))))]
 
 
-def _substitute(trees, rep):
-    """The trees with each variable x_i replaced by the tree rep(i)."""
-    return _run(_tape(trees), ElemMap._ops,
+def _substitute(tape, rep):
+    """The tape's roots with each variable x_i replaced by the tree rep(i)."""
+    return _run(tape, ElemMap._ops,
                 lambda ins: rep(ins[1]) if ins[0] == "var" else ins)
 
 
@@ -181,18 +182,18 @@ class ElemMap(CoordMap):
     """
 
     base = "elementary"
-    __slots__ = ()
+    __slots__ = ("tape",)     # the components, taped once at construction
 
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
             "exp": exp}
 
-    @staticmethod
-    def _check_component(t, dom):
-        code, _ = _tape([t])
-        top = max((ins[1] for ins in code if ins[0] == "var"), default=-1)
-        if top >= dom:
+    def _check_components(self):
+        self.tape = _tape(self.components)
+        top = max((ins[1] for ins in self.tape[0] if ins[0] == "var"),
+                  default=-1)
+        if top >= self.dom:
             raise DimensionMismatch(
-                f"component uses variable x{top}, domain is {dom}")
+                f"component uses variable x{top}, domain is {self.dom}")
 
     @staticmethod
     def _constant(nvars, value):
@@ -202,29 +203,26 @@ class ElemMap(CoordMap):
     def _variable(nvars, j):
         return var(j)
 
-    @staticmethod
-    def _shift(t, offset, nvars):
-        return _substitute([t], lambda i: var(i + offset))[0]
+    def _shifted(self, offset, nvars):
+        return _substitute(self.tape, lambda i: var(i + offset))
 
     def then(self, other):
         self._require_composable(other)
         return ElemMap(self.dom, other.cod,
-                       _substitute(other.components,
-                                   self.components.__getitem__))
+                       _substitute(other.tape, self.components.__getitem__))
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction)."""
         d = self.dom
-        tape = _tape(self.components)
         comps = [const(0)] * self.cod
         for j in range(d):
             comps = [add(total, mul(dt, var(d + j)))
-                     for total, dt in zip(comps, _partials(tape, j))]
+                     for total, dt in zip(comps, _partials(self.tape, j))]
         return ElemMap(2 * d, self.cod, comps)
 
     def eval(self, point):
         self._require_point(point)
-        return tuple(_float_values(_tape(self.components), point))
+        return tuple(_float_values(self.tape, point))
 
     def sample_points(self):
         import random
@@ -250,12 +248,11 @@ class ElemMap(CoordMap):
         self._require_same_signature(other, "comparison needs equal signatures")
         if tol is None:
             tol = ELEM_TOLERANCE
-        mine, theirs = _tape(self.components), _tape(other.components)
         points = self.sample_points()
         informative = False
         for point in points:
-            ref = self._eval_finite(mine, point)
-            got = self._eval_finite(theirs, point)
+            ref = self._eval_finite(self.tape, point)
+            got = self._eval_finite(other.tape, point)
             if ref is None and got is None:
                 continue
             if ref is None or got is None or any(

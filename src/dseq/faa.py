@@ -111,30 +111,15 @@ def faa_univariate(inner, outer, n):
     return PolyMap(1, 1, [total])
 
 
-@dataclass(frozen=True)
-class DirectionalPattern:
-    """Evaluation pattern for the n-fold joint derivative: block 0 carries the
-    base point, blocks with a single doubling bit set carry the direction,
-    all other blocks are zero."""
-
-    dim: int
-    order: int
-    point: tuple
-    direction: tuple
-
-    def __post_init__(self):
-        assert len(self.point) == self.dim and len(self.direction) == self.dim
-
-    def vector(self):
-        out = []
-        for b in range(1 << self.order):
-            if b == 0:
-                out.extend(self.point)
-            elif b & (b - 1) == 0:
-                out.extend(self.direction)
-            else:
-                out.extend([0] * self.dim)
-        return out
+def _directional_blocks(order, point, direction, zero):
+    """The 2^order blocks of the directional pattern: the point in block 0,
+    the direction in each block whose index has a single doubling bit set,
+    `zero` elsewhere."""
+    out = []
+    for b in range(1 << order):
+        out.extend(point if b == 0 else direction if b & (b - 1) == 0
+                   else zero)
+    return out
 
 
 def directional_eval(seq, n, point, direction):
@@ -142,8 +127,10 @@ def directional_eval(seq, n, point, direction):
     of the order-0 map at `point` along `direction`."""
     if not isinstance(seq, PreDSeq):
         raise TagMismatch("directional evaluation works on towers")
-    pattern = DirectionalPattern(seq.dom, n, tuple(point), tuple(direction))
-    return seq.term(n).eval(pattern.vector())
+    if len(point) != seq.dom or len(direction) != seq.dom:
+        raise DimensionMismatch("point and direction must match the domain")
+    return seq.term(n).eval(
+        _directional_blocks(n, point, direction, [0] * seq.dom))
 
 
 def directional_oracle(f, n, point, direction):
@@ -173,15 +160,8 @@ def unit_speed_pattern(n):
     """The pattern (x, 1, 1, 0, 1, 0, 0, 0, ...) as a symbolic map, turning
     the n-fold joint derivative of a univariate map into its classical n-th
     derivative."""
-    comps = []
-    for b in range(1 << n):
-        if b == 0:
-            comps.append(Poly.variable(1, 0))
-        elif b & (b - 1) == 0:
-            comps.append(Poly.constant(1, 1))
-        else:
-            comps.append(Poly.zero(1))
-    return PolyMap(1, 1 << n, comps)
+    return PolyMap(1, 1 << n, _directional_blocks(
+        n, [Poly.variable(1, 0)], [Poly.constant(1, 1)], [Poly.zero(1)]))
 
 
 def pattern_derivative(f, n):

@@ -22,7 +22,7 @@ class CoordMap:
     A base subclass sets its `base` tag, which registers it for
     `map_class`, and supplies the component algebra the parser also builds
     with: `_constant`, `_variable`, `_ops` (add, mul, pow and the functions
-    the base admits), `_check_component` and `_shift`; plus `then`,
+    the base admits); plus `_check_components`, `_shifted`, `then`,
     `differential`, `eval` and `equal_witness`.  Composition is written
     diagrammatically: f.then(g) runs f first.
     """
@@ -39,11 +39,10 @@ class CoordMap:
         if len(components) != cod:
             raise DimensionMismatch(
                 f"{len(components)} components for codomain {cod}")
-        for c in components:
-            self._check_component(c, dom)
         self.dom = dom
         self.cod = cod
         self.components = components
+        self._check_components()
 
     @classmethod
     def identity(cls, dim):
@@ -94,6 +93,11 @@ class CoordMap:
         return type(self)(self.dom, self.cod + other.cod,
                           self.components + other.components)
 
+    def tangent(self):
+        """Pair of (self at the base point, derivative in the direction)."""
+        d = self.dom
+        return self.proj(d, d, 0).then(self).pair(self.differential())
+
     def __add__(self, other):
         self._require_same_signature(
             other, "sum needs equal domains and codomains")
@@ -105,11 +109,9 @@ class CoordMap:
     def tile(self, copies):
         """Block-diagonal repetition acting on `copies` stacked domains."""
         dom, cod = self.dom * copies, self.cod * copies
-        shift = self._shift
         comps = []
         for c in range(copies):
-            off = c * self.dom
-            comps.extend(shift(t, off, dom) for t in self.components)
+            comps.extend(self._shifted(c * self.dom, dom))
         return type(self)(dom, cod, comps)
 
     def equal(self, other, tol=None):
@@ -154,12 +156,6 @@ def coord_slice(total, start, size, base="poly"):
 def compose(f, g):
     """Diagrammatic composite: f first, then g."""
     return f.then(g)
-
-
-def tangent_map(f):
-    """Pair of (f at the base point, derivative of f in the direction)."""
-    d = f.dom
-    return compose(proj(d, d, 0, f.base), f).pair(f.differential())
 
 
 def pfunctor_apply(h, k):

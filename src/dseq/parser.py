@@ -187,6 +187,8 @@ def parse_component(text, dom, base="poly"):
     except RecursionError:
         raise ParseError("expression nested too deeply",
                          parser.peek().pos) from None
+    except OverflowError as exc:       # a base's size budget
+        raise ParseError(str(exc), parser.peek().pos) from None
 
 
 def parse_map(components, dom, cod, base="poly"):
@@ -257,14 +259,13 @@ def _join(pieces):
     return "".join(out)
 
 
-def _format_trees(trees):
-    return [_join(pieces)
-            for pieces, _ in et._run(et._tape(trees), _TEXT, _text_leaf)]
+def _format_tape(tape):
+    return [_join(pieces) for pieces, _ in et._run(tape, _TEXT, _text_leaf)]
 
 
 def format_tree(node):
     """Structural text form; reparsing yields an equal map."""
-    return _format_trees([node])[0]
+    return _format_tape(et._tape([node]))[0]
 
 
 def format_component(comp):
@@ -276,4 +277,4 @@ def format_component(comp):
 def format_map(m):
     if m.base == "poly":
         return [format_poly(c) for c in m.components]
-    return _format_trees(m.components)
+    return _format_tape(m.tape)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -363,3 +364,33 @@ def test_negative_order_guard_env_is_a_bad_setting(capsys, monkeypatch):
                          "--order", "0")
     assert code == 2 and out == ""
     assert "DSEQ_MAX_ORDER must be" in err and "exceeds" not in err
+
+
+def derive_poly(tmp_path, capsys, component):
+    src = write_json(tmp_path / "map.json",
+                     {"base": "poly", "dom": 1, "cod": 1,
+                      "components": [component]})
+    return run(capsys, "derive", "--map", src, "--order", "1")
+
+
+def test_oversized_poly_power_exits_two_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = derive_poly(tmp_path, capsys, "(x0+1)^3000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "over the budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("component", [
+    "(" + " + ".join(f"x0^{e}" for e in range(1, 41)) + ")^5",
+    " * ".join(["(" + " + ".join(f"x0^{e}" for e in range(501)) + ")"] * 2),
+], ids=["power-of-sum", "product"])
+def test_oversized_poly_expansion_exits_two(tmp_path, capsys, component):
+    code, out, err = derive_poly(tmp_path, capsys, component)
+    assert code == 2 and out == "" and "over the budget" in err
+
+
+def test_poly_power_within_budget_still_parses(tmp_path, capsys):
+    code, out, _ = derive_poly(tmp_path, capsys, "(x0+1)^300")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["components"][0].startswith("x0^300 + ")

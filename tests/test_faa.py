@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dseq.comonad import omega
+from dseq.errors import DimensionMismatch
 from dseq.faa import (Partition, bell_number, chain_equivalence_check,
                       classical_derivative, directional_eval,
                       directional_oracle, faa_univariate,
@@ -122,6 +123,14 @@ def test_directional_eval_matches_oracle_multivariate():
         for n in range(4):
             assert directional_eval(t, n, point, direction) == \
                 directional_oracle(f, n, point, direction)
+
+
+def test_directional_eval_rejects_wrong_lengths():
+    t = omega(pm(["x0*x1"], 2), 2)
+    with pytest.raises(DimensionMismatch):
+        directional_eval(t, 1, [Fraction(1)], [Fraction(1), Fraction(2)])
+    with pytest.raises(DimensionMismatch):
+        directional_eval(t, 1, [Fraction(1), Fraction(2)], [Fraction(1)])
 
 
 def test_first_directional_is_jacobian_vector():

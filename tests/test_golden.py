@@ -32,6 +32,8 @@ CASES = {
                               "--format", "json", "--trials", "2"]),
     "check_square_text": (0, ["check", "--input", fx("map_square.json"),
                               "--format", "text", "--trials", "2"]),
+    "check_sin_json": (0, ["check", "--input", fx("map_sin.json"),
+                           "--format", "json", "--trials", "2"]),
     "check_corrupt_ds2_json": (1, ["check", "--input", fx("corrupt_ds2.json"),
                                    "--format", "json", "--trials", "2"]),
     "check_corrupt_ds2_text": (1, ["check", "--input", fx("corrupt_ds2.json"),

@@ -6,7 +6,7 @@ import pytest
 
 from dseq.errors import DimensionMismatch, TagMismatch
 from dseq.maps import (canonical_map, compose, identity, map_class,
-                       pfunctor_apply, proj, tangent_map, zero_map)
+                       pfunctor_apply, proj, zero_map)
 from dseq.parser import parse_map
 from dseq.poly import Poly, PolyMap
 
@@ -66,7 +66,7 @@ def test_pfunctor_zero_doublings_is_identity_functor():
 
 def test_tangent_map_pairs_value_and_derivative():
     f = parse_map(["x0^2"], 1, 1, "poly")
-    tf = tangent_map(f)
+    tf = f.tangent()
     assert (tf.dom, tf.cod) == (2, 2)
     assert ev(tf, 3, 5) == (9, 30)
 
