@@ -5,7 +5,10 @@ checks each tower entry against structural block maps pushed through k
 doublings; the tower-level ("unprimed") form states the same laws as
 equalities of residual towers under left scalar actions.  The primed
 instance at (n + k, k) coincides with the unprimed instance at (n, k), so
-the two checkers must agree in aggregate on every input.
+the two checkers must agree in aggregate on every input.  Both run the one
+statement of the four laws, `_ds_laws`, which the CD battery also runs
+(`comonad._cd_laws`: CD.2, CD.6 and CD.7 are these laws read on a
+morphism's first and second shift).
 
 Axiom identifiers:
     DS.1': zeroed directions kill the term         (vanishing)
@@ -18,73 +21,63 @@ with DS.1 .. DS.4 the tower-level counterparts.
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .maps import canonical_map, compose, pfunctor_apply, proj, zero_map
+from .maps import canonical_map, compose, coord_slice, pfunctor_apply, zero_map
 from .reports import LawReport, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity, seq_zero
 
 
-def _canon(kind, seq, n, k):
-    """Structural map of `kind` built at block size 2^(n-k) * dom, then
-    pushed through k doublings."""
-    block = seq.dom << (n - k)
-    return pfunctor_apply(canonical_map(kind, block, seq.base), k)
+def _ds_laws(along, first, second, zero):
+    """DS.1-DS.4 as (axiom, depth, lhs, rhs) instances.
+
+    `first` and `second` are a morphism's first and second shift (`second`
+    is None when the order runs out, which drops DS.3 and DS.4); depth
+    counts the shifts a law reads.  `along(kind, m)` precomposes m with the
+    structural map `kind` (`maps.canonical_map`), and `zero` is the zero
+    morphism that DS.1 compares with.
+    """
+    yield "DS.1", 1, along("zpair", first), zero
+    yield ("DS.2", 1, along("sumv", first),
+           along("sumproj0", first) + along("sumproj1", first))
+    if second is not None:
+        yield "DS.3", 2, along("lift", second), first
+        yield "DS.4", 2, along("flip", second), second
 
 
 def check_ds_primed(seq, tol=None):
-    """Termwise axiom battery over every in-budget instance (n, k <= n)."""
+    """Termwise axiom battery over every in-budget instance (n, k <= n):
+    terms n + 1 and n + 2 against structural maps built at block size
+    2^(n-k) * dom and pushed through k doublings."""
     report = LawReport("ds_primed")
-    order = seq.order
-    for n in range(order):
-        f_next = seq.terms[n + 1]
+    for n in range(seq.order):
+        first = seq.terms[n + 1]
+        second = seq.terms[n + 2] if n + 2 <= seq.order else None
+        zero = zero_map(seq.dom << n, seq.cod, seq.base)
         for k in range(n + 1):
-            lhs = compose(_canon("zpair", seq, n, k), f_next)
-            zero = zero_map(seq.dom << n, seq.cod, seq.base)
-            report.add(map_entry("DS.1'", n, k, n + 1, lhs, zero, tol))
+            def along(kind, m):
+                block = canonical_map(kind, seq.dom << (n - k), seq.base)
+                return compose(pfunctor_apply(block, k), m)
 
-            lhs = compose(_canon("sumv", seq, n, k), f_next)
-            rhs = (compose(_canon("sumproj0", seq, n, k), f_next)
-                   + compose(_canon("sumproj1", seq, n, k), f_next))
-            report.add(map_entry("DS.2'", n, k, n + 1, lhs, rhs, tol))
-    for n in range(order - 1):
-        f_next2 = seq.terms[n + 2]
-        for k in range(n + 1):
-            lhs = compose(_canon("lift", seq, n, k), f_next2)
-            report.add(map_entry("DS.3'", n, k, n + 2, lhs, seq.terms[n + 1], tol))
-
-            lhs = compose(_canon("flip", seq, n, k), f_next2)
-            report.add(map_entry("DS.4'", n, k, n + 2, lhs, f_next2, tol))
+            for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
+                report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,
+                                     tol))
     return report.sort()
 
 
 def check_ds_unprimed(seq, tol=None):
-    """Tower-level battery: the same laws as equalities of shifted towers."""
+    """Tower-level battery: the same laws as equalities of shifted towers,
+    the (n+1)-fold shift and its own shift under left scalar actions."""
     report = LawReport("ds_unprimed")
-    order = seq.order
-    for n in range(order):
-        shifted = seq
-        for _ in range(n + 1):
-            shifted = shifted.differential()
-        zp = canonical_map("zpair", seq.dom << n, seq.base)
-        lhs = shifted.lmul(zp)
-        rhs = seq_zero(seq.dom << n, seq.cod, lhs.order, seq.base)
-        report.add(seq_entry("DS.1", n, 0, lhs, rhs, tol))
+    first = seq
+    for n in range(seq.order):
+        first = first.differential()
+        second = first.differential() if first.order else None
+        zero = seq_zero(seq.dom << n, seq.cod, first.order, seq.base)
 
-        sv = canonical_map("sumv", seq.dom << n, seq.base)
-        p0 = canonical_map("sumproj0", seq.dom << n, seq.base)
-        p1 = canonical_map("sumproj1", seq.dom << n, seq.base)
-        report.add(seq_entry("DS.2", n, 0, shifted.lmul(sv),
-                             shifted.lmul(p0) + shifted.lmul(p1), tol))
-    for n in range(order - 1):
-        once = seq
-        for _ in range(n + 1):
-            once = once.differential()
-        twice = once.differential()
-        lf = canonical_map("lift", seq.dom << n, seq.base)
-        lhs = twice.lmul(lf)
-        report.add(seq_entry("DS.3", n, 0, lhs, once.truncate(lhs.order), tol))
+        def along(kind, m):
+            return m.lmul(canonical_map(kind, seq.dom << n, seq.base))
 
-        fl = canonical_map("flip", seq.dom << n, seq.base)
-        report.add(seq_entry("DS.4", n, 0, twice.lmul(fl), twice, tol))
+        for axiom, _, lhs, rhs in _ds_laws(along, first, second, zero):
+            report.add(seq_entry(axiom, n, 0, lhs, rhs, tol))
     return report.sort()
 
 
@@ -101,12 +94,10 @@ def is_linear(seq, tol=None):
 def t2(seq):
     """Second-order tangent carrier on the triple domain (a, b, c): the map
     at a, plus the directional terms in b and in c.  Costs one order."""
-    d = seq.dom
-    first = seq.lmul(proj(d, 2 * d, 0, seq.base))
+    a, b, c = (coord_slice(3 * seq.dom, j * seq.dom, seq.dom, seq.base)
+               for j in range(3))
     diff = seq.differential()
-    second = diff.lmul(canonical_map("sumproj0", d, seq.base))
-    third = diff.lmul(canonical_map("sumproj1", d, seq.base))
-    return first.pair(second.pair(third))
+    return seq.lmul(a).pair(diff.lmul(a.pair(b)).pair(diff.lmul(a.pair(c))))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def cmd_compose(args):
     return 0
 
 
-def _input_tower(path, order, allow_large, base_hint=None):
+def _input_tower(path, order, allow_large):
     """A map file is lifted at the requested order; a sequence file is
     taken as already built, at its own order."""
     obj = read_json(path)
@@ -191,7 +191,7 @@ def cmd_faa(args):
     n = guard_order(args.n, args.allow_large)
     faa_map = faa_univariate(inner, outer, n)
     iterated = pattern_derivative(compose(inner, outer), n)
-    equal = faa_map.equal(iterated, args.tolerance)
+    equal = faa_map.equal(iterated)
     payload = {"n": n, "faa": dump_map(faa_map),
                "iterated": dump_map(iterated), "equal": equal}
     sys.stdout.write(to_canonical_json(payload))
@@ -304,7 +304,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="derivative order")
     p.add_argument("--allow-large", action="store_true",
                    help="bypass the order guard")
-    p.add_argument("--tolerance", type=_tolerance, default=None)
     p.set_defaults(func=cmd_faa)
 
     p = sub.add_parser("eval", help="evaluate one tower term at a point")

@@ -8,7 +8,7 @@ both sides of each law reduce to index arithmetic over one shared family.
 The CD.1-CD.7 statement here serves base maps as well as towers.
 """
 
-from .axioms import DSeq
+from .axioms import DSeq, _ds_laws
 from .errors import AxiomViolation, InsufficientOrder
 from .maps import canonical_map, identity, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
@@ -112,6 +112,11 @@ def _require_stamped(fixtures):
     return [tuple(item.seq for item in group) for group in groups]
 
 
+# CD.2 (k=1, k=0), CD.6 and CD.7 are the four tower axioms (`_ds_laws`).
+_DS_AS_CD = {"DS.1": ("CD.2", 1), "DS.2": ("CD.2", 0), "DS.3": ("CD.6", 0),
+             "DS.4": ("CD.7", 0)}
+
+
 def _cd_laws(lift, compose, single=None, parallel=None, composable=None):
     """CD.1-CD.7 as (axiom, k, lhs, rhs) instances, for base maps and towers.
 
@@ -138,17 +143,14 @@ def _cd_laws(lift, compose, single=None, parallel=None, composable=None):
 
         zero = lift(zero_map(a, b, base))
         yield "CD.1", 1, zero.differential(), lift(zero_map(2 * a, b, base))
-        yield ("CD.2", 0, along("sumv", df),
-               along("sumproj0", df) + along("sumproj1", df))
-        yield "CD.2", 1, along("zpair", df), zero
+        for law, _, lhs, rhs in _ds_laws(along, df, d2, zero):
+            yield (*_DS_AS_CD[law], lhs, rhs)
         yield ("CD.3", 0, lift(identity(a, base)).differential(),
                lift(proj(a, a, 1, base)))
         for j in (0, 1):
             pj = proj(a, b, j, base)
             yield ("CD.3", 1 + j, lift(pj).differential(),
                    lift(proj(a + b, a + b, 1, base).then(pj)))
-        yield "CD.6", 0, along("lift", d2), df
-        yield "CD.7", 0, along("flip", d2), d2
     if parallel is not None:
         f, g = parallel
         yield ("CD.1", 0, (f + g).differential(),

@@ -16,12 +16,13 @@ the parser also builds with), `differential` over (tree, derivative) pairs
 and the printer over (text, precedence) pairs.
 """
 
+import functools
 import math
 import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .maps import CoordMap
+from .maps import CoordMap, _check_constant_power
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
 ELEM_EQ_SAMPLES = 20
@@ -66,6 +67,7 @@ def pow_(a, n):
     if n == 1:
         return a
     if a[0] == "const":
+        _check_constant_power(a[1], n)
         return const(a[1] ** n)
     return ("pow", a, n)
 
@@ -185,7 +187,7 @@ class ElemMap(CoordMap):
     __slots__ = ("tape",)     # the components, taped once at construction
 
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
-            "exp": exp}
+            "exp": exp, "sum": lambda ts: functools.reduce(add, ts)}
 
     def _check_components(self):
         self.tape = _tape(self.components)

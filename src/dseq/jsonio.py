@@ -69,6 +69,8 @@ def load_seq(obj, what="tower"):
     cod = _field(obj, "cod", int, what)
     order = _field(obj, "order", int, what)
     terms = _field(obj, "terms", list, what)
+    if order < 0:
+        raise OrderMismatch(f"{what} declares order {order}, below 0")
     if order != len(terms) - 1:
         raise OrderMismatch(
             f"{what} declares order {order} but carries {len(terms)} terms")
@@ -89,8 +91,10 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise EngineError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad syntax or UTF-8, an over-long number
         raise EngineError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise EngineError(f"{path} is nested too deeply") from None
 
 
 def to_canonical_json(obj):

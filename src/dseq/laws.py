@@ -241,13 +241,8 @@ def tower_axiom_closure_laws(rng, trials, order=3, tol=None):
         for k_, tower in enumerate(agree_on):
             primed = check_ds_primed(tower, tol)
             unprimed = check_ds_unprimed(tower, tol)
-            agree = primed.passed == unprimed.passed
-            for fam in ("1", "2", "3", "4"):
-                p_bad = any(not e.passed for e in primed.entries
-                            if e.axiom == f"DS.{fam}'")
-                u_bad = any(not e.passed for e in unprimed.entries
-                            if e.axiom == f"DS.{fam}")
-                agree = agree and p_bad == u_bad
+            agree = ({e.axiom.rstrip("'") for e in primed.failing()}
+                     == {e.axiom for e in unprimed.failing()})
             report.add(bool_entry("closure.agreement", t, k_, agree,
                                   tower.order))
 

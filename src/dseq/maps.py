@@ -9,11 +9,26 @@ stacked blocks, indexed so that bit 0 of a block index is the innermost
 doubling.
 """
 
+import math
 from functools import lru_cache
 
 from .errors import DimensionMismatch, TagMismatch
 
 _BASES = {}
+
+# Python refuses to print an integer of more than 4,300 digits, so the
+# component algebras refuse a power of a constant that would have more, as
+# an OverflowError that the parser reports as a ParseError.
+_CONSTANT_DIGITS_LIMIT = 4300
+
+
+def _check_constant_power(value, n):
+    """Refuse the rational value^n if its numerator or denominator would
+    have more than _CONSTANT_DIGITS_LIMIT digits."""
+    for part in (abs(value.numerator), value.denominator):
+        if part > 1 and n >= _CONSTANT_DIGITS_LIMIT / math.log10(part):
+            raise OverflowError(f"constant power would have more than "
+                                f"{_CONSTANT_DIGITS_LIMIT} digits")
 
 
 class CoordMap:
@@ -21,8 +36,8 @@ class CoordMap:
 
     A base subclass sets its `base` tag, which registers it for
     `map_class`, and supplies the component algebra the parser also builds
-    with: `_constant`, `_variable`, `_ops` (add, mul, pow and the functions
-    the base admits); plus `_check_components`, `_shifted`, `then`,
+    with: `_constant`, `_variable`, `_ops` (add, sum, mul, pow and the
+    functions the base admits); plus `_check_components`, `_shifted`, `then`,
     `differential`, `eval` and `equal_witness`.  Composition is written
     diagrammatically: f.then(g) runs f first.
     """

@@ -41,9 +41,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("num", text[i:j], i))
             i = j
@@ -55,7 +55,7 @@ def _tokenize(text):
             name = text[i:j]
             if name == "x":
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j:
                     raise ParseError("variable needs an index", i, ("x<nat>",))
@@ -86,6 +86,16 @@ class _Parser:
         self.dom = dom
         self.ops = cls._ops
 
+    @staticmethod
+    def nat(tok):
+        """The natural number a num or var token spells; Python refuses to
+        convert decimal strings of more than 4,300 digits."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"number of {len(tok.text)} digits is too long",
+                             tok.pos) from None
+
     def neg(self, value):
         return self.ops["mul"](self.cls._constant(self.dom, -1), value)
 
@@ -113,14 +123,12 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        summands = [self.term()]
         while self.peek().kind in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            if op.kind == "-":
-                rhs = self.neg(rhs)
-            value = self.ops["add"](value, rhs)
-        return value
+            summands.append(self.neg(rhs) if op.kind == "-" else rhs)
+        return summands[0] if len(summands) == 1 else self.ops["sum"](summands)
 
     def term(self):
         value = self.factor()
@@ -137,23 +145,24 @@ class _Parser:
         if self.peek().kind == "^":
             self.take()
             tok = self.expect("num", ("natural exponent",))
-            value = self.ops["pow"](value, int(tok.text))
+            value = self.ops["pow"](value, self.nat(tok))
         return value
 
     def atom(self):
         tok = self.take()
         if tok.kind == "num":
-            value = Fraction(int(tok.text))
+            value = Fraction(self.nat(tok))
             if self.peek().kind == "/":
                 self.take()
                 den = self.expect("num", ("positive denominator",))
-                if int(den.text) == 0:
+                divisor = self.nat(den)
+                if divisor == 0:
                     raise ParseError("zero denominator", den.pos,
                                      ("positive denominator",))
-                value = Fraction(int(tok.text), int(den.text))
+                value /= divisor
             return self.cls._constant(self.dom, value)
         if tok.kind == "var":
-            index = int(tok.text)
+            index = self.nat(tok)
             if index >= self.dom:
                 raise UnknownVariable(f"variable x{index} outside domain "
                                       f"of dimension {self.dom}", tok.pos)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch
-from .maps import CoordMap
+from .maps import CoordMap, _check_constant_power
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,7 +36,10 @@ def _parsed_mul(p, q):
 
 def _parsed_pow(p, n):
     """p^n, bounded by the square of the C(n+t-1, t-1) monomials of degree
-    n in t terms that the result can have."""
+    n in t terms that the result can have; the power of a single term has
+    the n-th power of its coefficient, bounded in digits."""
+    if len(p.terms) == 1:
+        _check_constant_power(p.terms[0][1], n)
     t = max(len(p.terms), 1)
     _budgeted(comb(n + t - 1, t - 1) ** 2, "power")
     return p ** n
@@ -248,7 +251,9 @@ class PolyMap(CoordMap):
 
     _constant = staticmethod(Poly.constant)
     _variable = staticmethod(Poly.variable)
-    _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow}
+    _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow,
+            "sum": lambda ps: Poly(ps[0].nvars,
+                                   [t for p in ps for t in p.terms])}
 
     def _shifted(self, offset, nvars):
         return [p.shift(offset, nvars) for p in self.components]

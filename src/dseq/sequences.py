@@ -9,7 +9,8 @@ truncate to the smaller input order.
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InsufficientOrder, TagMismatch
+from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
+                     TagMismatch)
 from .maps import compose, coord_slice, pfunctor_apply, proj, zero_map
 
 
@@ -22,7 +23,8 @@ class PreDSeq:
     terms: tuple
 
     def __post_init__(self):
-        assert self.terms, "a tower has at least its order-0 term"
+        if not self.terms:
+            raise OrderMismatch("a tower has at least its order-0 term")
         for n, f in enumerate(self.terms):
             if f.dom != self.dom * (1 << n) or f.cod != self.cod:
                 raise DimensionMismatch(

@@ -270,11 +270,15 @@ def test_bad_tolerance_exits_two(tmp_path, capsys):
     for bad in ("nan", "inf", "-1e-9"):
         assert usage_exit_code("check", "--input", broken, "--suite", "ds",
                                "--tolerance", bad) == 2
+        assert usage_exit_code("selftest", "--trials", "1",
+                               "--tolerance", bad) == 2
+        # faa compares polynomial maps exactly and takes no tolerance
+        capsys.readouterr()
         assert usage_exit_code("faa", "--inner", fx("map_square.json"),
                                "--outer", fx("map_cube.json"), "--n", "2",
                                "--tolerance", bad) == 2
-        assert usage_exit_code("selftest", "--trials", "1",
-                               "--tolerance", bad) == 2
+        assert ("unrecognized arguments: --tolerance"
+                in capsys.readouterr().err)
     code, _, _ = run(capsys, "check", "--input", broken, "--suite", "ds",
                      "--tolerance", "0")
     assert code == 1
@@ -394,3 +398,87 @@ def test_poly_power_within_budget_still_parses(tmp_path, capsys):
     code, out, _ = derive_poly(tmp_path, capsys, "(x0+1)^300")
     assert code == 0
     assert json.loads(out)["terms"][0]["components"][0].startswith("x0^300 + ")
+
+
+LONG = "1" * 5000      # over Python's 4,300-digit integer conversion limit
+
+
+@pytest.mark.parametrize("component", [LONG, f"1/{LONG}", f"x{LONG}",
+                                       f"x0^{LONG}"],
+                         ids=["literal", "denominator", "variable",
+                              "exponent"])
+def test_over_long_integer_in_component_exits_two(tmp_path, capsys,
+                                                  component):
+    code, out, err = derive_poly(tmp_path, capsys, component)
+    assert code == 2 and out == ""
+    assert "number of 5000 digits is too long" in err
+
+
+def test_over_long_integer_in_map_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text('{"base": "poly", "dom": ' + LONG
+                    + ', "cod": 1, "components": ["x0"]}', encoding="ascii")
+    code, out, err = run(capsys, "derive", "--map", str(path))
+    assert code == 2 and out == "" and "is not valid JSON" in err
+
+
+def test_deeply_nested_json_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text("[" * 100_000, encoding="ascii")
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == "" and "nested too deeply" in err
+
+
+def test_non_utf8_json_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_bytes(b'{"base": "\xff"}')
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2 and out == "" and "is not valid JSON" in err
+
+
+def test_huge_constant_power_exits_two_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = derive_poly(tmp_path, capsys, "3^20000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("base,component", [("poly", "3^9100"),
+                                            ("elementary", "2^20000*x0")])
+def test_constant_power_over_digit_limit_exits_two(tmp_path, capsys, base,
+                                                   component):
+    src = write_json(tmp_path / "map.json",
+                     {"base": base, "dom": 1, "cod": 1,
+                      "components": [component]})
+    code, out, err = run(capsys, "derive", "--map", src, "--order", "1")
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
+def test_constant_power_within_digit_limit_still_parses(tmp_path, capsys):
+    code, out, _ = derive_poly(tmp_path, capsys, "3^9000")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["components"][0] == str(3 ** 9000)
+
+
+def test_empty_tower_file_exits_two(tmp_path, capsys):
+    src = write_json(tmp_path / "tower.json",
+                     {"base": "poly", "dom": 1, "cod": 1, "order": -1,
+                      "terms": []})
+    for argv in (["eval", "--seq", src, "--term", "0", "--point", "1"],
+                 ["check", "--input", src]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "order -1, below 0" in err
+
+
+def test_derive_long_flat_poly_sum(tmp_path, capsys):
+    component = " + ".join(f"x0^{e}" for e in range(2000))
+    src = write_json(tmp_path / "map.json",
+                     {"base": "poly", "dom": 1, "cod": 1,
+                      "components": [component]})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "derive", "--map", src, "--order", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    printed = json.loads(out)["terms"][0]["components"][0]
+    assert printed.startswith("x0^1999 + x0^1998 + ")
+    assert printed.endswith(" + x0 + 1")

@@ -38,6 +38,12 @@ CASES = {
                                    "--format", "json", "--trials", "2"]),
     "check_corrupt_ds2_text": (1, ["check", "--input", fx("corrupt_ds2.json"),
                                    "--format", "text", "--trials", "2"]),
+    "check_corrupt_ds3_ds_json": (1, ["check", "--input",
+                                      fx("corrupt_ds3.json"), "--suite", "ds",
+                                      "--format", "json"]),
+    "check_corrupt_ds4_ds_json": (1, ["check", "--input",
+                                      fx("corrupt_ds4.json"), "--suite", "ds",
+                                      "--format", "json"]),
     "eval_seq_square": (0, ["eval", "--seq", fx("seq_square.json"),
                             "--term", "2", "--point", "1,-2,1/3,5"]),
     "selftest_42": (0, ["selftest", "--seed", "42", "--trials", "2",

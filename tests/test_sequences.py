@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dseq.comonad import omega
-from dseq.errors import DimensionMismatch, InsufficientOrder, TagMismatch
+from dseq.errors import (DimensionMismatch, EngineError, InsufficientOrder,
+                         TagMismatch)
 from dseq.parser import format_map, parse_map
 from dseq.sequences import (PreDSeq, seq_identity, seq_product, seq_proj,
                             seq_terminal, seq_zero)
@@ -167,3 +168,8 @@ def test_hand_built_tower_equals_derived():
 def test_second_derivative_of_product_map():
     f = omega(pm(["x0*x1"], 2), 1)
     assert shown(f.differential()) == [["x0*x3 + x1*x2"]]
+
+
+def test_tower_without_terms_is_bad_input():
+    with pytest.raises(EngineError):
+        PreDSeq(1, 1, ())
