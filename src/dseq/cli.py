@@ -26,7 +26,7 @@ from .fixtures import random_elem_map, random_poly_map, rng_for, random_dim
 from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
                      read_json, to_canonical_json, write_json)
 from .laws import tower_identity_laws
-from .maps import compose
+from .maps import _text, compose
 from .reports import LawReport, bool_entry
 from .selftest import run_selftest
 
@@ -226,8 +226,8 @@ def cmd_eval(args):
     except (ValueError, OverflowError) as exc:
         raise EngineError(f"cannot evaluate at this point: {exc}")
     if tower.base == "poly":
-        payload = {"term": args.term, "point": [str(x) for x in point],
-                   "value": [str(v) for v in value]}
+        payload = {"term": args.term, "point": [_text(x) for x in point],
+                   "value": [_text(v) for v in value]}
     else:
         if not all(math.isfinite(v) for v in value):
             raise EngineError("value leaves the float range at this point")

@@ -21,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EngineError
 from .maps import CoordMap, _check_constant_power
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
@@ -210,8 +210,11 @@ class ElemMap(CoordMap):
 
     def then(self, other):
         self._require_composable(other)
-        return ElemMap(self.dom, other.cod,
-                       _substitute(other.tape, self.components.__getitem__))
+        try:
+            comps = _substitute(other.tape, self.components.__getitem__)
+        except OverflowError as exc:    # a constant power over the limit
+            raise EngineError(str(exc)) from None
+        return ElemMap(self.dom, other.cod, comps)
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction)."""

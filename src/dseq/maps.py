@@ -12,14 +12,24 @@ doubling.
 import math
 from functools import lru_cache
 
-from .errors import DimensionMismatch, TagMismatch
+from .errors import DimensionMismatch, EngineError, TagMismatch
 
 _BASES = {}
 
 # Python refuses to print an integer of more than 4,300 digits, so the
 # component algebras refuse a power of a constant that would have more, as
-# an OverflowError that the parser reports as a ParseError.
+# an OverflowError that the parser reports as a ParseError, and printing
+# refuses a number that products or composition grew past it.
 _CONSTANT_DIGITS_LIMIT = 4300
+
+
+def _text(value):
+    """str() of an int or a Fraction, or an EngineError over the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise EngineError(f"cannot print a number of more than "
+                          f"{_CONSTANT_DIGITS_LIMIT} digits") from None
 
 
 def _check_constant_power(value, n):

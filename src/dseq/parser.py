@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
-from .maps import map_class
+from .maps import _text, map_class
 from .poly import Poly
 
 _FUNCTIONS = ("sin", "cos", "exp")
@@ -206,14 +206,14 @@ def parse_map(components, dom, cod, base="poly"):
 
 
 def _format_coeff_monomial(coeff, exps):
-    mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{e}"
+    mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{_text(e)}"
                     for j, e in enumerate(exps) if e)
     mag = abs(coeff)
     if not mono:
-        return str(mag)
+        return _text(mag)
     if mag == 1:
         return mono
-    return f"{mag}*{mono}"
+    return f"{_text(mag)}*{mono}"
 
 
 def format_poly(p):
@@ -254,7 +254,7 @@ def _text_leaf(node):
     if node[0] == "var":
         return f"x{node[1]}", 3
     v = node[1]
-    return str(v), 2 if v < 0 or v.denominator != 1 else 3
+    return _text(v), 2 if v < 0 or v.denominator != 1 else 3
 
 
 def _join(pieces):

@@ -1,20 +1,35 @@
 """Sparse multivariate polynomials over exact rationals, and polynomial maps.
 
-A polynomial is stored as a tuple of (exponents, coefficient) pairs where
-`exponents` is a dense tuple of naturals, one per variable.  Terms are kept
-in descending graded-lexicographic order with no zero coefficients, so two
-polynomials are mathematically equal iff their term tuples compare equal.
+A polynomial in n variables is stored packed:
+
+- Each monomial x0^e0 ... x(n-1)^e(n-1) of total degree d is one int,
+  d << n*w | e0 << (n-1)*w | ... | e(n-1): the total degree in the top
+  field, then one w-bit field per variable with x0 most significant.  The
+  product of two monomials is the sum of their ints, and descending int
+  order is descending graded-lexicographic order.
+- The coefficients are integer numerators over one positive common
+  denominator, reduced so that no integer above 1 divides the denominator
+  and every numerator: it is the least denominator that serves all terms.
+- The field width w is 4 bits while the degree is below 16, and the bit
+  length of the degree above that.  No exponent exceeds the degree, so no
+  field carries into its neighbour.  An operation whose result would need
+  wider fields repacks its operands first, and a result whose degree fell
+  below the width's range is repacked narrower.  Narrow fields keep the
+  ints short: a term of an order-6 tower of a 2->2 map has 128 variables.
+
+Monomials are kept in descending order with no zero numerators.  The width
+is a function of the degree, so two polynomials are mathematically equal iff
+their packed monomials, numerators and denominators compare equal.  `terms`
+presents the same polynomial as (exponent tuple, Fraction) pairs in that
+order.
 """
 
 import operator
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch
 from .maps import CoordMap, _check_constant_power
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Term products one parsed product or power may cost before it is refused,
 # as an OverflowError that the parser reports as a ParseError.  (x0+1)^499
@@ -30,7 +45,7 @@ def _budgeted(work, what):
 
 
 def _parsed_mul(p, q):
-    _budgeted(len(p.terms) * len(q.terms), "product")
+    _budgeted(len(p._mons) * len(q._mons), "product")
     return p * q
 
 
@@ -38,73 +53,238 @@ def _parsed_pow(p, n):
     """p^n, bounded by the square of the C(n+t-1, t-1) monomials of degree
     n in t terms that the result can have; the power of a single term has
     the n-th power of its coefficient, bounded in digits."""
-    if len(p.terms) == 1:
-        _check_constant_power(p.terms[0][1], n)
-    t = max(len(p.terms), 1)
+    if len(p._mons) == 1:
+        _check_constant_power(Fraction(p._nums[0], p._den), n)
+    t = max(len(p._mons), 1)
     _budgeted(comb(n + t - 1, t - 1) ** 2, "power")
     return p ** n
 
 
+def _width(degree):
+    """Field width for a polynomial of this total degree."""
+    return max(4, degree.bit_length())
+
+
+_NARROW = _width(0)
+
+
+def _pack(exps, w):
+    mon = sum(exps)
+    for e in exps:
+        mon = (mon << w) | e
+    return mon
+
+
+def _unpack(mon, nvars, w):
+    mask = (1 << w) - 1
+    return tuple((mon >> (k * w)) & mask for k in range(nvars - 1, -1, -1))
+
+
+def _repack(mons, nvars, w, new_w):
+    return [_pack(_unpack(m, nvars, w), new_w) for m in mons]
+
+
+def _factors(fields, w):
+    """(shift, exponent) of each nonzero w-bit field of `fields`, the most
+    significant (lowest variable index) first."""
+    out = []
+    while fields:
+        shift = (fields.bit_length() - 1) // w * w
+        e = fields >> shift
+        fields -= e << shift
+        out.append((shift, e))
+    return out
+
+
+class _Packed(tuple):
+    """Canonical packed parts (width, monomials, numerators, denominator),
+    which the constructor takes as they are."""
+
+    __slots__ = ()
+
+
+def _poly(nvars, w, mons, nums, den):
+    """The trusted constructor: canonical packed parts, no checks."""
+    return Poly(nvars, _Packed((w, mons, nums, den)))
+
+
+def _finish(nvars, w, mons, nums, den):
+    """Polynomial from descending distinct monomials with nonzero numerators
+    over `den`: reduces the denominator, and the width if the degree fell."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    if not mons:
+        return _poly(nvars, _NARROW, (), (), 1)
+    if w > _NARROW:
+        narrow = _width(mons[0] >> (nvars * w))
+        if narrow != w:
+            mons = _repack(mons, nvars, w, narrow)
+            w = narrow
+    return _poly(nvars, w, tuple(mons), tuple(nums), den)
+
+
+def _normal(nvars, w, acc, den):
+    """Polynomial from a dict of packed monomial -> numerator over `den`."""
+    mons = [m for m, c in acc.items() if c]
+    mons.sort(reverse=True)
+    return _finish(nvars, w, mons, [acc[m] for m in mons], den)
+
+
+def _mons_at(p, w):
+    return p._mons if p._w == w else _repack(p._mons, p.nvars, p._w, w)
+
+
+class _Sum:
+    """Running sum of integer multiples of polynomials and of their
+    products: one dict keyed by packed monomial, over one common
+    denominator, both widened as the summands need."""
+
+    __slots__ = ("nvars", "w", "den", "acc")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.w = _NARROW
+        self.den = 1
+        self.acc = {}
+
+    def _fit(self, w, den):
+        """Widen the fields to at least w and the denominator to a multiple
+        of den; returns the factor that moves numerators over den onto it."""
+        acc = self.acc
+        if w > self.w:
+            self.acc = dict(zip(_repack(acc, self.nvars, self.w, w),
+                                acc.values()))
+            self.w = w
+        if self.den % den:
+            grown = lcm(self.den, den)
+            f = grown // self.den
+            self.acc = {m: c * f for m, c in self.acc.items()}
+            self.den = grown
+        return self.den // den
+
+    def add(self, k, p):
+        """self += k * p for an integer k."""
+        k *= self._fit(p._w, p._den)
+        acc = self.acc
+        for m, c in zip(_mons_at(p, self.w), p._nums):
+            if m in acc:
+                acc[m] += k * c
+            else:
+                acc[m] = k * c
+
+    def add_product(self, k, p, q):
+        """self += k * p * q for an integer k."""
+        k *= self._fit(_width(p.degree() + q.degree()), p._den * q._den)
+        if len(p._mons) > len(q._mons):
+            p, q = q, p
+        acc = self.acc
+        qm, qn = _mons_at(q, self.w), q._nums
+        for m1, c1 in zip(_mons_at(p, self.w), p._nums):
+            c1 *= k
+            for m2, c2 in zip(qm, qn):
+                m = m1 + m2
+                if m in acc:
+                    acc[m] += c1 * c2
+                else:
+                    acc[m] = c1 * c2
+
+    def result(self, den=1):
+        """The sum divided by `den`."""
+        return _normal(self.nvars, self.w, self.acc, self.den * den)
+
+
+def _sum(ps):
+    total = _Sum(ps[0].nvars)
+    for p in ps:
+        total.add(1, p)
+    return total.result()
+
+
 def _canonical(nvars, items):
-    """Collect (exponents, coefficient) pairs into canonical term order."""
+    """Packed parts (width, monomials, numerators, denominator) of a
+    collection of (exponents, coefficient) pairs."""
     acc = {}
     for exps, coeff in items:
         if len(exps) != nvars:
             raise DimensionMismatch(
                 f"term has {len(exps)} exponents, expected {nvars}")
+        exps = tuple(exps)
         cur = acc.get(exps)
         coeff = cur + coeff if cur is not None else Fraction(coeff)
         if coeff:
             acc[exps] = coeff
         elif cur is not None:
             del acc[exps]
-    ordered = sorted(acc.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-    return tuple(ordered)
+    if not acc:
+        return _NARROW, (), (), 1
+    w = _width(max(map(sum, acc)))
+    den = lcm(*(c.denominator for c in acc.values()))
+    packed = sorted(((_pack(e, w), c.numerator * (den // c.denominator))
+                     for e, c in acc.items()), reverse=True)
+    return (w, tuple(m for m, _ in packed), tuple(c for _, c in packed),
+            den)
 
 
 class Poly:
-    """Polynomial in a fixed number of variables with Fraction coefficients."""
+    """Polynomial in a fixed number of variables with rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    `Poly(nvars, items)` collects (exponent tuple, coefficient) pairs in any
+    order; operations build their results through the trusted constructor,
+    which hands the same `__init__` parts already packed.
+    """
+
+    __slots__ = ("nvars", "_w", "_mons", "_nums", "_den")
 
     def __init__(self, nvars, items=()):
         self.nvars = nvars
-        self.terms = items if isinstance(items, tuple) and all(
-            isinstance(c, Fraction) for _, c in items
-        ) and _is_sorted(items) else _canonical(nvars, items)
+        self._w, self._mons, self._nums, self._den = (
+            items if type(items) is _Packed else _canonical(nvars, items))
+
+    @property
+    def terms(self):
+        """(exponent tuple, Fraction) pairs in descending graded-lex order."""
+        n, w, den = self.nvars, self._w, self._den
+        return tuple((_unpack(m, n, w), Fraction(c, den))
+                     for m, c in zip(self._mons, self._nums))
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, ())
+        return _poly(nvars, _NARROW, (), (), 1)
 
     @classmethod
     def constant(cls, nvars, value):
         value = Fraction(value)
         if not value:
-            return cls(nvars, ())
-        return cls(nvars, (((0,) * nvars, value),))
+            return cls.zero(nvars)
+        return _poly(nvars, _NARROW, (0,), (value.numerator,),
+                     value.denominator)
 
     @classmethod
     def variable(cls, nvars, index):
         assert 0 <= index < nvars
-        exps = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, ((exps, ONE),))
+        w = _NARROW
+        mon = (1 << (nvars * w)) | (1 << ((nvars - 1 - index) * w))
+        return _poly(nvars, w, (mon,), (1,), 1)
 
     def is_zero(self):
-        return not self.terms
+        return not self._mons
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._mons:
             return -1
-        return sum(self.terms[0][0])
+        return self._mons[0] >> (self.nvars * self._w)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self._mons == other._mons and self._nums == other._nums
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.nvars, self.terms))
+        return hash((self.nvars, self._mons, self._nums, self._den))
 
     def __repr__(self):
         from .parser import format_poly
@@ -112,7 +292,7 @@ class Poly:
 
     def __add__(self, other):
         assert self.nvars == other.nvars
-        return Poly(self.nvars, list(self.terms) + list(other.terms))
+        return _sum((self, other))
 
     def __neg__(self):
         return self.scale(-1)
@@ -124,17 +304,25 @@ class Poly:
         c = Fraction(c)
         if not c:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, tuple((e, k * c) for e, k in self.terms))
+        k = c.numerator
+        return _finish(self.nvars, self._w, self._mons,
+                       [k * n for n in self._nums], self._den * c.denominator)
 
     def __mul__(self, other):
         assert self.nvars == other.nvars
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = acc.get(e)
-                acc[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly(self.nvars, list(acc.items()))
+        if not self._mons or not other._mons:
+            return Poly.zero(self.nvars)
+        if len(self._mons) > 1 and len(other._mons) > 1:
+            total = _Sum(self.nvars)
+            total.add_product(1, self, other)
+            return total.result()
+        # A monomial factor, as in most products the parser builds, shifts
+        # every term alike: order and distinctness survive.
+        mono, p = (self, other) if len(self._mons) == 1 else (other, self)
+        w = _width(self.degree() + other.degree())
+        m1, c1 = _mons_at(mono, w)[0], mono._nums[0]
+        return _finish(self.nvars, w, [m1 + m for m in _mons_at(p, w)],
+                       [c1 * c for c in p._nums], self._den * other._den)
 
     def __pow__(self, n):
         assert n >= 0
@@ -149,92 +337,139 @@ class Poly:
 
     def partial(self, j):
         """Partial derivative with respect to variable j."""
-        items = []
-        for exps, coeff in self.terms:
-            e = exps[j]
+        n, w = self.nvars, self._w
+        shift = (n - 1 - j) * w
+        mask = (1 << w) - 1
+        step = (1 << (n * w)) + (1 << shift)
+        mons, nums = [], []
+        for m, c in zip(self._mons, self._nums):
+            e = (m >> shift) & mask
             if e:
-                lowered = exps[:j] + (e - 1,) + exps[j + 1:]
-                items.append((lowered, coeff * e))
-        return Poly(self.nvars, items)
+                mons.append(m - step)
+                nums.append(c * e)
+        return _finish(n, w, mons, nums, self._den)
 
     def shift(self, offset, new_nvars):
         """Reinterpret in `new_nvars` variables with indices moved up by offset."""
         assert offset + self.nvars <= new_nvars
-        pre = (0,) * offset
-        post = (0,) * (new_nvars - offset - self.nvars)
-        return Poly(new_nvars,
-                    tuple((pre + exps + post, c) for exps, c in self.terms))
+        w = self._w
+        top = self.nvars * w
+        low = (1 << top) - 1
+        new_top = new_nvars * w
+        after = (new_nvars - offset - self.nvars) * w
+        return _poly(new_nvars, w,
+                     tuple(((m >> top) << new_top) | ((m & low) << after)
+                           for m in self._mons), self._nums, self._den)
 
     def eval(self, point):
         """Evaluate at a point; exact when the point is rational."""
         assert len(point) == self.nvars
-        total = ZERO
-        for exps, coeff in self.terms:
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val = val * x ** e
-            total = total + val
-        return total
-
-    def subst(self, maps, nvars_out):
-        """Substitute variable j := maps[j]; all maps live in nvars_out variables."""
-        assert len(maps) == self.nvars
-        # Fast path: every substitute is a single variable or zero, so terms
-        # just get their exponents rerouted.
-        routes = []
-        for q in maps:
-            if q.is_zero():
-                routes.append(-1)
-            elif (len(q.terms) == 1 and q.terms[0][1] == ONE
-                  and sum(q.terms[0][0]) == 1):
-                routes.append(q.terms[0][0].index(1))
-            else:
-                routes = None
-                break
-        if routes is not None:
-            items = []
-            for exps, coeff in self.terms:
-                out = [0] * nvars_out
-                dead = False
-                for j, e in enumerate(exps):
-                    if not e:
-                        continue
-                    r = routes[j]
-                    if r < 0:
-                        dead = True
-                        break
-                    out[r] += e
-                if not dead:
-                    items.append((tuple(out), coeff))
-            return Poly(nvars_out, items)
-
+        n, w = self.nvars, self._w
+        low = (1 << (n * w)) - 1
         powers = {}
+        total = 0
+        for m, c in zip(self._mons, self._nums):
+            for key in _factors(m & low, w):
+                x = powers.get(key)
+                if x is None:
+                    shift, e = key
+                    x = powers[key] = point[n - 1 - shift // w] ** e
+                c = c * x
+            total += c
+        if isinstance(total, int):
+            return Fraction(total, self._den)
+        return total / self._den
 
-        def power(j, e):
-            got = powers.get((j, e))
+    def subst(self, maps, nvars_out, powers=None):
+        """Substitute variable j := maps[j]; all maps live in nvars_out
+        variables.  `powers` caches maps[j] ** e under the key (j, e), and
+        may be shared by calls with the same maps."""
+        assert len(maps) == self.nvars
+        routes = _routes(maps, nvars_out)
+        if routes is not None:
+            return self._routed(routes, nvars_out)
+        if powers is None:
+            powers = {}
+        n, w = self.nvars, self._w
+        low = (1 << (n * w)) - 1
+        total = _Sum(nvars_out)
+        one = Poly.constant(nvars_out, 1)
+        # Terms that share all factors but the last share one product:
+        # sum_t c_t * lead * last_t = lead * (sum_t c_t * last_t).
+        groups = {}
+        for m, c in zip(self._mons, self._nums):
+            factors = _factors(m & low, w)
+            last = factors.pop() if factors else None
+            groups.setdefault(tuple(factors), []).append((c, last))
+
+        def power(key):
+            if key is None:
+                return one
+            shift, e = key
+            key = (n - 1 - shift // w, e)
+            got = powers.get(key)
             if got is None:
-                got = maps[j] ** e
-                powers[(j, e)] = got
+                got = powers[key] = maps[key[0]] ** e
             return got
 
+        for lead, members in groups.items():
+            if len(members) == 1:
+                k, tail = members[0][0], power(members[0][1])
+            else:
+                inner = _Sum(nvars_out)
+                for c, last in members:
+                    inner.add(c, power(last))
+                k, tail = 1, inner.result()
+            if not lead:
+                total.add(k, tail)
+                continue
+            prod = power(lead[0])
+            for key in lead[1:]:
+                prod = prod * power(key)
+            total.add_product(k, prod, tail)
+        return total.result(self._den)
+
+    def _routed(self, routes, nvars_out):
+        """Substitution where variable j becomes variable routes[j], or
+        zero where routes[j] < 0: exponents move field by field."""
+        n, w = self.nvars, self._w
+        mask = (1 << w) - 1
+        dead = 0
+        moves = []
+        for j, r in enumerate(routes):
+            if r < 0:
+                dead |= mask << ((n - 1 - j) * w)
+            else:
+                moves.append(((n - 1 - j) * w, (nvars_out - 1 - r) * w))
+        top, new_top = n * w, nvars_out * w
         acc = {}
-        one = Poly.constant(nvars_out, 1)
-        for exps, coeff in self.terms:
-            prod = one
-            for j, e in enumerate(exps):
-                if e:
-                    prod = prod * power(j, e)
-            for e2, c2 in prod.terms:
-                prev = acc.get(e2)
-                add = coeff * c2
-                acc[e2] = add if prev is None else prev + add
-        return Poly(nvars_out, list(acc.items()))
+        for m, c in zip(self._mons, self._nums):
+            if m & dead:
+                continue
+            out = (m >> top) << new_top
+            for src, dst in moves:
+                out += ((m >> src) & mask) << dst
+            acc[out] = acc.get(out, 0) + c
+        return _normal(nvars_out, w, acc, self._den)
 
 
-def _is_sorted(items):
-    keys = [(sum(e), e) for e, _ in items]
-    return all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
+def _routes(maps, nvars_out):
+    """Index of the variable each substitute is, or -1 for zero; None
+    unless every substitute is a variable or zero."""
+    routes = []
+    top = nvars_out * _NARROW
+    for q in maps:
+        if not q._mons:
+            routes.append(-1)
+            continue
+        if len(q._mons) != 1 or q._nums[0] != 1 or q._den != 1:
+            return None
+        m = q._mons[0]
+        if m >> top != 1:
+            return None
+        routes.append(nvars_out - 1 - ((m & ((1 << top) - 1)).bit_length()
+                                       - 1) // _NARROW)
+    return routes
 
 
 class PolyMap(CoordMap):
@@ -251,9 +486,9 @@ class PolyMap(CoordMap):
 
     _constant = staticmethod(Poly.constant)
     _variable = staticmethod(Poly.variable)
+
     _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow,
-            "sum": lambda ps: Poly(ps[0].nvars,
-                                   [t for p in ps for t in p.terms])}
+            "sum": _sum}
 
     def _shifted(self, offset, nvars):
         return [p.shift(offset, nvars) for p in self.components]
@@ -261,8 +496,9 @@ class PolyMap(CoordMap):
     def then(self, other):
         """Diagrammatic composite: self first, then other."""
         self._require_composable(other)
-        comps = [p.subst(list(self.components), self.dom)
-                 for p in other.components]
+        maps = self.components
+        powers = {}
+        comps = [p.subst(maps, self.dom, powers) for p in other.components]
         return PolyMap(self.dom, other.cod, comps)
 
     def __neg__(self):
@@ -280,14 +516,20 @@ class PolyMap(CoordMap):
         d = self.dom
         comps = []
         for p in self.components:
-            items = []
-            for exps, coeff in p.terms:
-                for j, e in enumerate(exps):
-                    if e:
-                        lowered = exps[:j] + (e - 1,) + exps[j + 1:]
-                        dirpart = tuple(1 if i == j else 0 for i in range(d))
-                        items.append((lowered + dirpart, coeff * e))
-            comps.append(Poly(2 * d, items))
+            w = p._w
+            top = d * w
+            low = (1 << top) - 1
+            pairs = []
+            for m, c in zip(p._mons, p._nums):
+                head = (m >> top) << (2 * top)
+                fields = m & low
+                for shift, e in _factors(fields, w):
+                    unit = 1 << shift
+                    pairs.append((head | ((fields - unit) << top) | unit,
+                                  c * e))
+            pairs.sort(reverse=True)
+            comps.append(_finish(2 * d, w, [m for m, _ in pairs],
+                                 [c for _, c in pairs], p._den))
         return PolyMap(2 * d, self.cod, comps)
 
     def eval(self, point):

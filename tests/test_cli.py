@@ -460,6 +460,49 @@ def test_constant_power_within_digit_limit_still_parses(tmp_path, capsys):
     assert json.loads(out)["terms"][0]["components"][0] == str(3 ** 9000)
 
 
+# Each factor has 4,001 digits; their product, 8,001.
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_product_grown_past_digit_limit_exits_two(tmp_path, capsys, base):
+    src = write_json(tmp_path / "map.json",
+                     {"base": base, "dom": 1, "cod": 1,
+                      "components": ["10^4000*10^4000*x0"]})
+    code, out, err = run(capsys, "derive", "--map", src, "--order", "2")
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
+def test_derivative_of_4001_digit_exponent_exits_two(tmp_path, capsys):
+    # The second derivative's coefficient N*(N-1) has 8,001 digits.
+    src = write_json(tmp_path / "map.json",
+                     {"base": "poly", "dom": 1, "cod": 1,
+                      "components": ["x0^" + "1" * 4001]})
+    code, out, err = run(capsys, "derive", "--map", src, "--order", "2")
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
+def test_compose_constant_into_power_over_digit_limit_exits_two(tmp_path,
+                                                                capsys):
+    first, second = (write_json(tmp_path / f"{name}.json",
+                                {"base": "elementary", "dom": 1, "cod": 1,
+                                 "components": [component]})
+                     for name, component in (("first", "2"),
+                                             ("second", "x0^20000")))
+    code, out, err = run(capsys, "compose", "--first", first,
+                         "--second", second)
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
+def test_eval_value_over_digit_limit_exits_two(tmp_path, capsys):
+    src = write_json(tmp_path / "map.json",
+                     {"base": "poly", "dom": 1, "cod": 1,
+                      "components": ["10^4000*x0"]})
+    tower = str(tmp_path / "tower.json")
+    assert run(capsys, "derive", "--map", src, "--order", "0",
+               "--out", tower)[0] == 0
+    code, out, err = run(capsys, "eval", "--seq", tower, "--term", "0",
+                         "--point", "1" + "0" * 400)
+    assert code == 2 and out == "" and "more than 4300 digits" in err
+
+
 def test_empty_tower_file_exits_two(tmp_path, capsys):
     src = write_json(tmp_path / "tower.json",
                      {"base": "poly", "dom": 1, "cod": 1, "order": -1,

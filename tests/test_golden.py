@@ -28,6 +28,10 @@ CASES = {
                                 "--second", fx("map_cube.json")]),
     "compose_sin_sin": (0, ["compose", "--first", fx("map_sin.json"),
                             "--second", fx("map_sin.json")]),
+    # Exponents up to 40,000: packed exponent fields wider than 8 bits.
+    "compose_pow200_order1": (0, ["compose", "--first", fx("map_pow200.json"),
+                                  "--second", fx("map_pow200.json"),
+                                  "--order", "1"]),
     "check_square_json": (0, ["check", "--input", fx("map_square.json"),
                               "--format", "json", "--trials", "2"]),
     "check_square_text": (0, ["check", "--input", fx("map_square.json"),

@@ -1,0 +1,292 @@
+"""The packed polynomial core, checked on random polynomials against plain
+dense-tuple Fraction reference implementations.
+
+Every result must equal the public constructor's form of the reference
+result (so packed monomials, field width and common denominator are
+canonical) and must present the reference's terms in the same order.
+Exponents are drawn around field-width boundaries, coefficients with mixed
+denominators, and sums are drawn to cancel.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from dseq.poly import Poly, PolyMap
+
+
+# Reference implementations: a polynomial is a dict exponent tuple -> Fraction.
+
+def ref_terms(acc):
+    """Canonical term tuple: descending graded-lex order, no zeros."""
+    return tuple(sorted(((e, c) for e, c in acc.items() if c),
+                        key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
+def ref_dict(items):
+    acc = {}
+    for e, c in items:
+        acc[e] = acc.get(e, Fraction(0)) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_add(p, q):
+    return ref_dict(list(p.items()) + list(q.items()))
+
+
+def ref_mul(p, q):
+    return ref_dict([(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                     for e1, c1 in p.items() for e2, c2 in q.items()])
+
+
+def ref_pow(p, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_scale(p, k):
+    return ref_dict([(e, c * k) for e, c in p.items()])
+
+
+def ref_subst(p, maps, nvars_out):
+    total = {}
+    for e, c in p.items():
+        term = {(0,) * nvars_out: c}
+        for j, k in enumerate(e):
+            term = ref_mul(term, ref_pow(maps[j], k, nvars_out))
+        total = ref_add(total, term)
+    return total
+
+
+def ref_partial(p, j):
+    return ref_dict([(e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                     for e, c in p.items() if e[j]])
+
+
+def ref_shift(p, offset, new_nvars):
+    return {(0,) * offset + e + (0,) * (new_nvars - offset - len(e)): c
+            for e, c in p.items()}
+
+
+def ref_differential(p, nvars):
+    return ref_dict([(e[:j] + (e[j] - 1,) + e[j + 1:]
+                      + tuple(int(i == j) for i in range(nvars)), c * e[j])
+                     for e, c in p.items() for j in range(nvars) if e[j]])
+
+
+def ref_eval(p, point):
+    total = Fraction(0)
+    for e, c in p.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def packed(nvars, acc):
+    return Poly(nvars, list(acc.items()))
+
+
+def same(got, nvars, want):
+    """got is the canonical packed form of want, with its terms."""
+    assert got.terms == ref_terms(want)
+    assert got == packed(nvars, want)
+    assert hash(got) == hash(packed(nvars, want))
+
+
+# Exponents straddle the 16, 256 and 512 field boundaries.
+EXPONENTS = [0, 0, 1, 2, 3, 15, 16, 17, 127, 128, 255, 256, 257]
+coeffs = st.builds(Fraction, st.integers(-4, 4),
+                   st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+
+
+def dicts(nvars, max_terms=4, exponents=EXPONENTS):
+    term = st.tuples(st.tuples(*[st.sampled_from(exponents)] * nvars), coeffs)
+    return st.lists(term, max_size=max_terms).map(ref_dict)
+
+
+@st.composite
+def poly_pairs(draw, max_terms=4):
+    """(nvars, p, q) where q often cancels some or all of p."""
+    nvars = draw(st.integers(1, 3))
+    p = draw(dicts(nvars, max_terms))
+    q = draw(dicts(nvars, max_terms))
+    cancel = draw(st.lists(st.sampled_from(sorted(p)), unique=True)
+                  if p else st.just([]))
+    q = ref_add(q, {e: -p[e] for e in cancel})
+    return nvars, p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+@example((1, {(256,): Fraction(1), (1,): Fraction(1, 2)},
+          {(256,): Fraction(-1)}))
+def test_add_and_sub(case):
+    nvars, p, q = case
+    P, Q = packed(nvars, p), packed(nvars, q)
+    same(P + Q, nvars, ref_add(p, q))
+    same(P - Q, nvars, ref_add(p, ref_scale(q, -1)))
+    same(P - P, nvars, {})
+    assert PolyMap._ops["sum"]([P, Q, -P]) == Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+@example((1, {(128,): Fraction(1, 2), (0,): Fraction(1, 3)},
+          {(128,): Fraction(2, 3), (1,): Fraction(3, 4)}))
+def test_mul(case):
+    nvars, p, q = case
+    same(packed(nvars, p) * packed(nvars, q), nvars, ref_mul(p, q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n, 3), st.integers(0, 3))))
+def test_pow(case):
+    nvars, p, k = case
+    same(packed(nvars, p) ** k, nvars, ref_pow(p, k, nvars))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n), coeffs)))
+def test_scale_and_neg(case):
+    nvars, p, k = case
+    same(packed(nvars, p).scale(k), nvars, ref_scale(p, k))
+    same(-packed(nvars, p), nvars, ref_scale(p, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n), st.integers(0, n - 1))))
+@example((1, {(256,): Fraction(3, 2), (3,): Fraction(1)}, 0))
+def test_partial(case):
+    nvars, p, j = case
+    same(packed(nvars, p).partial(j), nvars, ref_partial(p, j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n), st.integers(0, 2), st.integers(0, 2))))
+def test_shift(case):
+    nvars, p, offset, extra = case
+    new = nvars + offset + extra
+    same(packed(nvars, p).shift(offset, new), new, ref_shift(p, offset, new))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(dicts(n), min_size=1, max_size=3))))
+def test_differential(case):
+    nvars, comps = case
+    f = PolyMap(nvars, len(comps), [packed(nvars, p) for p in comps])
+    df = f.differential()
+    assert df.dom == 2 * nvars
+    for got, p in zip(df.components, comps):
+        same(got, 2 * nvars, ref_differential(p, nvars))
+
+
+points = st.lists(st.builds(Fraction, st.integers(-3, 3),
+                            st.integers(1, 3)), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n, exponents=[0, 1, 2, 3, 15, 16, 17]))), points)
+def test_eval(case, point):
+    nvars, p = case
+    got = packed(nvars, p).eval(point[:nvars])
+    assert isinstance(got, Fraction)
+    assert got == ref_eval(p, point[:nvars])
+
+
+def routes(nvars_out):
+    """A substitute that is a variable or zero: the routing path."""
+    return st.one_of(
+        st.builds(lambda j: {tuple(int(i == j) for i in range(nvars_out)):
+                             Fraction(1)}, st.integers(0, nvars_out - 1)),
+        st.just({}))
+
+
+@st.composite
+def substitutions(draw, general):
+    nvars = draw(st.integers(1, 3))
+    nvars_out = draw(st.integers(1, 3))
+    if general:
+        maps = draw(st.lists(dicts(nvars_out, 3, [0, 1, 2, 15, 16]),
+                             min_size=nvars, max_size=nvars))
+        p = draw(dicts(nvars, 6, [0, 1, 2, 3]))
+    else:
+        maps = draw(st.lists(routes(nvars_out), min_size=nvars,
+                             max_size=nvars))
+        p = draw(dicts(nvars))
+    return nvars, nvars_out, p, maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions(general=False))
+@example((3, 2, {(1, 0, 2): Fraction(1), (0, 2, 1): Fraction(-1),
+                 (2, 0, 0): Fraction(1, 2)},
+          [{(1, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]))
+def test_subst_routing(case):
+    nvars, nvars_out, p, maps = case
+    got = packed(nvars, p).subst([packed(nvars_out, q) for q in maps],
+                                 nvars_out)
+    same(got, nvars_out, ref_subst(p, maps, nvars_out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions(general=True))
+@example((3, 2, {(2, 1, 0): Fraction(1), (1, 1, 1): Fraction(-2, 3)},
+          [{(1, 0): Fraction(1, 2), (0, 0): Fraction(1)},
+           {(0, 1): Fraction(3), (2, 0): Fraction(1)},
+           {(1, 1): Fraction(1, 3)}]))
+def test_subst_general_and_then(case):
+    nvars, nvars_out, p, maps = case
+    qs = [packed(nvars_out, q) for q in maps]
+    want = ref_subst(p, maps, nvars_out)
+    same(packed(nvars, p).subst(qs, nvars_out), nvars_out, want)
+    outer = PolyMap(nvars, 2, [packed(nvars, p), packed(nvars, p).scale(2)])
+    composite = PolyMap(nvars_out, nvars, qs).then(outer)
+    same(composite.components[0], nvars_out, want)
+    same(composite.components[1], nvars_out, ref_scale(want, 2))
+
+
+@st.composite
+def mixed_width_compositions(draw):
+    """(inner, outer) dicts where the outer components' degrees fall on
+    both sides of the 16 and 256 field-width boundaries, so one composite
+    substitutes into components of different widths."""
+    nvars = draw(st.integers(3, 4))
+    nvars_out = draw(st.integers(1, 3))
+    inner = draw(st.lists(dicts(nvars_out, 2, [0, 1, 2]), min_size=nvars,
+                          max_size=nvars))
+    outer = []
+    for _ in range(draw(st.integers(2, 3))):
+        p = draw(dicts(nvars, 3, [0, 1, 2]))
+        top = draw(st.sampled_from([0, 16, 200]))
+        if top:
+            j = draw(st.integers(0, nvars - 1))
+            p = ref_add(p, {tuple(top * (i == j) for i in range(nvars)):
+                            Fraction(1)})
+        outer.append(p)
+    return nvars, nvars_out, inner, outer
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_width_compositions())
+@example((3, 3,
+          [{(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)},
+           {(0, 1, 0): Fraction(1), (0, 0, 0): Fraction(1)},
+           {(0, 0, 1): Fraction(1), (0, 0, 0): Fraction(1)}],
+          [{(2, 0, 0): Fraction(1)},
+           {(0, 2, 0): Fraction(1), (0, 0, 200): Fraction(1)}]))
+def test_then_components_of_different_widths(case):
+    """`then` shares one power cache across components of any width."""
+    nvars, nvars_out, inner, outer = case
+    f = PolyMap(nvars_out, nvars, [packed(nvars_out, q) for q in inner])
+    g = PolyMap(nvars, len(outer), [packed(nvars, p) for p in outer])
+    for got, p in zip(f.then(g).components, outer):
+        same(got, nvars_out, ref_subst(p, inner, nvars_out))
