@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands build derivative towers from map files, compose them, replay
-the law suites on a given input, cross-check the partition-formula
-derivative, evaluate tower terms at points, and run the seeded selftest.
+the law suites on a given input, cross-check Faa di Bruno composition
+against the iterated derivative, evaluate tower terms at points, and run
+the seeded selftest.
 
 Exit codes: 0 all checks passed, 1 at least one law entry failed, 2 bad
 input (unreadable file, parse error, dimension mismatch, order guard,
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .axioms import DSeq, check_ds_primed, check_ds_unprimed
 from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
 from .errors import AxiomViolation, DimensionMismatch, EngineError
-from .faa import faa_univariate, pattern_derivative
+from .faa import faa_compose, faa_sequence
 from .fixtures import random_elem_map, random_poly_map, rng_for, random_dim
 from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
                      read_json, to_canonical_json, write_json)
@@ -189,8 +190,9 @@ def cmd_faa(args):
     inner = _load_map_file(args.inner)
     outer = _load_map_file(args.outer)
     n = guard_order(args.n, args.allow_large)
-    faa_map = faa_univariate(inner, outer, n)
-    iterated = pattern_derivative(compose(inner, outer), n)
+    faa_map = faa_compose(faa_sequence(omega(inner, n)),
+                          faa_sequence(omega(outer, n)), n)
+    iterated = faa_sequence(omega(compose(inner, outer), n))[n]
     equal = faa_map.equal(iterated)
     payload = {"n": n, "faa": dump_map(faa_map),
                "iterated": dump_map(iterated), "equal": equal}
@@ -298,9 +300,9 @@ def build_parser():
     add_common(p, tolerance=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("faa", help="partition-formula derivative cross-check")
-    p.add_argument("--inner", required=True, help="univariate map JSON file")
-    p.add_argument("--outer", required=True, help="univariate map JSON file")
+    p = sub.add_parser("faa", help="Faa di Bruno derivative cross-check")
+    p.add_argument("--inner", required=True, help="poly map JSON file")
+    p.add_argument("--outer", required=True, help="poly map JSON file")
     p.add_argument("--n", type=int, required=True, help="derivative order")
     p.add_argument("--allow-large", action="store_true",
                    help="bypass the order guard")

@@ -1,17 +1,19 @@
-"""Classical higher-derivative oracle, independent of the tower machinery.
+"""Faa di Bruno sequences: higher derivatives composed over set partitions.
 
-Univariate n-th derivatives of a composite are computed with the Faa di
-Bruno formula over integer partitions, and cross-checked against two other
-routes: evaluating the n-fold joint derivative on the directional pattern
-(x, v, v, 0, v, 0, 0, 0, ...), and expanding f(x + t v) in a fresh
-coordinate t and reading off n! times the t^n coefficient.
+A Faa sequence of a d -> e polynomial map is (f_0, ..., f_N), where f_k is
+a map over (x, v_1, ..., v_k), d(k+1) variables: the k-th derivative at x
+along the directions v_1..v_k, symmetric and k-linear in them (Cockett &
+Seely, "The Faa di Bruno construction", TAC 25(15), 2011).  Any tower
+yields one by reading each term on the pure-direction pattern, and two
+compose by the multivariate Faa di Bruno formula over set partitions
+(Hardy, "Combinatorics of partial derivatives", EJC 13, 2006).  A third
+route, independent of both, expands f(x + t v) in a fresh coordinate t.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TagMismatch
+from .errors import DimensionMismatch, InsufficientOrder, TagMismatch
 from .maps import compose
 from .poly import Poly, PolyMap
 from .sequences import PreDSeq
@@ -20,122 +22,78 @@ SAMPLE_POINTS = (Fraction(-2), Fraction(-1), Fraction(0),
                  Fraction(1, 2), Fraction(3))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Partition of n stored as part multiplicities m[j-1] = #parts of size j."""
-
-    n: int
-    multiplicities: tuple
-
-    def __post_init__(self):
-        assert len(self.multiplicities) == self.n
-        assert sum((j + 1) * m for j, m in enumerate(self.multiplicities)) == self.n
-
-    @property
-    def block_count(self):
-        return sum(self.multiplicities)
-
-    @property
-    def coefficient(self):
-        """n! / prod_j (m_j! * (j!)^m_j), the number of set partitions of an
-        n-set with this shape."""
-        denom = 1
-        for j, m in enumerate(self.multiplicities, start=1):
-            denom *= math.factorial(m) * math.factorial(j) ** m
-        coeff, rem = divmod(math.factorial(self.n), denom)
-        assert rem == 0
-        return coeff
-
-
-def _part_lists(n, largest):
+def set_partitions(n):
+    """The Bell(n) set partitions of {0..n-1}, each a tuple of blocks, the
+    blocks in order of their least element."""
     if n == 0:
-        yield []
+        yield ()
         return
-    for p in range(min(n, largest), 0, -1):
-        for rest in _part_lists(n - p, p):
-            yield [p] + rest
+    for part in set_partitions(n - 1):
+        for i, block in enumerate(part):
+            yield part[:i] + (block + (n - 1,),) + part[i + 1:]
+        yield part + ((n - 1,),)
 
 
-def partitions(n):
-    """All partitions of n, largest-first part lists turned into shapes."""
-    for plist in _part_lists(n, n):
-        mult = [0] * n
-        for p in plist:
-            mult[p - 1] += 1
-        yield Partition(n, tuple(mult))
+def _slots(d, slots, nvars):
+    """The variables of the d-variable slots listed, in order, among nvars
+    variables; slot 0 is x and slot i is v_i."""
+    return [Poly.variable(nvars, s * d + j) for s in slots for j in range(d)]
 
 
-def bell_number(n):
-    """Total number of set partitions: the sum of the shape coefficients."""
-    return sum(p.coefficient for p in partitions(n))
-
-
-def nth_symbolic_derivative(f, n):
-    """n-fold joint derivative; domain dimension grows by a factor of 2^n."""
-    for _ in range(n):
-        f = f.differential()
-    return f
-
-
-def classical_derivative(p, k):
-    """k-th ordinary derivative of a univariate polynomial."""
-    assert p.nvars == 1
-    for _ in range(k):
-        p = p.partial(0)
-    return p
-
-
-def _univariate_component(f):
-    if not isinstance(f, PolyMap):
-        raise TagMismatch("the classical oracle works on polynomial maps")
-    if f.dom != 1 or f.cod != 1:
-        raise DimensionMismatch("univariate oracle needs a 1 -> 1 map")
-    return f.components[0]
-
-
-def faa_univariate(inner, outer, n):
-    """n-th derivative of outer(inner(x)) by the partition formula."""
-    p = _univariate_component(inner)
-    q = _univariate_component(outer)
-    if n == 0:
-        return inner.then(outer)
-    total = Poly.zero(1)
-    inner_derivs = [classical_derivative(p, j) for j in range(n + 1)]
-    for shape in partitions(n):
-        outer_at_inner = classical_derivative(q, shape.block_count).subst([p], 1)
-        term = outer_at_inner.scale(shape.coefficient)
-        for j, m in enumerate(shape.multiplicities, start=1):
-            for _ in range(m):
-                term = term * inner_derivs[j]
-        total = total + term
-    return PolyMap(1, 1, [total])
-
-
-def _directional_blocks(order, point, direction, zero):
-    """The 2^order blocks of the directional pattern: the point in block 0,
-    the direction in each block whose index has a single doubling bit set,
-    `zero` elsewhere."""
+def faa_sequence(tower):
+    """(f_0, ..., f_N) of a polynomial tower: term k read with x in block 0,
+    v_i in block 2^(i-1) and zero in every other block.  Any tower is read,
+    whether or not it satisfies the axioms."""
+    if not isinstance(tower, PreDSeq) or tower.base != "poly":
+        raise TagMismatch("Faa sequences are read off polynomial towers")
+    d = tower.dom
     out = []
-    for b in range(1 << order):
-        out.extend(point if b == 0 else direction if b & (b - 1) == 0
-                   else zero)
-    return out
+    for k, term in enumerate(tower.terms):
+        nvars = d * (k + 1)
+        zero = [Poly.zero(nvars)] * d
+        blocks = []
+        for b in range(1 << k):
+            blocks.extend(zero if b & (b - 1) else
+                          _slots(d, [b.bit_length()], nvars))
+        out.append(PolyMap(nvars, d << k, blocks).then(term))
+    return tuple(out)
 
 
-def directional_eval(seq, n, point, direction):
-    """Evaluate tower term n on the directional pattern: the n-th derivative
-    of the order-0 map at `point` along `direction`."""
-    if not isinstance(seq, PreDSeq):
-        raise TagMismatch("directional evaluation works on towers")
-    if len(point) != seq.dom or len(direction) != seq.dom:
-        raise DimensionMismatch("point and direction must match the domain")
-    return seq.term(n).eval(
-        _directional_blocks(n, point, direction, [0] * seq.dom))
+def faa_compose(fs, gs, n):
+    """Term n of the composite of two Faa sequences, fs first: the sum over
+    the set partitions pi of the directions v_1..v_n of
+    g_|pi|(f_0)[f_|B|(x, v_B) : B in pi]."""
+    if n >= min(len(fs), len(gs)):
+        raise InsufficientOrder(f"Faa term {n} needs sequences of order {n}")
+    if fs[0].cod != gs[0].dom:
+        raise DimensionMismatch(
+            f"composite needs cod {fs[0].cod} == dom {gs[0].dom}")
+    d = fs[0].dom
+    nvars = d * (n + 1)
+    at = {}
+
+    def f_at(block):
+        """f_|B| at (x, v_B), over all of (x, v_1..v_n)."""
+        if block not in at:
+            select = _slots(d, [0] + [i + 1 for i in block], nvars)
+            at[block] = PolyMap(nvars, len(select), select).then(
+                fs[len(block)])
+        return at[block]
+
+    total = None
+    for part in set_partitions(n):
+        inner = f_at(())
+        for block in part:
+            inner = inner.pair(f_at(block))
+        term = inner.then(gs[len(part)])
+        total = term if total is None else total + term
+    return total
 
 
 def directional_oracle(f, n, point, direction):
-    """Same derivative via a fresh coordinate: substitute x := point + t *
-    direction, expand in t, and return n! times the t^n coefficient."""
+    """The n-th derivative of f at `point` along `direction` via a fresh
+    coordinate: substitute x := point + t * direction, expand in t, and
+    return n! times the t^n coefficient."""
     if not isinstance(f, PolyMap):
         raise TagMismatch("the classical oracle works on polynomial maps")
     if len(point) != f.dom or len(direction) != f.dom:
@@ -144,41 +102,22 @@ def directional_oracle(f, n, point, direction):
     line = PolyMap(1, f.dom, [
         Poly.constant(1, point[j]) + t.scale(direction[j])
         for j in range(f.dom)])
-    restricted = line.then(f)
-    scale = math.factorial(n)
-    out = []
-    for comp in restricted.components:
-        coeff = Fraction(0)
-        for exps, c in comp.terms:
-            if exps[0] == n:
-                coeff = c
-        out.append(coeff * scale)
-    return tuple(out)
-
-
-def unit_speed_pattern(n):
-    """The pattern (x, 1, 1, 0, 1, 0, 0, 0, ...) as a symbolic map, turning
-    the n-fold joint derivative of a univariate map into its classical n-th
-    derivative."""
-    return PolyMap(1, 1 << n, _directional_blocks(
-        n, [Poly.variable(1, 0)], [Poly.constant(1, 1)], [Poly.zero(1)]))
-
-
-def pattern_derivative(f, n):
-    """Classical n-th derivative of a univariate map read off the n-fold
-    joint derivative along the unit-speed pattern."""
-    return unit_speed_pattern(n).then(nth_symbolic_derivative(f, n))
+    return tuple(math.factorial(n) * sum(
+        (c for (e,), c in comp.terms if e == n), Fraction(0))
+        for comp in line.then(f).components)
 
 
 def chain_equivalence_check(f, g, n, order=None, tol=None):
-    """Three-route agreement for the composite f-then-g.
+    """Three-route agreement for term n of the composite f-then-g.
 
     chain.tower-vs-iterated: term n of the tower composite equals the n-fold
     joint derivative of the base composite.
-    chain.faa-vs-pattern (univariate): the partition formula equals the
-    pattern-evaluated joint derivative, as maps.
-    chain.faa-vs-oracle (univariate): both agree with the fresh-coordinate
-    expansion at fixed rational sample points.
+    chain.faa-vs-pattern (poly): the Faa composite of the two maps' Faa
+    sequences equals the joint derivative read on the pure-direction
+    pattern, as maps.
+    chain.faa-vs-oracle (poly): the Faa composite at (x..x, v, ..., v)
+    agrees with the fresh-coordinate expansion at fixed rational sample
+    points x, along v = (1, 2, ..., d).
     """
     from .comonad import omega
     from .reports import LawReport, bool_entry, map_entry
@@ -187,16 +126,20 @@ def chain_equivalence_check(f, g, n, order=None, tol=None):
         order = n
     report = LawReport("chain")
     composite = compose(f, g)
-    tower_term = omega(f, order).compose(omega(g, order)).term(n)
-    report.add(map_entry("chain.tower-vs-iterated", n, 0, n, tower_term,
-                         nth_symbolic_derivative(composite, n), tol))
-    if f.dom == 1 and f.cod == 1 and g.dom == 1 and g.cod == 1 \
-            and isinstance(f, PolyMap):
-        faa_map = faa_univariate(f, g, n)
+    f_tower, g_tower = omega(f, order), omega(g, order)
+    iterated = omega(composite, n)
+    report.add(map_entry("chain.tower-vs-iterated", n, 0, n,
+                         f_tower.compose(g_tower).term(n), iterated.terms[n],
+                         tol))
+    if isinstance(f, PolyMap):
+        faa_map = faa_compose(faa_sequence(f_tower.truncate(n)),
+                              faa_sequence(g_tower.truncate(n)), n)
         report.add(map_entry("chain.faa-vs-pattern", n, 0, n, faa_map,
-                             pattern_derivative(composite, n), tol))
+                             faa_sequence(iterated)[n], tol))
+        v = [Fraction(j + 1) for j in range(f.dom)]
         for i, x in enumerate(SAMPLE_POINTS):
-            oracle = directional_oracle(composite, n, [x], [Fraction(1)])
+            oracle = directional_oracle(composite, n, [x] * f.dom, v)
             report.add(bool_entry("chain.faa-vs-oracle", n, i,
-                                  faa_map.eval([x]) == oracle, n))
+                                  faa_map.eval([x] * f.dom + v * n) == oracle,
+                                  n))
     return report.sort()

@@ -10,10 +10,9 @@ with term n over 2^n blocks of the domain.
 import json
 
 from .errors import EngineError, OrderMismatch
+from .maps import map_class
 from .parser import format_map, parse_map
 from .sequences import PreDSeq
-
-BASES = ("poly", "elementary")
 
 
 def dump_map(m):
@@ -38,8 +37,7 @@ def _field(obj, key, types, what):
 
 def load_map(obj, what="map"):
     base = _field(obj, "base", str, what)
-    if base not in BASES:
-        raise EngineError(f"{what} base must be one of {BASES}")
+    map_class(base)     # an unknown base is a TagMismatch
     dom = _field(obj, "dom", int, what)
     cod = _field(obj, "cod", int, what)
     if dom < 0 or cod < 0:
@@ -63,8 +61,7 @@ def dump_seq(seq):
 
 def load_seq(obj, what="tower"):
     base = _field(obj, "base", str, what)
-    if base not in BASES:
-        raise EngineError(f"{what} base must be one of {BASES}")
+    map_class(base)     # an unknown base is a TagMismatch
     dom = _field(obj, "dom", int, what)
     cod = _field(obj, "cod", int, what)
     order = _field(obj, "order", int, what)

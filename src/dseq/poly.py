@@ -382,14 +382,13 @@ class Poly:
 
     def subst(self, maps, nvars_out, powers=None):
         """Substitute variable j := maps[j]; all maps live in nvars_out
-        variables.  `powers` caches maps[j] ** e under the key (j, e), and
-        may be shared by calls with the same maps."""
+        variables.  `powers`, a _Powers of the same maps, may be shared by
+        calls with the same maps."""
         assert len(maps) == self.nvars
-        routes = _routes(maps, nvars_out)
-        if routes is not None:
-            return self._routed(routes, nvars_out)
         if powers is None:
-            powers = {}
+            powers = _Powers(maps, nvars_out)
+        if powers.routes is not None:
+            return self._routed(powers.routes, nvars_out)
         n, w = self.nvars, self._w
         low = (1 << (n * w)) - 1
         total = _Sum(nvars_out)
@@ -453,6 +452,15 @@ class Poly:
         return _normal(nvars_out, w, acc, self._den)
 
 
+class _Powers(dict):
+    """Cache of maps[j] ** e under the key (j, e) for substitutions into one
+    list of maps, holding also their _routes, found once for all of them."""
+
+    def __init__(self, maps, nvars_out):
+        super().__init__()
+        self.routes = _routes(maps, nvars_out)
+
+
 def _routes(maps, nvars_out):
     """Index of the variable each substitute is, or -1 for zero; None
     unless every substitute is a variable or zero."""
@@ -497,7 +505,7 @@ class PolyMap(CoordMap):
         """Diagrammatic composite: self first, then other."""
         self._require_composable(other)
         maps = self.components
-        powers = {}
+        powers = _Powers(maps, self.dom)
         comps = [p.subst(maps, self.dom, powers) for p in other.components]
         return PolyMap(self.dom, other.cod, comps)
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from dseq.axioms import DSeq, check_ds_primed, check_ds_unprimed, is_linear
 from dseq.comonad import (check_cd_axioms, check_coalgebra,
                           check_comonad_laws, omega)
-from dseq.faa import (SAMPLE_POINTS, directional_oracle, faa_univariate,
-                      nth_symbolic_derivative, pattern_derivative)
+from dseq.faa import (SAMPLE_POINTS, directional_oracle, faa_compose,
+                      faa_sequence)
 from dseq.fixtures import (CORRUPT_BUILDERS, random_dim, random_linear_map,
                            random_nonlinear_map, random_poly, random_poly_map,
                            random_tower, rng_for)
@@ -59,10 +59,9 @@ def test_criterion_2_chain_rule_equivalence():
         f = random_poly_map(rng, a, b)
         g = random_poly_map(rng, b, c)
         tower = omega(f, 3).compose(omega(g, 3))
-        composite = compose(f, g)
+        iterated = omega(compose(f, g), 3)
         for n in range(4):
-            ok = ok and tower.terms[n].equal(nth_symbolic_derivative(
-                composite, n))
+            ok = ok and tower.terms[n].equal(iterated.terms[n])
     verdict(2, ok, "composite towers equal iterated joint derivatives "
                    "for n <= 3 on 25 pairs, exact")
 
@@ -121,13 +120,15 @@ def test_criterion_6_faa_di_bruno_oracle():
         inner = PolyMap(1, 1, (random_poly(rng, 1, max_degree=4),))
         outer = PolyMap(1, 1, (random_poly(rng, 1, max_degree=4),))
         composite = compose(inner, outer)
+        fs, gs = faa_sequence(omega(inner, 5)), faa_sequence(omega(outer, 5))
+        iterated = faa_sequence(omega(composite, 5))
         for n in range(6):
-            faa_map = faa_univariate(inner, outer, n)
-            ok = ok and faa_map.equal(pattern_derivative(composite, n))
+            faa_map = faa_compose(fs, gs, n)
+            ok = ok and faa_map.equal(iterated[n])
             for x in SAMPLE_POINTS:
                 oracle = directional_oracle(composite, n, [x], [Fraction(1)])
-                ok = ok and faa_map.eval([x]) == oracle
-    verdict(6, ok, "partition formula = pattern derivative = "
+                ok = ok and faa_map.eval([x] + [Fraction(1)] * n) == oracle
+    verdict(6, ok, "Faa di Bruno composite = pattern-read derivative = "
                    "fresh-coordinate oracle for 10 pairs, n <= 5, exact")
 
 

@@ -166,6 +166,21 @@ def test_check_malformed_input(tmp_path, capsys):
     assert code == 2 and "missing field" in err
 
 
+def test_unknown_base_exits_two(tmp_path, capsys):
+    src = write_json(tmp_path / "map.json",
+                     {"base": "maple", "dom": 1, "cod": 1,
+                      "components": ["x0"]})
+    tower = write_json(tmp_path / "tower.json",
+                       {"base": "maple", "dom": 1, "cod": 1, "order": 0,
+                        "terms": [{"base": "maple", "dom": 1, "cod": 1,
+                                   "components": ["x0"]}]})
+    for argv in (["derive", "--map", src],
+                 ["eval", "--seq", tower, "--term", "0", "--point", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "unknown base tag 'maple'" in err
+        assert "Traceback" not in err
+
+
 def test_check_unreadable_file(capsys):
     code, _, err = run(capsys, "check", "--input", "/definitely/not/here")
     assert code == 2 and err
@@ -177,14 +192,29 @@ def test_faa_subcommand(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["equal"] is True
-    assert obj["faa"]["components"] == ["30*x0^4"]
-    assert obj["iterated"]["components"] == ["30*x0^4"]
+    assert obj["faa"]["components"] == ["30*x0^4*x1*x2"]
+    assert obj["iterated"]["components"] == ["30*x0^4*x1*x2"]
 
 
-def test_faa_rejects_multivariate(capsys):
-    code, _, err = run(capsys, "faa", "--inner", fx("map_prod.json"),
-                       "--outer", fx("map_cube.json"), "--n", "1")
-    assert code == 2 and err
+def test_faa_multivariate_pair(capsys):
+    code, out, _ = run(capsys, "faa", "--inner", fx("map_prod.json"),
+                       "--outer", fx("map_cube.json"), "--n", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["equal"] is True
+    assert obj["faa"]["dom"] == 6 and obj["faa"]["cod"] == 1
+
+
+def test_faa_rejects_incomposable_pair(capsys):
+    code, out, err = run(capsys, "faa", "--inner", fx("map_square.json"),
+                         "--outer", fx("map_prod.json"), "--n", "1")
+    assert code == 2 and out == "" and "composite needs" in err
+
+
+def test_faa_rejects_elementary(capsys):
+    code, out, err = run(capsys, "faa", "--inner", fx("map_sin.json"),
+                         "--outer", fx("map_sin.json"), "--n", "1")
+    assert code == 2 and out == "" and "polynomial" in err
 
 
 def test_eval_subcommand(capsys):

@@ -74,6 +74,13 @@ def test_load_seq_term_dimensions_validated():
         load_seq(obj)
 
 
+def test_load_seq_unknown_base():
+    obj = dump_seq(omega(pm(["x0^2"], 1), 1))
+    obj["base"] = "maple"
+    with pytest.raises(EngineError):
+        load_seq(obj)
+
+
 def test_load_seq_base_consistency():
     obj = dump_seq(omega(pm(["x0^2"], 1), 1))
     obj["terms"][1]["base"] = "elementary"

@@ -68,6 +68,20 @@ def test_subst_coordinate_fast_path():
     assert q == x[2] * x[0] + x[2] ** 2
 
 
+def test_then_finds_routes_once(monkeypatch):
+    # a routing `then` checks its substitutes once, not once per component
+    import dseq.poly
+    calls = []
+    routes = dseq.poly._routes
+    monkeypatch.setattr(dseq.poly, "_routes",
+                        lambda *args: calls.append(args) or routes(*args))
+    swap = PolyMap(2, 2, [Poly.variable(2, 1), Poly.variable(2, 0)])
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    g = PolyMap(2, 3, [x0 * x1, x0 ** 2, x1 + x0 ** 3])
+    assert swap.then(g) == PolyMap(2, 3, [x1 * x0, x1 ** 2, x0 + x1 ** 3])
+    assert len(calls) == 1
+
+
 def test_subst_general():
     x = Poly.variable(1, 0)
     p = x ** 2

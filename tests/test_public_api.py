@@ -1,0 +1,31 @@
+"""The package's export list: every name resolves, once, and every public
+name the package imports into its namespace is listed."""
+
+import ast
+import os
+
+import dseq
+
+INIT = os.path.join(os.path.dirname(dseq.__file__), "__init__.py")
+
+
+def imported_names():
+    with open(INIT, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dseq.__all__ if not hasattr(dseq, name)]
+    assert missing == []
+
+
+def test_no_duplicate_exports():
+    assert len(dseq.__all__) == len(set(dseq.__all__))
+
+
+def test_every_public_import_is_exported():
+    public = [name for name in imported_names() if not name.startswith("_")]
+    assert public
+    assert sorted(set(public) - set(dseq.__all__)) == []
