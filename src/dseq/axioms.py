@@ -21,7 +21,7 @@ with DS.1 .. DS.4 the tower-level counterparts.
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .maps import canonical_map, compose, coord_slice, pfunctor_apply, zero_map
+from .maps import canonical_map, coord_slice, pfunctor_apply, zero_map
 from .reports import LawReport, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity, seq_zero
 
@@ -55,7 +55,7 @@ def check_ds_primed(seq, tol=None):
         for k in range(n + 1):
             def along(kind, m):
                 block = canonical_map(kind, seq.dom << (n - k), seq.base)
-                return compose(pfunctor_apply(block, k), m)
+                return pfunctor_apply(block, k).then(m)
 
             for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
                 report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,
@@ -86,7 +86,7 @@ def is_linear(seq, tol=None):
     by the order-0 term."""
     ident = seq_identity(seq.dom, seq.order, seq.base)
     for n, f_n in enumerate(seq.terms):
-        if not compose(ident.terms[n], seq.terms[0]).equal(f_n, tol):
+        if not ident.terms[n].then(seq.terms[0]).equal(f_n, tol):
             return False
     return True
 

@@ -1,11 +1,12 @@
 """Tower-of-towers structure: extraction, duplication, and the CD battery.
 
 omega lifts a base map to its full derivative tower by iterating the joint
-derivative.  counit extracts the order-0 term; comult views a tower as the
-triangle of all its shifts, sharing terms with the source rather than
-copying them.  The three comonad laws hold for arbitrary towers because
-both sides of each law reduce to index arithmetic over one shared family.
-The CD.1-CD.7 statement here serves base maps as well as towers.
+derivative.  The counit of a tower is its order-0 term, `seq.terms[0]`; the
+comultiplication comult is the tuple of the tower's iterated shifts, which
+share their terms with the source rather than copying them.  The three
+comonad laws hold for arbitrary towers because both sides of each law
+reduce to index arithmetic over one shared family.  The CD.1-CD.7
+statement here serves base maps as well as towers.
 """
 
 from .axioms import DSeq, _ds_laws
@@ -15,69 +16,43 @@ from .reports import LawReport, bool_entry, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity
 
 
+def _shifts(x, n):
+    """x followed by its first n differentials."""
+    out = [x]
+    for _ in range(n):
+        out.append(out[-1].differential())
+    return tuple(out)
+
+
 def omega(f, order):
     """Full derivative tower of a base map, truncated at `order`."""
-    terms = [f]
-    for _ in range(order):
-        terms.append(terms[-1].differential())
-    return PreDSeq(f.dom, f.cod, tuple(terms))
-
-
-def counit(seq):
-    """Order-0 term of a tower."""
-    return seq.terms[0]
-
-
-class DeltaTable:
-    """Triangle of shifted towers: entry(n, m) is term n + m of the source.
-
-    row(n) is the n-fold shift as a tower of residual order N - n.  Rows and
-    entries are views onto the source's term tuple, never copies.
-    """
-
-    def __init__(self, source):
-        self.source = source
-
-    @property
-    def order(self):
-        return self.source.order
-
-    def entry(self, n, m):
-        if n + m > self.order:
-            raise InsufficientOrder(
-                f"entry ({n}, {m}) outside triangle of order {self.order}")
-        return self.source.terms[n + m]
-
-    def row(self, n):
-        if n > self.order:
-            raise InsufficientOrder(
-                f"row {n} outside triangle of order {self.order}")
-        return PreDSeq(self.source.dom << n, self.source.cod,
-                       self.source.terms[n:])
+    return PreDSeq(f.dom, f.cod, _shifts(f, order))
 
 
 def comult(seq):
-    return DeltaTable(seq)
+    """The N + 1 shifts (seq, seq.differential(), ...) of a tower of order
+    N: row n is the n-fold shift, of residual order N - n, and
+    rows[n].terms[m] is seq.terms[n + m] itself."""
+    return _shifts(seq, seq.order)
 
 
 def check_comonad_laws(seq, tol=None):
     """The three laws, valid for arbitrary towers (no axioms assumed).
 
-    comonad.counit-l:  row 0 of the triangle is the tower itself.
+    comonad.counit-l:  row 0 of comult is the tower itself.
     comonad.counit-r:  taking the order-0 term of each row rebuilds the tower.
-    comonad.coassoc:   duplicating each row agrees with shifting the triangle.
+    comonad.coassoc:   the shifts of row n are rows n, n + 1, ..., N.
     """
     report = LawReport("comonad")
-    table = comult(seq)
-    report.add(seq_entry("comonad.counit-l", 0, 0, table.row(0), seq, tol))
-    for n in range(seq.order + 1):
-        report.add(map_entry("comonad.counit-r", n, 0, n,
-                             counit(table.row(n)), seq.terms[n], tol))
-    for n in range(seq.order + 1):
-        for m in range(seq.order - n + 1):
-            lhs = comult(table.row(n)).row(m)
-            rhs = table.row(n + m)
-            report.add(seq_entry("comonad.coassoc", n, m, lhs, rhs, tol))
+    rows = comult(seq)
+    report.add(seq_entry("comonad.counit-l", 0, 0, rows[0], seq, tol))
+    for n, row in enumerate(rows):
+        report.add(map_entry("comonad.counit-r", n, 0, n, row.terms[0],
+                             seq.terms[n], tol))
+    for n, row in enumerate(rows):
+        for m, lhs in enumerate(comult(row)):
+            report.add(seq_entry("comonad.coassoc", n, m, lhs, rows[n + m],
+                                 tol))
     return report.sort()
 
 
@@ -86,15 +61,13 @@ def check_coalgebra(f, order, tol=None):
 
     coalgebra.counit: extracting order 0 from omega(f) gives back f.
     coalgebra.square: re-lifting term n of omega(f) at residual order
-    reproduces row n of the triangle, term by term.
+    reproduces row n of comult, term by term.
     """
     report = LawReport("coalgebra")
     tower = omega(f, order)
-    report.add(map_entry("coalgebra.counit", 0, 0, 0, counit(tower), f, tol))
-    table = comult(tower)
-    for n in range(order + 1):
+    report.add(map_entry("coalgebra.counit", 0, 0, 0, tower.terms[0], f, tol))
+    for n, row in enumerate(comult(tower)):
         relift = omega(tower.terms[n], order - n)
-        row = table.row(n)
         for m in range(order - n + 1):
             report.add(map_entry("coalgebra.square", n, m, n + m,
                                  relift.terms[m], row.terms[m], tol))

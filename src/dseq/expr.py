@@ -163,15 +163,6 @@ def _substitute(tape, rep):
                 lambda ins: rep(ins[1]) if ins[0] == "var" else ins)
 
 
-def tree_eval(node, point):
-    return _float_values(_tape([node]), point)[0]
-
-
-def tree_deriv(node, j):
-    """Partial derivative with respect to variable j."""
-    return _partials(_tape([node]), j)[0]
-
-
 class ElemMap(CoordMap):
     """Map between coordinate spaces with one expression tree per output.
 

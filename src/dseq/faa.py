@@ -7,15 +7,18 @@ Seely, "The Faa di Bruno construction", TAC 25(15), 2011).  Any tower
 yields one by reading each term on the pure-direction pattern, and two
 compose by the multivariate Faa di Bruno formula over set partitions
 (Hardy, "Combinatorics of partial derivatives", EJC 13, 2006).  A third
-route, independent of both, expands f(x + t v) in a fresh coordinate t.
+route, independent of both, expands f(x + t v) in a fresh coordinate t
+once, with the base point x symbolic, and reads the n-th directional
+derivative off the t^n coefficient as a map over x.
 """
 
 import math
 from fractions import Fraction
 
+from .comonad import omega
 from .errors import DimensionMismatch, InsufficientOrder, TagMismatch
-from .maps import compose
 from .poly import Poly, PolyMap
+from .reports import LawReport, bool_entry, map_entry
 from .sequences import PreDSeq
 
 SAMPLE_POINTS = (Fraction(-2), Fraction(-1), Fraction(0),
@@ -90,21 +93,22 @@ def faa_compose(fs, gs, n):
     return total
 
 
-def directional_oracle(f, n, point, direction):
-    """The n-th derivative of f at `point` along `direction` via a fresh
-    coordinate: substitute x := point + t * direction, expand in t, and
-    return n! times the t^n coefficient."""
+def directional_oracle(f, n, direction):
+    """The n-th derivative of f along `direction`, as a map over the base
+    point x, via a fresh coordinate t: substitute x := x + t * direction,
+    expand, and keep n! times the t^n coefficient."""
     if not isinstance(f, PolyMap):
         raise TagMismatch("the classical oracle works on polynomial maps")
-    if len(point) != f.dom or len(direction) != f.dom:
-        raise DimensionMismatch("point and direction must match the domain")
-    t = Poly.variable(1, 0)
-    line = PolyMap(1, f.dom, [
-        Poly.constant(1, point[j]) + t.scale(direction[j])
-        for j in range(f.dom)])
-    return tuple(math.factorial(n) * sum(
-        (c for (e,), c in comp.terms if e == n), Fraction(0))
-        for comp in line.then(f).components)
+    d = f.dom
+    if len(direction) != d:
+        raise DimensionMismatch("direction must match the domain")
+    t = Poly.variable(d + 1, d)
+    line = PolyMap(d + 1, d, [Poly.variable(d + 1, j) + t.scale(direction[j])
+                              for j in range(d)])
+    scale = math.factorial(n)
+    return PolyMap(d, f.cod, [
+        Poly(d, [(e[:d], scale * c) for e, c in comp.terms if e[d] == n])
+        for comp in line.then(f).components])
 
 
 def chain_equivalence_check(f, g, n, order=None, tol=None):
@@ -116,16 +120,13 @@ def chain_equivalence_check(f, g, n, order=None, tol=None):
     sequences equals the joint derivative read on the pure-direction
     pattern, as maps.
     chain.faa-vs-oracle (poly): the Faa composite at (x..x, v, ..., v)
-    agrees with the fresh-coordinate expansion at fixed rational sample
-    points x, along v = (1, 2, ..., d).
+    agrees with the fresh-coordinate expansion along v = (1, 2, ..., d) at
+    fixed rational sample points x.
     """
-    from .comonad import omega
-    from .reports import LawReport, bool_entry, map_entry
-
     if order is None:
         order = n
     report = LawReport("chain")
-    composite = compose(f, g)
+    composite = f.then(g)
     f_tower, g_tower = omega(f, order), omega(g, order)
     iterated = omega(composite, n)
     report.add(map_entry("chain.tower-vs-iterated", n, 0, n,
@@ -137,9 +138,10 @@ def chain_equivalence_check(f, g, n, order=None, tol=None):
         report.add(map_entry("chain.faa-vs-pattern", n, 0, n, faa_map,
                              faa_sequence(iterated)[n], tol))
         v = [Fraction(j + 1) for j in range(f.dom)]
+        oracle = directional_oracle(composite, n, v)
         for i, x in enumerate(SAMPLE_POINTS):
-            oracle = directional_oracle(composite, n, [x] * f.dom, v)
+            point = [x] * f.dom
             report.add(bool_entry("chain.faa-vs-oracle", n, i,
-                                  faa_map.eval([x] * f.dom + v * n) == oracle,
-                                  n))
+                                  faa_map.eval(point + v * n)
+                                  == oracle.eval(point), n))
     return report.sort()

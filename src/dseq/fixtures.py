@@ -9,6 +9,7 @@ suites are reproducible from a (seed, label) pair.
 import random
 from fractions import Fraction
 
+from . import expr as et
 from .parser import parse_map
 from .poly import Poly, PolyMap
 from .sequences import PreDSeq
@@ -88,7 +89,6 @@ def random_tower(rng, dom, cod, order, max_degree=2):
 def random_elem_map(rng, dom, cod):
     """Shallow smooth trees: rational combinations of coordinates and
     sin/cos/exp applied to single coordinates."""
-    from . import expr as et
     comps = []
     for _ in range(cod):
         node = et.const(random_fraction(rng))
@@ -98,8 +98,7 @@ def random_elem_map(rng, dom, cod):
                                et.exp(et.var(j))))
             node = et.add(node, et.mul(et.const(random_fraction(rng, True)), leaf))
         comps.append(node)
-    from .expr import ElemMap
-    return ElemMap(dom, cod, comps)
+    return et.ElemMap(dom, cod, comps)
 
 
 # Hand-broken towers.  Each surgical fixture violates exactly one axiom

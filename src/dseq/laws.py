@@ -13,8 +13,7 @@ from .comonad import _cd_laws, comult, omega
 from .fixtures import (corrupt_ds2, corrupt_ds3, corrupt_ds3_joint, corrupt_ds4,
                        random_dim, random_elem_map, random_linear_map,
                        random_nonlinear_map, random_poly_map, random_tower)
-from .maps import (canonical_map, compose, identity, pfunctor_apply, proj,
-                   zero_map)
+from .maps import canonical_map, identity, pfunctor_apply, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
 from .sequences import seq_identity, seq_product, seq_proj, seq_zero
 
@@ -56,8 +55,8 @@ def base_category_laws(rng, trials, base="poly", tol=None):
         E("base.pfunctor-compose", 0, pfunctor_apply(f.then(g), 2),
           pfunctor_apply(f, 2).then(pfunctor_apply(g, 2)))
 
-        for axiom, k, lhs, rhs in _cd_laws(lambda m: m, compose, single=f,
-                                           parallel=(f, f2),
+        for axiom, k, lhs, rhs in _cd_laws(lambda m: m, type(f).then,
+                                           single=f, parallel=(f, f2),
                                            composable=(f, g)):
             E(axiom, k, lhs, rhs)
 
@@ -98,10 +97,10 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
         def E(axiom, k_, lhs, rhs):
             report.add(seq_entry(axiom, t, k_, lhs, rhs, tol))
 
-        E("scalar.assoc-l", 0, f.lmul(h).lmul(h2), f.lmul(compose(h2, h)))
+        E("scalar.assoc-l", 0, f.lmul(h).lmul(h2), f.lmul(h2.then(h)))
         E("scalar.unit-l", 0, f.lmul(identity(a)), f)
         E("scalar.unit-r", 0, f.rmul(identity(b)), f)
-        E("scalar.assoc-r", 0, f.rmul(k).rmul(k2), f.rmul(compose(k, k2)))
+        E("scalar.assoc-r", 0, f.rmul(k).rmul(k2), f.rmul(k.then(k2)))
         E("scalar.middle", 0, f.lmul(h).rmul(k), f.rmul(k).lmul(h))
 
         E("tangent.pi0", 0, f.lmul(proj(a, a, 0)),
@@ -120,7 +119,7 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
           f.tangent().compose(g.tangent()))
         report.add(map_entry("compose.term0", t, 0, 0,
                              f.compose(g).terms[0],
-                             compose(f.terms[0], g.terms[0]), tol))
+                             f.terms[0].then(g.terms[0]), tol))
         E("category.assoc", 0, f.compose(g).compose(g2),
           f.compose(g.compose(g2)))
         E("category.unit-l", 0, ident_a.compose(f), f)
@@ -153,7 +152,7 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
         E("dt.diff-ident", 0, ident_a.differential(),
           seq_identity(2 * a, order).rmul(proj(a, a, 1)))
         for j in (0, 1):
-            back = compose(proj(a + b, a + b, 1), proj(a, b, j))
+            back = proj(a + b, a + b, 1).then(proj(a, b, j))
             E("dt.diff-proj", j, seq_proj(a, b, j, order).differential(),
               seq_identity(2 * (a + b), order).rmul(back))
         E("dt.chain", 0, f.compose(g).differential(),
@@ -289,7 +288,8 @@ def tower_naturality_laws(rng, trials, order=3, tol=None):
 
 def omega_structure_laws(rng, trials, order=3, tol=None):
     """Lifting a base map to its tower preserves identities, projections,
-    zero, sums, pairing, and composition; triangle rows re-lift shifts."""
+    zero, sums, pairing, and composition; the shifts comult lists are
+    the re-lifted terms and stay verified."""
     report = LawReport("omega")
     for t in range(trials):
         a, b, c = (random_dim(rng) for _ in range(3))
@@ -309,15 +309,14 @@ def omega_structure_laws(rng, trials, order=3, tol=None):
         E("omega.sum", 0, omega(u + w, order), omega(u, order) + omega(w, order))
         E("omega.pair", 0, omega(u.pair(w), order),
           omega(u, order).pair(omega(w, order)))
-        E("omega.compose", 0, omega(compose(u, v), order),
+        E("omega.compose", 0, omega(u.then(v), order),
           omega(u, order).compose(omega(v, order)))
 
         tower = omega(u, order)
-        table = comult(tower)
+        rows = comult(tower)
         for n in range(1, order + 1):
-            E("omega.rows", n, table.row(n),
-              omega(tower.terms[n], order - n))
+            E("omega.rows", n, rows[n], omega(tower.terms[n], order - n))
             report.add(bool_entry("delta.preserves", t, n,
-                                  check_ds_primed(table.row(n), tol).passed,
+                                  check_ds_primed(rows[n], tol).passed,
                                   order - n))
     return report.sort()

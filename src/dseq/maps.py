@@ -178,11 +178,6 @@ def coord_slice(total, start, size, base="poly"):
     return map_class(base).coord_slice(total, start, size)
 
 
-def compose(f, g):
-    """Diagrammatic composite: f first, then g."""
-    return f.then(g)
-
-
 def pfunctor_apply(h, k):
     """k-fold doubling: 2^k block-diagonal copies of h."""
     assert k >= 0

@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
 from .maps import _text, map_class
-from .poly import Poly
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -270,17 +269,6 @@ def _join(pieces):
 
 def _format_tape(tape):
     return [_join(pieces) for pieces, _ in et._run(tape, _TEXT, _text_leaf)]
-
-
-def format_tree(node):
-    """Structural text form; reparsing yields an equal map."""
-    return _format_tape(et._tape([node]))[0]
-
-
-def format_component(comp):
-    if isinstance(comp, Poly):
-        return format_poly(comp)
-    return format_tree(comp)
 
 
 def format_map(m):

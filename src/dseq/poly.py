@@ -75,11 +75,6 @@ def _pack(exps, w):
     return mon
 
 
-def _unpack(mon, nvars, w):
-    mask = (1 << w) - 1
-    return tuple((mon >> (k * w)) & mask for k in range(nvars - 1, -1, -1))
-
-
 def _repack(mons, nvars, w, new_w):
     return [_pack(_unpack(m, nvars, w), new_w) for m in mons]
 
@@ -94,6 +89,15 @@ def _factors(fields, w):
         fields -= e << shift
         out.append((shift, e))
     return out
+
+
+def _unpack(mon, nvars, w):
+    """Exponent tuple of a packed monomial; costs one step per nonzero
+    field, not per variable."""
+    exps = [0] * nvars
+    for shift, e in _factors(mon & ((1 << (nvars * w)) - 1), w):
+        exps[nvars - 1 - shift // w] = e
+    return tuple(exps)
 
 
 class _Packed(tuple):
@@ -268,9 +272,6 @@ class Poly:
         w = _NARROW
         mon = (1 << (nvars * w)) | (1 << ((nvars - 1 - index) * w))
         return _poly(nvars, w, (mon,), (1,), 1)
-
-    def is_zero(self):
-        return not self._mons
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""

@@ -11,6 +11,7 @@ reports are byte-stable.
 
 from dataclasses import dataclass, field
 
+from .jsonio import dump_map
 from .maps import CoordMap, compare_maps
 
 
@@ -44,7 +45,6 @@ class LawReport:
         return [e for e in self.entries if not e.passed]
 
     def to_json(self):
-        from .jsonio import dump_map
         entries = []
         for e in sorted(self.entries, key=lambda x: (x.axiom, x.n, x.k)):
             witness = e.witness

@@ -17,6 +17,8 @@ from .laws import (base_category_laws, omega_structure_laws,
                    tower_naturality_laws)
 from .reports import LawReport, bool_entry
 
+ORDER = 3   # truncation order of every selftest tower
+
 
 def _collapse(report, source, t, order):
     """Fold a nested report into per-family booleans for trial t."""
@@ -25,7 +27,7 @@ def _collapse(report, source, t, order):
         report.add(bool_entry(fam, t, 0, ok, order))
 
 
-def ds_axiom_suite(rng, trials, order=3, tol=None):
+def ds_axiom_suite(rng, trials, order, tol):
     """Both axiom checkers accept random lifted towers and agree; each
     hand-corrupted fixture is rejected for exactly its target axiom."""
     report = LawReport("ds")
@@ -46,7 +48,7 @@ def ds_axiom_suite(rng, trials, order=3, tol=None):
     return report.sort()
 
 
-def comonad_suite(rng, trials, order=3, tol=None):
+def comonad_suite(rng, trials, order, tol):
     report = LawReport("comonad")
     for t in range(trials):
         a, b = random_dim(rng), random_dim(rng)
@@ -55,7 +57,7 @@ def comonad_suite(rng, trials, order=3, tol=None):
     return report.sort()
 
 
-def coalgebra_suite(rng, trials, order=3, tol=None):
+def coalgebra_suite(rng, trials, order, tol):
     report = LawReport("coalgebra")
     for t in range(trials):
         a, b = random_dim(rng), random_dim(rng)
@@ -64,7 +66,7 @@ def coalgebra_suite(rng, trials, order=3, tol=None):
     return report.sort()
 
 
-def cd_suite(rng, trials, order=3, tol=None):
+def cd_suite(rng, trials, order, tol):
     report = LawReport("cd")
     for t in range(trials):
         a, b, c = (random_dim(rng) for _ in range(3))
@@ -76,7 +78,7 @@ def cd_suite(rng, trials, order=3, tol=None):
     return report.sort()
 
 
-def chain_suite(rng, trials, order=3, tol=None):
+def chain_suite(rng, trials, order, tol):
     report = LawReport("chain")
     for t in range(trials):
         inner = random_poly_map(rng, 1, 1)
@@ -104,12 +106,12 @@ SUITE_BUILDERS = (
 )
 
 
-def run_selftest(seed, trials, order=3, tol=None):
+def run_selftest(seed, trials, tol=None):
     """Run every suite on fresh labeled streams; returns a summary dict."""
     suites = []
     ok = True
     for name, build in SUITE_BUILDERS:
-        report = build(rng_for(seed, name), trials, order, tol)
+        report = build(rng_for(seed, name), trials, ORDER, tol)
         suites.append({
             "suite": name,
             "pass": report.passed,

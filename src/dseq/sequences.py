@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import compose, coord_slice, pfunctor_apply, proj, zero_map
+from .maps import coord_slice, pfunctor_apply, proj, zero_map
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class PreDSeq:
         pi0 = proj(self.dom, self.dom, 0, self.base)
         terms = []
         for n in range(self.order):
-            left = compose(pfunctor_apply(pi0, n), self.terms[n])
+            left = pfunctor_apply(pi0, n).then(self.terms[n])
             terms.append(left.pair(self.terms[n + 1]))
         return PreDSeq(2 * self.dom, 2 * self.cod, tuple(terms))
 
@@ -81,7 +81,7 @@ class PreDSeq:
         if h.cod != self.dom:
             raise DimensionMismatch(
                 f"left action needs cod {h.cod} == tower domain {self.dom}")
-        terms = tuple(compose(pfunctor_apply(h, n), f)
+        terms = tuple(pfunctor_apply(h, n).then(f)
                       for n, f in enumerate(self.terms))
         return PreDSeq(h.dom, self.cod, terms)
 
@@ -92,7 +92,7 @@ class PreDSeq:
         if k.dom != self.cod:
             raise DimensionMismatch(
                 f"right action needs dom {k.dom} == tower codomain {self.cod}")
-        return PreDSeq(self.dom, k.cod, tuple(compose(f, k) for f in self.terms))
+        return PreDSeq(self.dom, k.cod, tuple(f.then(k) for f in self.terms))
 
     def compose(self, g):
         """Tower composition: n-th term runs the n-fold tangent of self at
@@ -106,7 +106,7 @@ class PreDSeq:
         terms = []
         cur = self
         for n in range(order + 1):
-            terms.append(compose(cur.terms[0], g.terms[n]))
+            terms.append(cur.terms[0].then(g.terms[n]))
             if n < order:
                 cur = cur.tangent()
         return PreDSeq(self.dom, g.cod, tuple(terms))
@@ -132,16 +132,6 @@ class PreDSeq:
         terms = tuple(self.terms[n] + g.terms[n] for n in range(order + 1))
         return PreDSeq(self.dom, self.cod, terms)
 
-    def eq(self, g, tol=None):
-        """True iff orders match and every term compares equal."""
-        if g.base != self.base:
-            raise TagMismatch("comparison needs matching base")
-        if self.dom != g.dom or self.cod != g.cod:
-            raise DimensionMismatch("comparison needs equal signatures")
-        if self.order != g.order:
-            return False
-        return all(a.equal(b, tol) for a, b in zip(self.terms, g.terms))
-
 
 def seq_identity(dim, order, base="poly"):
     """Identity tower: term n selects the all-ones block (the innermost
@@ -160,10 +150,6 @@ def seq_zero(dom, cod, order, base="poly"):
 
 def seq_proj(a, b, j, order, base="poly"):
     return seq_identity(a + b, order, base).rmul(proj(a, b, j, base))
-
-
-def seq_terminal(dim, order, base="poly"):
-    return seq_zero(dim, 0, order, base)
 
 
 def seq_product(factors):

@@ -21,7 +21,6 @@ from dseq.fixtures import (CORRUPT_BUILDERS, random_dim, random_linear_map,
                            random_nonlinear_map, random_poly, random_poly_map,
                            random_tower, rng_for)
 from dseq.laws import tower_identity_laws
-from dseq.maps import compose
 from dseq.parser import parse_map
 from dseq.poly import PolyMap
 
@@ -59,7 +58,7 @@ def test_criterion_2_chain_rule_equivalence():
         f = random_poly_map(rng, a, b)
         g = random_poly_map(rng, b, c)
         tower = omega(f, 3).compose(omega(g, 3))
-        iterated = omega(compose(f, g), 3)
+        iterated = omega(f.then(g), 3)
         for n in range(4):
             ok = ok and tower.terms[n].equal(iterated.terms[n])
     verdict(2, ok, "composite towers equal iterated joint derivatives "
@@ -119,15 +118,16 @@ def test_criterion_6_faa_di_bruno_oracle():
     for _ in range(10):
         inner = PolyMap(1, 1, (random_poly(rng, 1, max_degree=4),))
         outer = PolyMap(1, 1, (random_poly(rng, 1, max_degree=4),))
-        composite = compose(inner, outer)
+        composite = inner.then(outer)
         fs, gs = faa_sequence(omega(inner, 5)), faa_sequence(omega(outer, 5))
         iterated = faa_sequence(omega(composite, 5))
         for n in range(6):
             faa_map = faa_compose(fs, gs, n)
             ok = ok and faa_map.equal(iterated[n])
+            oracle = directional_oracle(composite, n, [Fraction(1)])
             for x in SAMPLE_POINTS:
-                oracle = directional_oracle(composite, n, [x], [Fraction(1)])
-                ok = ok and faa_map.eval([x] + [Fraction(1)] * n) == oracle
+                ok = ok and (faa_map.eval([x] + [Fraction(1)] * n)
+                             == oracle.eval([x]))
     verdict(6, ok, "Faa di Bruno composite = pattern-read derivative = "
                    "fresh-coordinate oracle for 10 pairs, n <= 5, exact")
 

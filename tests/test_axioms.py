@@ -66,7 +66,7 @@ def test_corrupt_ds3_detected_with_witness():
     rep = check_ds_primed(corrupt_ds3())
     bad = rep.failing()
     assert bad and all(e.axiom == "DS.3'" for e in bad)
-    assert any(not c.is_zero() for c in bad[0].witness.components)
+    assert any(c.terms for c in bad[0].witness.components)
 
 
 def test_joint_corruption_fails_lift_and_additivity():

@@ -4,8 +4,8 @@ differential-combinator axioms on verified towers."""
 import pytest
 
 from dseq.axioms import DSeq, check_ds_primed
-from dseq.comonad import (DeltaTable, check_cd_axioms, check_coalgebra,
-                          check_comonad_laws, comult, counit, omega)
+from dseq.comonad import (check_cd_axioms, check_coalgebra,
+                          check_comonad_laws, comult, omega)
 from dseq.errors import AxiomViolation, InsufficientOrder
 from dseq.fixtures import corrupt_ds3, random_tower, rng_for
 from dseq.parser import format_map, parse_map
@@ -29,32 +29,47 @@ def test_omega_order_zero():
 
 def test_counit_extracts_term_zero():
     f = pm(["x0^3"], 1)
-    assert counit(omega(f, 2)) is f
+    assert omega(f, 2).terms[0] is f
 
 
 def test_comult_entries_are_shifted_terms():
     t = omega(pm(["x0^2"], 1), 2)
-    table = comult(t)
-    assert isinstance(table, DeltaTable)
-    # entry(n, m) is the (n+m)-th term of the source
-    assert table.entry(1, 1) is t.terms[2]
-    assert table.entry(0, 2) is t.terms[2]
-    assert format_map(table.entry(1, 1)) == ["2*x0*x3 + 2*x1*x2"]
+    rows = comult(t)
+    # entry (n, m) is the (n+m)-th term of the source
+    assert rows[1].terms[1] is t.terms[2]
+    assert rows[0].terms[2] is t.terms[2]
+    assert format_map(rows[1].terms[1]) == ["2*x0*x3 + 2*x1*x2"]
 
 
 def test_comult_rows_are_shifts():
     t = omega(pm(["x0^3"], 1), 3)
-    row1 = comult(t).row(1)
-    assert row1.eq(t.differential())
+    row1 = comult(t)[1]
+    assert row1.terms == t.differential().terms
 
 
 def test_triangle_bounds():
     t = omega(pm(["x0^2"], 1), 2)
-    table = comult(t)
+    rows = comult(t)
+    assert len(rows) == 3
     with pytest.raises(InsufficientOrder):
-        table.entry(2, 1)
+        rows[2].term(1)
     with pytest.raises(InsufficientOrder):
-        table.row(3)
+        rows[2].differential()
+
+
+def test_comult_is_the_tuple_of_shifts():
+    # row n is the n-fold shift, a view onto the source's own term objects
+    for t in (omega(pm(["x0^2"], 1), 2), omega(pm(["x0^3 + x0*x1"], 2), 3)):
+        rows = comult(t)
+        assert len(rows) == t.order + 1
+        assert rows[0] is t and rows[1] == t.differential()
+        for n, row in enumerate(rows):
+            assert (row.dom, row.cod, row.order) == (t.dom << n, t.cod,
+                                                     t.order - n)
+            for m in range(row.order + 1):
+                assert row.terms[m] is t.terms[n + m]
+    assert format_map(comult(omega(pm(["x0^2"], 1), 2))[1].terms[1]) == [
+        "2*x0*x3 + 2*x1*x2"]
 
 
 def test_comonad_laws_on_arbitrary_towers():
@@ -108,6 +123,6 @@ def test_cd_requires_order_three():
 
 def test_delta_rows_of_verified_tower_stay_verified():
     t = omega(pm(["x0^3 + x0*x1"], 2), 3)
-    table = comult(t)
+    rows = comult(t)
     for n in range(1, 4):
-        assert check_ds_primed(table.row(n)).passed
+        assert check_ds_primed(rows[n]).passed

@@ -6,7 +6,7 @@ import pytest
 
 from dseq.errors import DimensionMismatch
 from dseq.expr import (ELEM_TOLERANCE, ElemMap, add, const, cos, exp, mul,
-                       neg, pow_, sin, tree_deriv, tree_eval, var)
+                       neg, pow_, sin, var)
 from dseq.parser import parse_map
 
 
@@ -18,31 +18,40 @@ def test_constant_folding():
     assert add(const(0), var(2)) == var(2)
 
 
+def value(tree, point):
+    return ElemMap(len(point), 1, [tree]).eval(point)[0]
+
+
+def slope(tree, x):
+    """d/dx of a one-variable tree at x: its differential along 1."""
+    return ElemMap(1, 1, [tree]).differential().eval([x, 1.0])[0]
+
+
 def test_tree_eval():
     t = add(mul(const(2), var(0)), sin(var(1)))
-    assert tree_eval(t, [3.0, 0.0]) == pytest.approx(6.0)
-    assert tree_eval(exp(const(0)), []) == pytest.approx(1.0)
-    assert tree_eval(pow_(var(0), 3), [2.0]) == pytest.approx(8.0)
+    assert value(t, [3.0, 0.0]) == pytest.approx(6.0)
+    assert value(exp(const(0)), []) == pytest.approx(1.0)
+    assert value(pow_(var(0), 3), [2.0]) == pytest.approx(8.0)
 
 
 def test_tree_deriv_chain():
     # d/dx sin(x^2) = cos(x^2) * 2x
     t = sin(pow_(var(0), 2))
-    d = tree_deriv(t, 0)
     for x in (0.3, -1.1, 0.9):
-        assert tree_eval(d, [x]) == pytest.approx(math.cos(x * x) * 2 * x)
+        assert slope(t, x) == pytest.approx(math.cos(x * x) * 2 * x)
 
 
 def test_tree_deriv_product():
     t = mul(sin(var(0)), exp(var(0)))
-    d = tree_deriv(t, 0)
     for x in (0.2, -0.7):
         want = math.cos(x) * math.exp(x) + math.sin(x) * math.exp(x)
-        assert tree_eval(d, [x]) == pytest.approx(want)
+        assert slope(t, x) == pytest.approx(want)
 
 
 def test_deriv_wrt_absent_variable():
-    assert tree_deriv(sin(var(0)), 1) == const(0)
+    # the direction of x1 (variable x3) drops out of the differential
+    d = ElemMap(2, 1, [sin(var(0))]).differential()
+    assert d.components == (mul(cos(var(0)), var(2)),)
 
 
 def test_elem_map_eval():

@@ -33,7 +33,7 @@ def test_elem_map_round_trip():
 def test_seq_round_trip():
     t = omega(pm(["x0^2 + x0*x1", "x1^3"], 2), 2)
     again = load_seq(dump_seq(t))
-    assert again.eq(t)
+    assert again.terms == t.terms
 
 
 def test_dump_map_shape():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dseq.errors import DimensionMismatch, TagMismatch
-from dseq.maps import (canonical_map, compose, identity, map_class,
-                       pfunctor_apply, proj, zero_map)
+from dseq.maps import (canonical_map, identity, map_class, pfunctor_apply,
+                       proj, zero_map)
 from dseq.parser import parse_map
 from dseq.poly import Poly, PolyMap
 
@@ -74,8 +74,8 @@ def test_tangent_map_pairs_value_and_derivative():
 def test_compose_direction():
     f = parse_map(["x0 + 1"], 1, 1, "poly")
     g = parse_map(["x0^2"], 1, 1, "poly")
-    assert ev(compose(f, g), 2) == (9,)
-    assert ev(compose(g, f), 2) == (5,)
+    assert ev(f.then(g), 2) == (9,)
+    assert ev(g.then(f), 2) == (5,)
 
 
 def test_identity_and_zero():
@@ -105,7 +105,7 @@ def test_mixed_bases_cannot_compose():
     f = parse_map(["x0"], 1, 1, "poly")
     g = parse_map(["sin(x0)"], 1, 1, "elementary")
     with pytest.raises(TagMismatch):
-        compose(f, g)
+        f.then(g)
 
 
 def test_pair_dimension_check():

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dseq.errors import FunctionNotAllowed, ParseError, UnknownVariable
 from dseq.fixtures import random_elem_map, random_poly_map, rng_for
-from dseq.parser import (format_component, format_map, parse_component,
-                         parse_map)
+from dseq.parser import format_map, format_poly, parse_component, parse_map
 from dseq.poly import Poly, PolyMap
 
 
@@ -85,8 +84,8 @@ def test_elementary_product_tree():
 def test_nested_functions():
     f = parse_component("cos(sin(x0) + x1)", 2, "elementary")
     import math
-    from dseq.expr import tree_eval
-    assert tree_eval(f, [0.5, 0.25]) == pytest.approx(
+    from dseq.expr import ElemMap
+    assert ElemMap(2, 1, [f]).eval([0.5, 0.25])[0] == pytest.approx(
         math.cos(math.sin(0.5) + 0.25))
 
 
@@ -97,13 +96,20 @@ def test_unknown_function_name():
 
 def test_canonical_printing():
     p = parse_component("x1*x0*2 + x0^2 - 1/2", 2, "poly")
-    assert format_component(p) == "x0^2 + 2*x0*x1 - 1/2"
-    assert format_component(Poly.zero(2)) == "0"
+    assert format_poly(p) == "x0^2 + 2*x0*x1 - 1/2"
+    assert format_poly(Poly.zero(2)) == "0"
 
 
 def test_leading_negative():
     p = parse_component("-x0^2 + x1", 2, "poly")
-    assert format_component(p) == "-x0^2 + x1"
+    assert format_poly(p) == "-x0^2 + x1"
+
+
+def test_round_trip_in_many_variables():
+    # printing reads only the nonzero exponent fields of a monomial
+    p = parse_component("x0 + x99999", 100_000, "poly")
+    assert format_poly(p) == "x0 + x99999"
+    assert parse_component(format_poly(p), 100_000, "poly") == p
 
 
 def test_map_dimension_check():

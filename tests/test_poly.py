@@ -16,7 +16,7 @@ def P(nvars, *items):
 def test_canonical_merges_and_drops_zeros():
     p = P(1, ((2,), Fraction(1)), ((2,), Fraction(-1)), ((1,), Fraction(3)))
     assert p == P(1, ((1,), Fraction(3)))
-    assert P(1).is_zero()
+    assert not P(1).terms
 
 
 def test_degree_and_zero():

@@ -29,3 +29,20 @@ def test_every_public_import_is_exported():
     public = [name for name in imported_names() if not name.startswith("_")]
     assert public
     assert sorted(set(public) - set(dseq.__all__)) == []
+
+
+def test_public_surface_is_pinned():
+    # a change to the public surface edits this list on purpose
+    assert sorted(dseq.__all__) == [
+        "AxiomViolation", "DSeq", "DimensionMismatch", "ElemMap",
+        "EngineError", "FunctionNotAllowed", "InsufficientOrder", "LawEntry",
+        "LawReport", "OrderMismatch", "ParseError", "Poly", "PolyMap",
+        "PreDSeq", "TagMismatch", "UnknownVariable", "canonical_map",
+        "chain_equivalence_check", "check_cd_axioms", "check_coalgebra",
+        "check_comonad_laws", "check_ds_primed", "check_ds_unprimed",
+        "comult", "directional_oracle", "dump_map", "dump_seq", "faa_compose",
+        "faa_sequence", "format_map", "identity", "is_linear", "load_map",
+        "load_seq", "omega", "parse_component", "parse_map", "pfunctor_apply",
+        "proj", "run_selftest", "seq_identity", "seq_product", "seq_proj",
+        "seq_zero", "set_partitions", "t2", "zero_map",
+    ]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dseq.expr import (ElemMap, _run, _tape, add, const, cos, exp, mul, neg,
                        pow_, sin, var)
-from dseq.parser import format_map, format_tree, parse_component
+from dseq.parser import format_map, parse_component
 
 DOM = 3
 
@@ -146,7 +146,7 @@ points = st.lists(st.floats(-1, 1), min_size=DOM, max_size=DOM)
 @example(pow_(mul(const(2), add(var(1), const(Fraction(-1, 2)))), 2))
 @example(mul(var(0), sin(mul(const(-1), var(2)))))
 def test_format_then_parse_is_identity(t):
-    text = format_tree(t)
+    text = format_map(ElemMap(DOM, 1, [t]))[0]
     assert text == ref_format(t)
     assert parse_component(text, DOM, "elementary") == t
 
