@@ -23,7 +23,7 @@ from .axioms import DSeq, check_ds_primed, check_ds_unprimed
 from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
 from .errors import AxiomViolation, DimensionMismatch, EngineError
 from .faa import faa_compose, faa_sequence
-from .fixtures import random_elem_map, random_poly_map, rng_for, random_dim
+from .fixtures import random_dim, random_map, rng_for
 from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
                      read_json, to_canonical_json, write_json)
 from .laws import tower_identity_laws
@@ -129,11 +129,10 @@ def _cd_reports(tower, seed, tol):
         rep.add(entry)
         return [rep]
     rng = rng_for(seed, "cli-cd")
-    draw = random_poly_map if tower.base == "poly" else random_elem_map
-    partner = DSeq.verify(omega(draw(rng, tower.dom, tower.cod),
-                                tower.order), tol)
-    after = DSeq.verify(omega(draw(rng, tower.cod, random_dim(rng)),
-                              tower.order), tol)
+    partner = DSeq.verify(omega(random_map(rng, tower.dom, tower.cod,
+                                           tower.base), tower.order), tol)
+    after = DSeq.verify(omega(random_map(rng, tower.cod, random_dim(rng),
+                                         tower.base), tower.order), tol)
     return [check_cd_axioms([stamped, (stamped, partner), (stamped, after)],
                             tol)]
 

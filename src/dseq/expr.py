@@ -11,9 +11,10 @@ into a straight-line program, one instruction per structurally distinct
 subtree, and `_run` evaluates it in an algebra, a table of add/mul/pow/sin/
 cos/exp plus a leaf function.  An `ElemMap` tapes its components once, at
 construction, and keeps the tape.  `eval` runs it over floats, `then` and
-`tile` over the smart constructors (`ElemMap._ops`, the component algebra
-the parser also builds with), `differential` over (tree, derivative) pairs
-and the printer over (text, precedence) pairs.
+`_shifted` (for `maps.pfunctor_apply`) over the smart constructors
+(`ElemMap._ops`, the component algebra the parser also builds with),
+`differential` over (tree, derivative) pairs and the printer over (text,
+precedence) pairs.
 """
 
 import functools

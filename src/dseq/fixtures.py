@@ -101,6 +101,12 @@ def random_elem_map(rng, dom, cod):
     return et.ElemMap(dom, cod, comps)
 
 
+def random_map(rng, dom, cod, base):
+    """A random map of the given base, drawn by that base's generator."""
+    draw = random_poly_map if base == "poly" else random_elem_map
+    return draw(rng, dom, cod)
+
+
 # Hand-broken towers.  Each surgical fixture violates exactly one axiom
 # family; the joint fixture breaks the lift law (and necessarily, since its
 # top term is not multilinear, the additivity law too).

@@ -11,17 +11,11 @@ with the draw.
 from .axioms import check_ds_primed, check_ds_unprimed, is_linear, t2
 from .comonad import _cd_laws, comult, omega
 from .fixtures import (corrupt_ds2, corrupt_ds3, corrupt_ds3_joint, corrupt_ds4,
-                       random_dim, random_elem_map, random_linear_map,
+                       random_dim, random_linear_map, random_map,
                        random_nonlinear_map, random_poly_map, random_tower)
 from .maps import canonical_map, identity, pfunctor_apply, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
 from .sequences import seq_identity, seq_product, seq_proj, seq_zero
-
-
-def _random_map(rng, dom, cod, base):
-    if base == "poly":
-        return random_poly_map(rng, dom, cod)
-    return random_elem_map(rng, dom, cod)
 
 
 def base_category_laws(rng, trials, base="poly", tol=None):
@@ -30,12 +24,12 @@ def base_category_laws(rng, trials, base="poly", tol=None):
     report = LawReport("base")
     for t in range(trials):
         a, b, c, d = (random_dim(rng) for _ in range(4))
-        f = _random_map(rng, a, b, base)
-        f2 = _random_map(rng, a, b, base)
-        g = _random_map(rng, b, c, base)
-        g2 = _random_map(rng, b, c, base)
-        h = _random_map(rng, c, d, base)
-        e = _random_map(rng, c, a, base)
+        f = random_map(rng, a, b, base)
+        f2 = random_map(rng, a, b, base)
+        g = random_map(rng, b, c, base)
+        g2 = random_map(rng, b, c, base)
+        h = random_map(rng, c, d, base)
+        e = random_map(rng, c, a, base)
 
         def E(axiom, k, lhs, rhs):
             report.add(map_entry(axiom, t, k, 0, lhs, rhs, tol))

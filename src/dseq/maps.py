@@ -1,12 +1,13 @@
 """The shared map interface and base-agnostic morphism operations.
 
 Every space is a finite coordinate space identified by its dimension.  A
-map carries one component per output coordinate; `CoordMap` owns the
-structure every base shares (signatures, projections, pairing, sums and
-tiling), and each base subclass supplies its algebra.  The doubling functor
-sends a map to block-diagonal copies of itself; its n-th power acts on 2^n
-stacked blocks, indexed so that bit 0 of a block index is the innermost
-doubling.
+map carries one component per output coordinate; `CoordMap` owns what
+every base shares (signatures, pairing, sums), each base subclass supplies
+its algebra, and `identity`, `zero_map`, `coord_slice` and `proj` build
+structural maps of any base from its leaves.  The doubling functor
+`pfunctor_apply` sends a map to block-diagonal copies of itself; its n-th
+power acts on 2^n stacked blocks, indexed so that bit 0 of a block index
+is the innermost doubling.
 """
 
 import math
@@ -69,27 +70,6 @@ class CoordMap:
         self.components = components
         self._check_components()
 
-    @classmethod
-    def identity(cls, dim):
-        return cls.coord_slice(dim, 0, dim)
-
-    @classmethod
-    def zero_map(cls, dom, cod):
-        return cls(dom, cod, [cls._constant(dom, 0)] * cod)
-
-    @classmethod
-    def coord_slice(cls, total, start, size):
-        """Projection keeping coordinates [start, start+size)."""
-        assert 0 <= start and start + size <= total
-        return cls(total, size,
-                   [cls._variable(total, start + j) for j in range(size)])
-
-    @classmethod
-    def proj(cls, a, b, j):
-        """Projection A x B -> A (j=0) or A x B -> B (j=1)."""
-        assert j in (0, 1)
-        return cls.coord_slice(a + b, 0 if j == 0 else a, a if j == 0 else b)
-
     def _require_same_kind(self, other):
         if not isinstance(other, type(self)):
             raise TagMismatch("cannot mix polynomial and elementary maps")
@@ -121,7 +101,7 @@ class CoordMap:
     def tangent(self):
         """Pair of (self at the base point, derivative in the direction)."""
         d = self.dom
-        return self.proj(d, d, 0).then(self).pair(self.differential())
+        return proj(d, d, 0, self.base).then(self).pair(self.differential())
 
     def __add__(self, other):
         self._require_same_signature(
@@ -130,14 +110,6 @@ class CoordMap:
         return type(self)(self.dom, self.cod,
                           [add(a, b) for a, b in zip(self.components,
                                                      other.components)])
-
-    def tile(self, copies):
-        """Block-diagonal repetition acting on `copies` stacked domains."""
-        dom, cod = self.dom * copies, self.cod * copies
-        comps = []
-        for c in range(copies):
-            comps.extend(self._shifted(c * self.dom, dom))
-        return type(self)(dom, cod, comps)
 
     def equal(self, other, tol=None):
         return self.equal_witness(other, tol)[0]
@@ -163,25 +135,36 @@ def map_class(base):
 
 
 def identity(dim, base="poly"):
-    return map_class(base).identity(dim)
+    return coord_slice(dim, 0, dim, base)
 
 
 def zero_map(dom, cod, base="poly"):
-    return map_class(base).zero_map(dom, cod)
+    cls = map_class(base)
+    return cls(dom, cod, [cls._constant(dom, 0)] * cod)
 
 
 def proj(a, b, j, base="poly"):
-    return map_class(base).proj(a, b, j)
+    """Projection A x B -> A (j=0) or A x B -> B (j=1)."""
+    assert j in (0, 1)
+    return coord_slice(a + b, 0 if j == 0 else a, a if j == 0 else b, base)
 
 
 def coord_slice(total, start, size, base="poly"):
-    return map_class(base).coord_slice(total, start, size)
+    """Projection keeping coordinates [start, start+size)."""
+    assert 0 <= start and start + size <= total
+    cls = map_class(base)
+    return cls(total, size,
+               [cls._variable(total, start + j) for j in range(size)])
 
 
 def pfunctor_apply(h, k):
     """k-fold doubling: 2^k block-diagonal copies of h."""
     assert k >= 0
-    return h.tile(1 << k)
+    dom = h.dom << k
+    comps = []
+    for c in range(1 << k):
+        comps.extend(h._shifted(c * h.dom, dom))
+    return type(h)(dom, h.cod << k, comps)
 
 
 @lru_cache(maxsize=None)
@@ -195,23 +178,24 @@ def canonical_map(kind, dim, base="poly"):
     lift:     X^2 -> X^4        (a, b) |-> (a, 0, 0, b)
     flip:     X^4 -> X^4        (a, b, c, d) |-> (a, c, b, d)
     """
-    cls = map_class(base)
     d = dim
     if kind == "zpair":
-        return cls.identity(d).pair(cls.zero_map(d, d))
+        return identity(d, base).pair(zero_map(d, d, base))
     if kind == "sumv":
-        second = cls.coord_slice(3 * d, d, d) + cls.coord_slice(3 * d, 2 * d, d)
-        return cls.coord_slice(3 * d, 0, d).pair(second)
+        second = (coord_slice(3 * d, d, d, base)
+                  + coord_slice(3 * d, 2 * d, d, base))
+        return coord_slice(3 * d, 0, d, base).pair(second)
     if kind == "sumproj0":
-        return cls.coord_slice(3 * d, 0, 2 * d)
+        return coord_slice(3 * d, 0, 2 * d, base)
     if kind == "sumproj1":
-        return cls.coord_slice(3 * d, 0, d).pair(cls.coord_slice(3 * d, 2 * d, d))
+        return coord_slice(3 * d, 0, d, base).pair(
+            coord_slice(3 * d, 2 * d, d, base))
     if kind == "lift":
-        top = cls.coord_slice(2 * d, 0, d).pair(cls.zero_map(2 * d, d))
-        bottom = cls.zero_map(2 * d, d).pair(cls.coord_slice(2 * d, d, d))
+        top = coord_slice(2 * d, 0, d, base).pair(zero_map(2 * d, d, base))
+        bottom = zero_map(2 * d, d, base).pair(coord_slice(2 * d, d, d, base))
         return top.pair(bottom)
     if kind == "flip":
-        blocks = [cls.coord_slice(4 * d, i * d, d) for i in (0, 2, 1, 3)]
+        blocks = [coord_slice(4 * d, i * d, d, base) for i in (0, 2, 1, 3)]
         out = blocks[0]
         for b in blocks[1:]:
             out = out.pair(b)

@@ -76,7 +76,10 @@ def _pack(exps, w):
 
 
 def _repack(mons, nvars, w, new_w):
-    return [_pack(_unpack(m, nvars, w), new_w) for m in mons]
+    """Monomials moved to field width new_w: one step per nonzero field,
+    the degree's included (it fits a field), not one per variable."""
+    return [sum(e << (shift // w * new_w) for shift, e in _factors(m, w))
+            for m in mons]
 
 
 def _factors(fields, w):

@@ -4,7 +4,10 @@ A tower of order N over domain dimension d holds maps f_0 .. f_N where f_n
 takes 2^n blocks of d coordinates (block index bit 0 = innermost doubling)
 and lands in the common codomain.  Order 0 is legal and inert.  Tangent and
 shift each consume one order of truncation budget; binary operations
-truncate to the smaller input order.
+truncate to the smaller input order.  Tower operations are validated by
+their terms: the term operation each runs first, on f_0, raises any
+TagMismatch or DimensionMismatch before heavy work.  Only the constructor
+checks a tower's own terms.
 """
 
 from dataclasses import dataclass
@@ -76,60 +79,34 @@ class PreDSeq:
 
     def lmul(self, h):
         """Left scalar action: reparameterize by h through every doubling."""
-        if h.base != self.base:
-            raise TagMismatch("scalar action needs matching base")
-        if h.cod != self.dom:
-            raise DimensionMismatch(
-                f"left action needs cod {h.cod} == tower domain {self.dom}")
         terms = tuple(pfunctor_apply(h, n).then(f)
                       for n, f in enumerate(self.terms))
         return PreDSeq(h.dom, self.cod, terms)
 
     def rmul(self, k):
         """Right scalar action: post-compose every term with k."""
-        if k.base != self.base:
-            raise TagMismatch("scalar action needs matching base")
-        if k.dom != self.cod:
-            raise DimensionMismatch(
-                f"right action needs dom {k.dom} == tower codomain {self.cod}")
         return PreDSeq(self.dom, k.cod, tuple(f.then(k) for f in self.terms))
 
     def compose(self, g):
         """Tower composition: n-th term runs the n-fold tangent of self at
         level 0, then g_n.  Truncates to the smaller order."""
-        if g.base != self.base:
-            raise TagMismatch("composition needs matching base")
-        if self.cod != g.dom:
-            raise DimensionMismatch(
-                f"composition needs cod {self.cod} == dom {g.dom}")
-        order = min(self.order, g.order)
         terms = []
         cur = self
-        for n in range(order + 1):
-            terms.append(cur.terms[0].then(g.terms[n]))
-            if n < order:
+        for n, g_n in enumerate(g.terms[:self.order + 1]):
+            if n:
                 cur = cur.tangent()
+            terms.append(cur.terms[0].then(g_n))
         return PreDSeq(self.dom, g.cod, tuple(terms))
 
     def pair(self, g):
         """Termwise pairing into the product codomain; truncates to min order."""
-        if g.base != self.base:
-            raise TagMismatch("pairing needs matching base")
-        if self.dom != g.dom:
-            raise DimensionMismatch("pairing needs equal domains")
-        order = min(self.order, g.order)
-        terms = tuple(self.terms[n].pair(g.terms[n]) for n in range(order + 1))
+        terms = tuple(f.pair(h) for f, h in zip(self.terms, g.terms))
         return PreDSeq(self.dom, self.cod + g.cod, terms)
 
     def __add__(self, g):
         if not isinstance(g, PreDSeq):
             return NotImplemented
-        if g.base != self.base:
-            raise TagMismatch("sum needs matching base")
-        if self.dom != g.dom or self.cod != g.cod:
-            raise DimensionMismatch("sum needs equal signatures")
-        order = min(self.order, g.order)
-        terms = tuple(self.terms[n] + g.terms[n] for n in range(order + 1))
+        terms = tuple(f + h for f, h in zip(self.terms, g.terms))
         return PreDSeq(self.dom, self.cod, terms)
 
 
@@ -153,17 +130,16 @@ def seq_proj(a, b, j, order, base="poly"):
 
 
 def seq_product(factors):
-    """Product tower of independent factors on stacked domains."""
+    """Product tower of independent factors on stacked domains (min order)."""
     assert factors
     doms = [f.dom for f in factors]
     total = sum(doms)
     base = factors[0].base
-    order = min(g.order for g in factors)
     out = None
     start = 0
     for f, d in zip(factors, doms):
         slicer = coord_slice(total, start, d, base)
-        piece = f.truncate(order).lmul(slicer)
+        piece = f.lmul(slicer)
         out = piece if out is None else out.pair(piece)
         start += d
     return out

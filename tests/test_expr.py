@@ -7,6 +7,7 @@ import pytest
 from dseq.errors import DimensionMismatch
 from dseq.expr import (ELEM_TOLERANCE, ElemMap, add, const, cos, exp, mul,
                        neg, pow_, sin, var)
+from dseq.maps import pfunctor_apply
 from dseq.parser import parse_map
 
 
@@ -113,7 +114,7 @@ def test_then_substitutes():
 
 def test_tile_acts_blockwise():
     f = ElemMap(1, 1, (exp(var(0)),))
-    t = f.tile(2)
+    t = pfunctor_apply(f, 1)
     got = t.eval([0.0, 1.0])
     assert got[0] == pytest.approx(1.0)
     assert got[1] == pytest.approx(math.e)

@@ -12,6 +12,7 @@ from dseq.errors import DimensionMismatch
 from dseq.faa import (chain_equivalence_check, directional_oracle,
                       faa_compose, faa_sequence, set_partitions)
 from dseq.fixtures import random_poly_map, rng_for
+from dseq.maps import identity, zero_map
 from dseq.parser import format_map, parse_map
 from dseq.poly import Poly, PolyMap
 from dseq.sequences import PreDSeq
@@ -87,7 +88,7 @@ def test_classical_derivative():
     fs = faa_sequence(omega(pm(["x0^4"], 1), 5))
     assert format_map(fs[1]) == ["4*x0^3*x1"]
     assert format_map(fs[4]) == ["24*x1*x2*x3*x4"]
-    assert fs[5] == PolyMap.zero_map(6, 1)
+    assert fs[5] == zero_map(6, 1)
 
 
 def test_nth_symbolic_derivative_shapes():
@@ -118,8 +119,7 @@ def test_faa_linear_outer_reduces_to_chain():
 def test_unit_speed_pattern():
     # on a tower whose term 2 is the identity, the Faa term is the pattern
     # itself: (x, v_1, v_2) -> blocks (x, v_1, v_2, 0)
-    tower = PreDSeq(1, 4, (PolyMap.zero_map(1, 4), PolyMap.zero_map(2, 4),
-                           PolyMap.identity(4)))
+    tower = PreDSeq(1, 4, (zero_map(1, 4), zero_map(2, 4), identity(4)))
     pat = faa_sequence(tower)[2]
     assert (pat.dom, pat.cod) == (3, 4)
     assert pat.eval([Fraction(3), Fraction(1), Fraction(1)]) == (3, 1, 1, 0)

@@ -8,7 +8,7 @@ from dseq.errors import DimensionMismatch, TagMismatch
 from dseq.maps import (canonical_map, identity, map_class, pfunctor_apply,
                        proj, zero_map)
 from dseq.parser import parse_map
-from dseq.poly import Poly, PolyMap
+from dseq.poly import Poly
 
 
 def ev(m, *xs):
@@ -109,8 +109,8 @@ def test_mixed_bases_cannot_compose():
 
 
 def test_pair_dimension_check():
-    f = PolyMap.identity(2)
-    g = PolyMap.identity(3)
+    f = identity(2)
+    g = identity(3)
     with pytest.raises(DimensionMismatch):
         f.pair(g)
 

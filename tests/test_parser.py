@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from dseq.errors import FunctionNotAllowed, ParseError, UnknownVariable
 from dseq.fixtures import random_elem_map, random_poly_map, rng_for
+from dseq.maps import identity
 from dseq.parser import format_map, format_poly, parse_component, parse_map
-from dseq.poly import Poly, PolyMap
+from dseq.poly import Poly
 
 
 def test_basic_polynomial():
@@ -137,5 +138,5 @@ def test_elem_round_trip(seed):
 
 
 def test_format_map_returns_component_strings():
-    m = PolyMap.identity(2)
+    m = identity(2)
     assert format_map(m) == ["x0", "x1"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dseq.errors import DimensionMismatch
+from dseq.maps import identity, pfunctor_apply, proj, zero_map
 from dseq.poly import Poly, PolyMap
 
 
@@ -91,10 +92,10 @@ def test_subst_general():
 
 
 def test_map_identity_and_proj():
-    i = PolyMap.identity(2)
+    i = identity(2)
     assert i.eval([Fraction(3), Fraction(4)]) == (Fraction(3), Fraction(4))
-    p0 = PolyMap.proj(1, 1, 0)
-    p1 = PolyMap.proj(1, 1, 1)
+    p0 = proj(1, 1, 0)
+    p1 = proj(1, 1, 1)
     assert p0.eval([Fraction(3), Fraction(4)]) == (Fraction(3),)
     assert p1.eval([Fraction(3), Fraction(4)]) == (Fraction(4),)
 
@@ -107,8 +108,8 @@ def test_then_is_diagrammatic():
 
 
 def test_then_signature_check():
-    f = PolyMap.identity(2)
-    g = PolyMap.identity(3)
+    f = identity(2)
+    g = identity(3)
     with pytest.raises(DimensionMismatch):
         f.then(g)
 
@@ -118,7 +119,7 @@ def test_pair_and_tile():
     both = f.pair(f)
     assert both.cod == 2
     assert both.eval([Fraction(2)]) == (Fraction(4), Fraction(4))
-    tiled = f.tile(2)
+    tiled = pfunctor_apply(f, 1)
     assert tiled.dom == 2 and tiled.cod == 2
     assert tiled.eval([Fraction(2), Fraction(3)]) == (Fraction(4), Fraction(9))
 
@@ -142,7 +143,7 @@ def test_differential_product_rule():
 
 def test_differential_of_constant_is_zero():
     f = PolyMap(1, 1, (Poly.constant(1, Fraction(7)),))
-    assert f.differential().equal(PolyMap.zero_map(2, 1))
+    assert f.differential().equal(zero_map(2, 1))
 
 
 coef = st.integers(-4, 4).map(Fraction)

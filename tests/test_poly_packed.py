@@ -8,10 +8,12 @@ Exponents are drawn around field-width boundaries, coefficients with mixed
 denominators, and sums are drawn to cancel.
 """
 
+import time
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from dseq.parser import parse_map
 from dseq.poly import Poly, PolyMap
 
 
@@ -290,3 +292,16 @@ def test_then_components_of_different_widths(case):
     g = PolyMap(nvars, len(outer), [packed(nvars, p) for p in outer])
     for got, p in zip(f.then(g).components, outer):
         same(got, nvars_out, ref_subst(p, inner, nvars_out))
+
+
+def test_repack_in_many_variables():
+    """Widening the fields reads only the nonzero fields of a monomial, so
+    a degree crossing 16 costs nothing per variable; shifting the monomial
+    once per variable took 3.5 s on a 2-vCPU box."""
+    n = 100_000
+    start = time.perf_counter()
+    (p,) = parse_map(["x0^16 + x99999"], n, 1).components
+    assert time.perf_counter() - start < 0.5
+    high = (16,) + (0,) * (n - 1)
+    low = (0,) * (n - 1) + (1,)
+    assert p.terms == ref_terms({high: Fraction(1), low: Fraction(1)})

@@ -5,6 +5,7 @@ import ast
 import os
 
 import dseq
+from dseq.maps import CoordMap
 
 INIT = os.path.join(os.path.dirname(dseq.__file__), "__init__.py")
 
@@ -46,3 +47,11 @@ def test_public_surface_is_pinned():
         "proj", "run_selftest", "seq_identity", "seq_product", "seq_proj",
         "seq_zero", "set_partitions", "t2", "zero_map",
     ]
+
+
+def test_structural_maps_have_one_spelling():
+    # the free functions in dseq.maps are the only spelling of these maps,
+    # and pfunctor_apply the only spelling of doubling
+    for cls in (CoordMap, dseq.PolyMap, dseq.ElemMap):
+        for name in ("identity", "zero_map", "coord_slice", "proj", "tile"):
+            assert not hasattr(cls, name), (cls.__name__, name)

@@ -1,5 +1,6 @@
 """Derivative towers: construction, scalar actions, tangent, composition."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,38 @@ def test_compose_dimension_check():
     g = omega(pm(["x0^2"], 1), 1)
     with pytest.raises(DimensionMismatch):
         f.compose(g)
+
+
+def sin_tower():
+    return omega(parse_map(["sin(x0)"], 1, 1, "elementary"), 2)
+
+
+# operation -> (run, operand of the other base, operand of the same base
+# whose signature does not fit a 1->1 poly tower)
+TOWER_OPS = {
+    "lmul": (PreDSeq.lmul, lambda: sin_tower().terms[0],
+             lambda: pm(["x0", "x0"], 1)),
+    "rmul": (PreDSeq.rmul, lambda: sin_tower().terms[0],
+             lambda: pm(["x0*x1"], 2)),
+    "compose": (PreDSeq.compose, sin_tower,
+                lambda: omega(pm(["x0*x1"], 2), 2)),
+    "pair": (PreDSeq.pair, sin_tower, lambda: omega(pm(["x0*x1"], 2), 2)),
+    "+": (operator.add, sin_tower, lambda: omega(pm(["x0", "x0"], 1), 2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TOWER_OPS))
+def test_tower_operation_rejects_mixed_bases(op):
+    run, other_base, _ = TOWER_OPS[op]
+    with pytest.raises(TagMismatch):
+        run(omega(pm(["x0^2"], 1), 2), other_base())
+
+
+@pytest.mark.parametrize("op", sorted(TOWER_OPS))
+def test_tower_operation_rejects_mismatched_signatures(op):
+    run, _, misfit = TOWER_OPS[op]
+    with pytest.raises(DimensionMismatch):
+        run(omega(pm(["x0^2"], 1), 2), misfit())
 
 
 def test_sum_is_termwise():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dseq.expr import (ElemMap, _run, _tape, add, const, cos, exp, mul, neg,
                        pow_, sin, var)
+from dseq.maps import pfunctor_apply
 from dseq.parser import format_map, parse_component
 
 DOM = 3
@@ -184,7 +185,7 @@ def test_then_matches_reference(reps, ts):
     outer = ElemMap(DOM, len(ts), ts)
     assert list(inner.then(outer).components) == [ref_subst(t, reps)
                                                   for t in ts]
-    assert list(outer.tile(2).components) == ts + [
+    assert list(pfunctor_apply(outer, 1).components) == ts + [
         ref_subst(t, [var(DOM + i) for i in range(DOM)]) for t in ts]
 
 
