@@ -6,20 +6,19 @@ Fraction), ("var", i), ("add", a, b), ("mul", a, b), ("pow", a, n), ("sin", a),
 form mirrors how an expression was built.
 
 Terms of a composite tower repeat their subexpressions heavily, so no
-operation walks a tree: `_tape` hash-conses the trees under a list of roots
-into a straight-line program, one instruction per structurally distinct
-subtree, and `_run` evaluates it in an algebra, a table of add/mul/pow/sin/
-cos/exp plus a leaf function.  An `ElemMap` tapes its components once, at
-construction, and keeps the tape.  `eval` runs it over floats, `then` and
-`_shifted` (for `maps.pfunctor_apply`) over the smart constructors
-(`ElemMap._ops`, the component algebra the parser also builds with),
-`differential` over (tree, derivative) pairs and the printer over (text,
-precedence) pairs.
+operation walks a tree.  An `ElemMap` keeps a tape, a straight-line program
+with one instruction per distinct subtree, and `_run` evaluates a tape in
+an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
+`_tape` tapes the trees of the parser or of hand-built maps; every
+operation builds its result's tape from its operands' tapes (`_Builder`).
+Sampled equality runs each tape once over columns of floats, one value per
+sample point.
 """
 
 import functools
 import math
 import operator
+import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EngineError
@@ -85,37 +84,20 @@ def neg(a):
     return mul(const(-1), a)
 
 
-def _tape(roots):
-    """Hash-cons the trees under `roots` into (code, root indices).
-
-    An instruction is a node whose subtrees are replaced by the indices of
-    their own, earlier, instructions; structurally equal subtrees share one
-    instruction.  Iterative, so tree depth is not bounded by the stack.
-    """
-    code, index, seen = [], {}, {}     # seen: id(node) -> instruction index
-    stack = list(reversed(roots))
-    while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
-            continue
-        todo = [p for p in node if type(p) is tuple and id(p) not in seen]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        ins = tuple(seen[id(p)] if type(p) is tuple else p for p in node)
-        k = index.setdefault(ins, len(code))
-        if k == len(code):
-            code.append(ins)
-        seen[id(node)] = k
-    return code, [seen[id(r)] for r in roots]
+def _renumbered(ins, new):
+    """The instruction reading new[i] where it read i."""
+    tag = ins[0]
+    if tag == "add" or tag == "mul":
+        return (tag, new[ins[1]], new[ins[2]])
+    if tag == "const" or tag == "var":
+        return ins
+    return (tag, new[ins[1]], *ins[2:])
 
 
 def _run(tape, ops, leaf):
     """Values of the tape's roots in the algebra `ops`; `leaf` maps a
     const or var node to a value."""
-    code, roots = tape
+    code, roots, _ = tape
     vals = []
     push = vals.append
     for ins in code:
@@ -129,6 +111,93 @@ def _run(tape, ops, leaf):
         else:
             push(ops[tag](vals[ins[1]]))
     return [vals[r] for r in roots]
+
+
+class _Builder:
+    """A tape under construction.  Instruction k is a node whose subtrees
+    are replaced by the indices of their own, earlier, instructions, and
+    nodes[k], its tree, is its handle: what operations pass around.
+    `intern` takes a smart constructor's result on handles to its handle."""
+
+    def __init__(self):     # index: instruction -> k; at: id(handle) -> k
+        self.code, self.nodes, self.index, self.at = [], [], {}, {}
+
+    def intern(self, node):
+        at = self.at
+        if id(node) in at:
+            return node
+        if node[0] == "const" or node[0] == "var":
+            return self._add(node, node)
+        x = node[1] if id(node[1]) in at else self.intern(node[1])
+        if node[0] == "add" or node[0] == "mul":
+            y = node[2] if id(node[2]) in at else self.intern(node[2])
+            return self._add((node[0], at[id(x)], at[id(y)]), node)
+        return self._add((node[0], at[id(x)], *node[2:]), node)
+
+    def _add(self, ins, node):
+        key = ins if ins[0] != "const" else (ins[1].numerator,
+                                             ins[1].denominator)
+        k = self.index.get(key)     # (hashing a Fraction is slow)
+        if k is not None:
+            return self.nodes[k]
+        self.index[key] = self.at[id(node)] = len(self.code)
+        self.code.append(ins)
+        self.nodes.append(node)
+        return node
+
+    def copy(self, m):
+        """Handles of m's components, its instructions taken as they are."""
+        code, roots, nodes = m.tape
+        new = []
+        for ins, node in zip(code, nodes):
+            new.append(self.at[id(self._add(_renumbered(ins, new), node))])
+        return [self.nodes[new[r]] for r in roots]
+
+    def run(self, tape, leaf, table=None):
+        """The tape's roots in `table` (default: the smart constructors),
+        each value, or each of a tuple of them, interned."""
+        post = self.intern if table is None else (
+            lambda vals: tuple(map(self.intern, vals)))
+        return _run(tape, {tag: (lambda *a, f=f: post(f(*a)))
+                           for tag, f in (table or ElemMap._ops).items()}, leaf)
+
+    def tape(self, comps):
+        """The tape of these components, less the instructions no root
+        reads: a folded-away subtree must not reach float evaluation."""
+        roots = [self.at[id(self.intern(c))] for c in comps]
+        code, nodes = self.code, self.nodes
+        live = set(roots)
+        for k in range(len(code) - 1, -1, -1):
+            if k in live and code[k][0] not in ("const", "var"):
+                live.update(code[k][1:3 if code[k][0] in ("add", "mul") else 2])
+        if len(live) < len(code):
+            keep = sorted(live)
+            new = dict(zip(keep, range(len(keep))))
+            code = [_renumbered(code[k], new) for k in keep]
+            nodes = [nodes[k] for k in keep]
+            roots = [new[r] for r in roots]
+        return code, roots, nodes
+
+    def map(self, dom, comps):
+        m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
+        m.tape = code, roots, nodes = self.tape(comps)
+        m.dom, m.cod = dom, len(roots)
+        m.components = tuple(nodes[r] for r in roots)
+        return m
+
+
+def _tape(roots):
+    """The tape of trees made by hand or by the parser, walked iteratively
+    so that tree depth is not bounded by the stack."""
+    b, stack = _Builder(), list(reversed(roots))
+    while stack:
+        todo = [p for p in stack[-1] if type(p) is tuple and id(p) not in b.at]
+        if todo:
+            stack.extend(todo)
+        else:
+            node = stack.pop()
+            b.at[id(node)] = b.at[id(b.intern(node))]   # equal trees share k
+    return b.tape(roots)
 
 
 _FLOATS = {"add": operator.add, "mul": operator.mul, "pow": operator.pow,
@@ -152,16 +221,53 @@ def _float_values(tape, point):
                 lambda ins: float(point[ins[1]] if ins[0] == "var" else ins[1]))
 
 
-def _partials(tape, j):
-    """Partial derivatives of the tape's roots with respect to x_j."""
-    return [d for _, d in _run(tape, _PAIRS,
-                               lambda ins: (ins, const(int(ins == ("var", j)))))]
+def _float_rows(tape, columns):
+    """Per sample point, the tuple of root values, or None where a run at
+    that point would have raised (nested exp chains leave float range on
+    parts of the sample box) or a root is not finite: such points carry no
+    information.  One run over columns of floats, one per coordinate."""
+    n = ELEM_EQ_SAMPLES
+    marked = set()
+
+    def each(f, *cols):
+        try:
+            return list(map(f, *cols))
+        except (OverflowError, ValueError):
+            return [one(f, p, args) for p, args in enumerate(zip(*cols))]
+
+    def one(f, p, args):
+        try:
+            return f(*args)
+        except (OverflowError, ValueError):
+            marked.add(p)
+            return math.nan
+
+    def leaf(ins):
+        if ins[0] == "var":
+            return columns[ins[1]]
+        try:
+            return [float(ins[1])] * n
+        except OverflowError:       # a constant beyond float range
+            marked.update(range(n))
+            return [math.nan] * n
+
+    ops = {"add": lambda x, y: list(map(operator.add, x, y)),
+           "mul": lambda x, y: list(map(operator.mul, x, y)),
+           "pow": lambda x, k: each(operator.pow, x, [k] * n),
+           **{tag: functools.partial(each, getattr(math, tag))
+              for tag in ("sin", "cos", "exp")}}
+    cols = _run(tape, ops, leaf)
+    return [None if p in marked or not all(map(math.isfinite, row)) else row
+            for p, row in enumerate(zip(*cols) if cols else [()] * n)]
 
 
-def _substitute(tape, rep):
-    """The tape's roots with each variable x_i replaced by the tree rep(i)."""
-    return _run(tape, ElemMap._ops,
-                lambda ins: rep(ins[1]) if ins[0] == "var" else ins)
+@functools.lru_cache(maxsize=64)
+def _cloud(dom):
+    """The seeded sample points for a domain, and their coordinate columns."""
+    rng = random.Random(ELEM_EQ_SEED + dom)
+    points = [[rng.uniform(-1.0, 1.0) for _ in range(dom)]
+              for _ in range(ELEM_EQ_SAMPLES)]
+    return points, list(zip(*points))
 
 
 class ElemMap(CoordMap):
@@ -176,7 +282,7 @@ class ElemMap(CoordMap):
     """
 
     base = "elementary"
-    __slots__ = ("tape",)     # the components, taped once at construction
+    __slots__ = ("tape",)     # (code, roots, nodes), see _Builder
 
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
             "exp": exp, "sum": lambda ts: functools.reduce(add, ts)}
@@ -197,64 +303,59 @@ class ElemMap(CoordMap):
     def _variable(nvars, j):
         return var(j)
 
-    def _shifted(self, offset, nvars):
-        return _substitute(self.tape, lambda i: var(i + offset))
+    def _combine(self, dom, parts, build):
+        b = _Builder()
+        blocks = [b.copy(m) if offset is None else b.run(
+                      m.tape, lambda ins, o=offset:
+                      var(ins[1] + o) if ins[0] == "var" else ins)
+                  for m, offset in parts]
+        return b.map(dom, build(blocks))
 
     def then(self, other):
         self._require_composable(other)
+        b = _Builder()
+        reps = b.copy(self)
         try:
-            comps = _substitute(other.tape, self.components.__getitem__)
+            comps = b.run(other.tape, lambda ins:
+                          reps[ins[1]] if ins[0] == "var" else ins)
         except OverflowError as exc:    # a constant power over the limit
             raise EngineError(str(exc)) from None
-        return ElemMap(self.dom, other.cod, comps)
+        return b.map(self.dom, comps)
 
     def differential(self):
-        """Directional derivative on the doubled domain (point, direction)."""
-        d = self.dom
-        comps = [const(0)] * self.cod
-        for j in range(d):
-            comps = [add(total, mul(dt, var(d + j)))
-                     for total, dt in zip(comps, _partials(self.tape, j))]
-        return ElemMap(2 * d, self.cod, comps)
+        """Directional derivative on the doubled domain (point, direction),
+        one forward-mode run per variable the components read."""
+        d, b = self.dom, _Builder()
+        zero, one = b.intern(const(0)), b.intern(const(1))
+        comps = [zero] * self.cod
+        for j in sorted({ins[1] for ins in self.tape[0] if ins[0] == "var"}):
+            partials = b.run(self.tape, lambda ins: (
+                b.intern(ins), one if ins == ("var", j) else zero), _PAIRS)
+            comps = [b.intern(add(total, mul(dt, var(d + j))))
+                     for total, (_, dt) in zip(comps, partials)]
+        return b.map(2 * d, comps)
 
     def eval(self, point):
         self._require_point(point)
         return tuple(_float_values(self.tape, point))
 
     def sample_points(self):
-        import random
-        rng = random.Random(ELEM_EQ_SEED + self.dom)
-        return [[rng.uniform(-1.0, 1.0) for _ in range(self.dom)]
-                for _ in range(ELEM_EQ_SAMPLES)]
-
-    @staticmethod
-    def _eval_finite(tape, point):
-        """Values at point, or None where evaluation leaves float range or
-        a function's domain (nested exp chains overflow on parts of the
-        sample box): such points carry no information."""
-        try:
-            vals = _float_values(tape, point)
-        except (OverflowError, ValueError):
-            return None
-        if not all(map(math.isfinite, vals)):
-            return None
-        return vals
+        return [list(p) for p in _cloud(self.dom)[0]]
 
     def equal_witness(self, other, tol=None):
         """(equal?, first failing sample point or None)."""
         self._require_same_signature(other, "comparison needs equal signatures")
         if tol is None:
             tol = ELEM_TOLERANCE
-        points = self.sample_points()
+        points, columns = _cloud(self.dom)
         informative = False
-        for point in points:
-            ref = self._eval_finite(self.tape, point)
-            got = self._eval_finite(other.tape, point)
+        for point, ref, got in zip(points, _float_rows(self.tape, columns),
+                                   _float_rows(other.tape, columns)):
             if ref is None and got is None:
                 continue
             if ref is None or got is None or any(
                     abs(a - b) > tol * max(1.0, abs(a))
                     for a, b in zip(ref, got)):
-                return False, point
+                return False, list(point)
             informative = True
-        return (True, None) if informative else (False, points[0])
+        return (True, None) if informative else (False, list(points[0]))

@@ -12,6 +12,7 @@ is the innermost doubling.
 
 import math
 from functools import lru_cache
+from itertools import chain
 
 from .errors import DimensionMismatch, EngineError, TagMismatch
 
@@ -48,9 +49,13 @@ class CoordMap:
     A base subclass sets its `base` tag, which registers it for
     `map_class`, and supplies the component algebra the parser also builds
     with: `_constant`, `_variable`, `_ops` (add, sum, mul, pow and the
-    functions the base admits); plus `_check_components`, `_shifted`, `then`,
-    `differential`, `eval` and `equal_witness`.  Composition is written
-    diagrammatically: f.then(g) runs f first.
+    functions the base admits); plus `_check_components`, `_combine`,
+    `then`, `differential`, `eval` and `equal_witness`.  Composition is
+    written diagrammatically: f.then(g) runs f first.
+
+    `_combine(dom, parts, build)` makes a map on `dom` variables from the
+    components `build(blocks)` yields, one block per (map, offset) part:
+    its components, moved up by `offset` variables unless that is None.
     """
 
     base = None
@@ -95,8 +100,8 @@ class CoordMap:
         self._require_same_kind(other)
         if self.dom != other.dom:
             raise DimensionMismatch("pairing needs equal domains")
-        return type(self)(self.dom, self.cod + other.cod,
-                          self.components + other.components)
+        return self._combine(self.dom, [(self, None), (other, None)],
+                             chain.from_iterable)
 
     def tangent(self):
         """Pair of (self at the base point, derivative in the direction)."""
@@ -106,10 +111,8 @@ class CoordMap:
     def __add__(self, other):
         self._require_same_signature(
             other, "sum needs equal domains and codomains")
-        add = self._ops["add"]
-        return type(self)(self.dom, self.cod,
-                          [add(a, b) for a, b in zip(self.components,
-                                                     other.components)])
+        return self._combine(self.dom, [(self, None), (other, None)],
+                             lambda ab: map(self._ops["add"], *ab))
 
     def equal(self, other, tol=None):
         return self.equal_witness(other, tol)[0]
@@ -160,11 +163,8 @@ def coord_slice(total, start, size, base="poly"):
 def pfunctor_apply(h, k):
     """k-fold doubling: 2^k block-diagonal copies of h."""
     assert k >= 0
-    dom = h.dom << k
-    comps = []
-    for c in range(1 << k):
-        comps.extend(h._shifted(c * h.dom, dom))
-    return type(h)(dom, h.cod << k, comps)
+    return h._combine(h.dom << k, [(h, c * h.dom) for c in range(1 << k)],
+                      chain.from_iterable)
 
 
 @lru_cache(maxsize=None)

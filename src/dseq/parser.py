@@ -267,11 +267,7 @@ def _join(pieces):
     return "".join(out)
 
 
-def _format_tape(tape):
-    return [_join(pieces) for pieces, _ in et._run(tape, _TEXT, _text_leaf)]
-
-
 def format_map(m):
     if m.base == "poly":
         return [format_poly(c) for c in m.components]
-    return _format_tape(m.tape)
+    return [_join(pieces) for pieces, _ in et._run(m.tape, _TEXT, _text_leaf)]

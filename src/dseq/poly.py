@@ -69,10 +69,10 @@ _NARROW = _width(0)
 
 
 def _pack(exps, w):
-    mon = sum(exps)
-    for e in exps:
-        mon = (mon << w) | e
-    return mon
+    """Packed monomial of an exponent tuple: one shift per nonzero field."""
+    top = len(exps) * w
+    return sum(exps) << top | sum(e << (top - (i + 1) * w)
+                                  for i, e in enumerate(exps) if e)
 
 
 def _repack(mons, nvars, w, new_w):
@@ -502,8 +502,11 @@ class PolyMap(CoordMap):
     _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow,
             "sum": _sum}
 
-    def _shifted(self, offset, nvars):
-        return [p.shift(offset, nvars) for p in self.components]
+    def _combine(self, dom, parts, build):
+        comps = tuple(build([m.components if offset is None else
+                             [p.shift(offset, dom) for p in m.components]
+                             for m, offset in parts]))
+        return PolyMap(dom, len(comps), comps)
 
     def then(self, other):
         """Diagrammatic composite: self first, then other."""

@@ -48,6 +48,11 @@ CASES = {
     "check_corrupt_ds4_ds_json": (1, ["check", "--input",
                                       fx("corrupt_ds4.json"), "--suite", "ds",
                                       "--format", "json"]),
+    # Exponentials that overflow on part of the sample cloud: points where
+    # both sides leave float range carry no information and are skipped.
+    "check_overflow_ds3_ds_json": (1, ["check", "--input",
+                                       fx("corrupt_ds3_overflow.json"),
+                                       "--suite", "ds", "--format", "json"]),
     "eval_seq_square": (0, ["eval", "--seq", fx("seq_square.json"),
                             "--term", "2", "--point", "1,-2,1/3,5"]),
     "selftest_42": (0, ["selftest", "--seed", "42", "--trials", "2",
