@@ -13,6 +13,15 @@ an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
 operation builds its result's tape from its operands' tapes (`_Builder`).
 Sampled equality runs each tape once over columns of floats, one value per
 sample point.
+
+Precomposing with a renaming, a map whose components are pairwise-distinct
+variables and zeros (every structural map of the axioms but the sum,
+pushed through any number of doublings), renames the other map's tape
+(`_renamed`): its var instructions are relabelled and its trees rebuilt in
+one straight loop.  Distinct variables keep distinct instructions apart,
+so nothing is looked up until a zero, or a hand-built unfolded node, makes
+a smart constructor fold; from there on the smart constructors run where
+an operand is a constant, and a `_Builder` merges what folding made equal.
 """
 
 import functools
@@ -37,27 +46,25 @@ def var(i):
     return ("var", i)
 
 def add(a, b):
+    if a[0] == "const" and not a[1]:
+        return b
+    if b[0] == "const" and not b[1]:
+        return a
     if a[0] == "const" and b[0] == "const":
         return const(a[1] + b[1])
-    if a[0] == "const" and a[1] == 0:
-        return b
-    if b[0] == "const" and b[1] == 0:
-        return a
     return ("add", a, b)
 
 def mul(a, b):
+    if a[0] == "const" and not a[1]:
+        return a
+    if b[0] == "const" and not b[1]:
+        return b
     if a[0] == "const" and b[0] == "const":
         return const(a[1] * b[1])
-    if a[0] == "const":
-        if a[1] == 0:
-            return const(0)
-        if a[1] == 1:
-            return b
-    if b[0] == "const":
-        if b[1] == 0:
-            return const(0)
-        if b[1] == 1:
-            return a
+    if a[0] == "const" and a[1] == 1:
+        return b
+    if b[0] == "const" and b[1] == 1:
+        return a
     return ("mul", a, b)
 
 def pow_(a, n):
@@ -127,30 +134,32 @@ class _Builder:
         if id(node) in at:
             return node
         if node[0] == "const" or node[0] == "var":
-            return self._add(node, node)
+            return self.nodes[self._add(node, node)]
         x = node[1] if id(node[1]) in at else self.intern(node[1])
         if node[0] == "add" or node[0] == "mul":
             y = node[2] if id(node[2]) in at else self.intern(node[2])
-            return self._add((node[0], at[id(x)], at[id(y)]), node)
-        return self._add((node[0], at[id(x)], *node[2:]), node)
+            ins = (node[0], at[id(x)], at[id(y)])
+        else:
+            ins = (node[0], at[id(x)], *node[2:])
+        return self.nodes[self._add(ins, node)]
 
     def _add(self, ins, node):
+        """The index of the instruction ins, whose tree is node."""
         key = ins if ins[0] != "const" else (ins[1].numerator,
                                              ins[1].denominator)
         k = self.index.get(key)     # (hashing a Fraction is slow)
-        if k is not None:
-            return self.nodes[k]
-        self.index[key] = self.at[id(node)] = len(self.code)
-        self.code.append(ins)
-        self.nodes.append(node)
-        return node
+        if k is None:
+            k = self.index[key] = self.at[id(node)] = len(self.code)
+            self.code.append(ins)
+            self.nodes.append(node)
+        return k
 
     def copy(self, m):
         """Handles of m's components, its instructions taken as they are."""
         code, roots, nodes = m.tape
         new = []
         for ins, node in zip(code, nodes):
-            new.append(self.at[id(self._add(_renumbered(ins, new), node))])
+            new.append(self._add(_renumbered(ins, new), node))
         return [self.nodes[new[r]] for r in roots]
 
     def run(self, tape, leaf, table=None):
@@ -162,28 +171,115 @@ class _Builder:
                            for tag, f in (table or ElemMap._ops).items()}, leaf)
 
     def tape(self, comps):
-        """The tape of these components, less the instructions no root
-        reads: a folded-away subtree must not reach float evaluation."""
-        roots = [self.at[id(self.intern(c))] for c in comps]
-        code, nodes = self.code, self.nodes
-        live = set(roots)
-        for k in range(len(code) - 1, -1, -1):
-            if k in live and code[k][0] not in ("const", "var"):
-                live.update(code[k][1:3 if code[k][0] in ("add", "mul") else 2])
-        if len(live) < len(code):
-            keep = sorted(live)
-            new = dict(zip(keep, range(len(keep))))
-            code = [_renumbered(code[k], new) for k in keep]
-            nodes = [nodes[k] for k in keep]
-            roots = [new[r] for r in roots]
-        return code, roots, nodes
+        """The tape of these components."""
+        return _pruned(self.code, [self.at[id(self.intern(c))] for c in comps],
+                       self.nodes)
 
     def map(self, dom, comps):
-        m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
-        m.tape = code, roots, nodes = self.tape(comps)
-        m.dom, m.cod = dom, len(roots)
-        m.components = tuple(nodes[r] for r in roots)
-        return m
+        return _map(dom, self.tape(comps))
+
+
+def _map(dom, tape):
+    m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
+    m.tape = code, roots, nodes = tape
+    m.dom, m.cod = dom, len(roots)
+    m.components = tuple(nodes[r] for r in roots)
+    return m
+
+
+def _renaming(m):
+    """Whether m's components are pairwise-distinct variables and zeros."""
+    seen = set()
+    for c in m.components:
+        if c[0] == "var":
+            if c[1] in seen:
+                return False
+            seen.add(c[1])
+        elif c[0] != "const" or c[1]:
+            return False
+    return True
+
+
+def _renamed(tape, reps):
+    """The tape with var j read as reps[j], the var or zero node of a
+    renaming (see the module docstring): up to the first instruction that
+    folds, each is relabelled as it stands; from there on a `_Builder`
+    merges what the smart constructors fold."""
+    code, roots, nodes = tape
+    out, trees, ops = [], [], ElemMap._ops
+    for ins in code:                # relabel, up to the first fold
+        tag = ins[0]
+        if tag == "var":
+            ins = t = reps[ins[1]]
+            if t[0] != "var":
+                break
+        elif tag == "const":
+            t = ins
+        elif tag == "add" or tag == "mul":
+            x, y = trees[ins[1]], trees[ins[2]]
+            if x[0] == "const" or y[0] == "const":
+                t = ops[tag](x, y)
+                if t is x or t is y or t[0] == "const":
+                    break
+            else:
+                t = (tag, x, y)
+        elif tag == "pow":
+            x = trees[ins[1]]
+            t = pow_(x, ins[2])
+            if t is x or t[0] == "const":
+                break
+        else:
+            t = (tag, trees[ins[1]])
+        out.append(ins)
+        trees.append(t)
+    else:
+        return out, roots, trees
+    b = _Builder()                  # from there on, merge what folds
+    new = [b._add(ins, t) for ins, t in zip(out, trees)]
+    trees = b.nodes
+    for ins in code[len(new):]:
+        tag = ins[0]
+        if tag == "var":
+            ins = t = reps[ins[1]]
+        elif tag == "const":
+            t = ins
+        else:
+            i = j = new[ins[1]]
+            x = trees[i]
+            if tag == "add" or tag == "mul":
+                j = new[ins[2]]
+                y = trees[j]
+                t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
+                     else (tag, x, y))
+                ins = (tag, i, j)
+            elif tag == "pow":
+                t = pow_(x, ins[2])
+                ins = ("pow", i, ins[2])
+            else:
+                ins, t = (tag, i), (tag, x)
+            if t is x or t is trees[j]:     # folded to an operand
+                new.append(i if t is x else j)
+                continue
+            if t[0] == "const":
+                ins = t
+        new.append(b._add(ins, t))
+    return _pruned(b.code, [new[r] for r in roots], trees)
+
+
+def _pruned(code, roots, nodes):
+    """The tape less the instructions no root reads: a folded-away subtree
+    must not reach float evaluation."""
+    live = set(roots)
+    for k in range(len(code) - 1, -1, -1):
+        if k in live and code[k][0] not in ("const", "var"):
+            live.update(code[k][1:3 if code[k][0] in ("add", "mul") else 2])
+    if len(live) < len(code):
+        keep = sorted(live)
+        new = dict(zip(keep, range(len(keep))))
+        code = [_renumbered(code[k], new) for k in keep]
+        nodes = [nodes[k] for k in keep]
+        roots = [new[r] for r in roots]
+    return code, roots, nodes
 
 
 def _tape(roots):
@@ -209,7 +305,8 @@ _PAIRS = {
     "mul": lambda p, q: (mul(p[0], q[0]),
                          add(mul(p[1], q[0]), mul(p[0], q[1]))),
     "pow": lambda p, n: (pow_(p[0], n),
-                         mul(mul(const(n), pow_(p[0], n - 1)), p[1])),
+                         mul(mul(const(n), pow_(p[0], n - 1)), p[1])
+                         if n else const(0)),
     "sin": lambda p: (sin(p[0]), mul(cos(p[0]), p[1])),
     "cos": lambda p: (cos(p[0]), mul(neg(sin(p[0])), p[1])),
     "exp": lambda p: (exp(p[0]), mul(exp(p[0]), p[1])),
@@ -312,10 +409,20 @@ class ElemMap(CoordMap):
         return b.map(dom, build(blocks))
 
     def then(self, other):
+        """other's components with x_j replaced by self's component j.
+
+        When self's components are pairwise-distinct variables and zeros,
+        this is a renaming: other's var instructions are relabelled and its
+        trees rebuilt in one pass, and the smart constructors and the
+        builder's lookup run only from a zero or a hand-built unfolded node
+        upwards.  Any other self is substituted through the smart
+        constructors."""
         self._require_composable(other)
-        b = _Builder()
-        reps = b.copy(self)
         try:
+            if _renaming(self):
+                return _map(self.dom, _renamed(other.tape, self.components))
+            b = _Builder()
+            reps = b.copy(self)
             comps = b.run(other.tape, lambda ins:
                           reps[ins[1]] if ins[0] == "var" else ins)
         except OverflowError as exc:    # a constant power over the limit

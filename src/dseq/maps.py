@@ -8,6 +8,12 @@ structural maps of any base from its leaves.  The doubling functor
 `pfunctor_apply` sends a map to block-diagonal copies of itself; its n-th
 power acts on 2^n stacked blocks, indexed so that bit 0 of a block index
 is the innermost doubling.
+
+The axiom checkers and the tangent precompose terms with a few dozen
+structural maps pushed through k doublings, each many times over (both DS
+checkers on an order-4 tower read 56).  `_pushed` builds each once and
+keeps the 128 most recently used, keyed by (kind, block size, k, base)
+rather than by the map, whose trees are never hashed.
 """
 
 import math
@@ -165,6 +171,15 @@ def pfunctor_apply(h, k):
     assert k >= 0
     return h._combine(h.dom << k, [(h, c * h.dom) for c in range(1 << k)],
                       chain.from_iterable)
+
+
+@lru_cache(maxsize=128)
+def _pushed(kind, dim, k, base):
+    """canonical_map(kind, dim, base), or for kind "proj0" the projection
+    X^2 -> X, (a, b) |-> a, pushed through k doublings."""
+    h = (proj(dim, dim, 0, base) if kind == "proj0"
+         else canonical_map(kind, dim, base))
+    return pfunctor_apply(h, k)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import coord_slice, pfunctor_apply, proj, zero_map
+from .maps import _pushed, coord_slice, pfunctor_apply, proj, zero_map
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,9 @@ class PreDSeq:
         Costs one order."""
         if self.order < 1:
             raise InsufficientOrder("tangent needs order >= 1")
-        pi0 = proj(self.dom, self.dom, 0, self.base)
         terms = []
         for n in range(self.order):
-            left = pfunctor_apply(pi0, n).then(self.terms[n])
+            left = _pushed("proj0", self.dom, n, self.base).then(self.terms[n])
             terms.append(left.pair(self.terms[n + 1]))
         return PreDSeq(2 * self.dom, 2 * self.cod, tuple(terms))
 

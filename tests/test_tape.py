@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dseq import expr
+from dseq import expr, maps
 from dseq.axioms import check_ds_primed, check_ds_unprimed
 from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
                        exp, mul, neg, pow_, sin, var)
-from dseq.maps import identity, pfunctor_apply, zero_map
+from dseq.errors import EngineError
+from dseq.maps import (canonical_map, coord_slice, identity, pfunctor_apply,
+                       proj, zero_map)
 from dseq.parser import format_map, parse_component, parse_map
 
 DOM = 3
@@ -49,6 +51,8 @@ def ref_deriv(node, j):
         return add(mul(ref_deriv(a, j), b), mul(a, ref_deriv(b, j)))
     if tag == "pow":
         a, n = node[1], node[2]
+        if n == 0:
+            return const(0)
         return mul(mul(const(n), pow_(a, n - 1)), ref_deriv(a, j))
     if tag == "sin":
         return mul(cos(node[1]), ref_deriv(node[1], j))
@@ -112,25 +116,26 @@ def outcome(f, *args):
 
 # Trees drawn through the smart constructors.  Sums and products nest to the
 # left only, as the grammar parses them, so printed trees reparse exactly.
-leaves = st.one_of(
-    st.builds(var, st.integers(0, DOM - 1)),
-    st.builds(const, st.sampled_from([2, -1, Fraction(-3, 4), 1, 0])))
+def leaves(nvars):
+    return st.one_of(
+        st.builds(var, st.integers(0, nvars - 1)),
+        st.builds(const, st.sampled_from([2, -1, Fraction(-3, 4), 1, 0])))
 
 
 BUILD = {"add": add, "mul": mul, "sin": sin, "cos": cos, "exp": exp}
 
 
 @st.composite
-def trees(draw, depth=5):
+def trees(draw, depth=5, nvars=DOM):
     tag = draw(st.sampled_from(["leaf", "add", "mul", "pow", "sin", "cos",
                                 "exp", "add", "mul"]))
     if depth == 0 or tag == "leaf":
-        return draw(leaves)
-    a = draw(trees(depth - 1))
+        return draw(leaves(nvars))
+    a = draw(trees(depth - 1, nvars))
     if tag == "pow":
         return pow_(a, draw(st.sampled_from([2, 3, 1, 0])))
     if tag in ("add", "mul"):
-        return BUILD[tag](a, draw(trees(depth - 1).filter(
+        return BUILD[tag](a, draw(trees(depth - 1, nvars).filter(
             lambda b: b[0] != tag)))
     return BUILD[tag](a)
 
@@ -259,22 +264,22 @@ WILD_CONSTS = [2, -1, Fraction(3, 4), 0, 1, 700, 1000, 10 ** 300, 10 ** 400,
                Fraction(1, 10 ** 400)]
 
 
-def wild_tree(rng, depth):
+def wild_tree(rng, depth, nvars=DOM):
     """A tree through the smart constructors or, one node in four, built by
     hand (unfolded constants, powers 0 and 1), over steep and nested
     exponentials, constants beyond float range and powers up to 400."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.6:
-            return var(rng.randrange(DOM))
+            return var(rng.randrange(nvars))
         return const(rng.choice(WILD_CONSTS))
     tag = rng.choice(["add", "mul", "mul", "pow", "sin", "cos", "exp", "exp"])
-    a = wild_tree(rng, depth - 1)
+    a = wild_tree(rng, depth - 1, nvars)
     raw = rng.random() < 0.25
     if tag == "pow":
         n = rng.choice([0, 1, 2, 3] if a[0] == "const" else [0, 1, 2, 400])
         return ("pow", a, n) if raw else pow_(a, n)
     if tag in ("add", "mul"):
-        b = wild_tree(rng, depth - 1)
+        b = wild_tree(rng, depth - 1, nvars)
         return (tag, a, b) if raw else BUILD[tag](a, b)
     return BUILD[tag](a)
 
@@ -287,11 +292,7 @@ def wild_pairs(rng):
     tiny = const(Fraction(1, 10 ** 12))
     yield f, ElemMap(DOM, 2, [add(f.components[0], tiny), f.components[1]])
     yield f + other, other + f
-    if not any(s[0] == "pow" and s[2] == 0
-               for t in f.components for s in subtrees(t)):
-        # (the derivative rule for powers needs n >= 1)
-        yield f.differential(), f.tangent().then(
-            ElemMap(4, 2, [var(2), var(3)]))
+    yield f.differential(), f.tangent().then(ElemMap(4, 2, [var(2), var(3)]))
     yield pfunctor_apply(f, 1), pfunctor_apply(other, 1)
     yield (identity(DOM, "elementary").pair(f).then(
         ElemMap(DOM + 2, 2, [mul(var(DOM), var(DOM + 1)), var(DOM)])),
@@ -377,3 +378,109 @@ def test_zero_power_keeps_the_run_per_point_rule():
     assert (ok, point) == ref_equal_witness(raised, g)
     assert nan.equal_witness(g) == ref_equal_witness(nan, g) == (True, None)
     assert any(p[0] > 0.71 for p in g.sample_points())
+
+
+# Precomposing with a renaming (pairwise-distinct variables and zeros) renames
+# the other map's tape; every other left operand is substituted as before.
+
+KINDS = ("zpair", "sumv", "sumproj0", "sumproj1", "lift", "flip")
+
+
+def structural(kind, dim, k):
+    """A structural map at block size dim pushed through k doublings."""
+    return pfunctor_apply(canonical_map(kind, dim, "elementary"), k)
+
+
+def renamings():
+    """Maps whose components are pairwise-distinct variables and zeros."""
+    for kind in KINDS:
+        if kind != "sumv":      # (a, b + c) is not a renaming
+            for k in range(4):
+                yield structural(kind, 1, k)
+    yield structural("flip", 2, 1)
+    yield proj(2, 3, 1, "elementary")
+    yield coord_slice(5, 1, 3, "elementary")
+    yield pfunctor_apply(proj(1, 1, 0, "elementary"), 2)
+    yield zero_map(3, 4, "elementary")
+
+
+def unfolded(rng, nvars):
+    """A tree that the smart constructors would fold, built by hand."""
+    t = wild_tree(rng, 3, nvars)
+    return rng.choice([("add", const(0), t), ("add", t, const(0)),
+                       ("mul", const(1), t), ("mul", t, const(0)),
+                       ("pow", t, 1), ("pow", t, 0), ("sin", ("pow", t, 1)),
+                       ("add", ("mul", const(1), t), t)])
+
+
+def assert_then_matches_reference(h, m):
+    got = h.then(m)
+    assert list(got.components) == [ref_subst(t, list(h.components))
+                                     for t in m.components]
+    assert_lean_tape(got)
+
+
+def test_then_after_a_routing_matches_reference(monkeypatch):
+    """Renamings take the renaming branch, and the sum, a diagonal and a
+    nonzero constant the general one; both agree with the reference."""
+    renamed = []
+    real = expr._renamed
+    monkeypatch.setattr(expr, "_renamed",
+                        lambda *a: renamed.append(a) or real(*a))
+    rng = random.Random(20182)
+    general = [structural("sumv", 1, k) for k in range(3)] + [
+        ElemMap(2, 4, [var(0), var(1), var(0), const(0)]),    # a diagonal
+        ElemMap(3, 3, [var(2), const(3), var(0)])]
+    for h, renames in [(h, True) for h in renamings()] + [
+            (h, False) for h in general]:
+        for _ in range(12):
+            ts = [wild_tree(rng, 5, h.cod) for _ in range(2)]
+            ts += [unfolded(rng, h.cod), mul(ts[0], add(ts[-1], ts[0])),
+                   # equal to ts[0] where h zeroes or folds what they differ in
+                   ref_subst(ts[0], [var(rng.randrange(h.cod))
+                                     for _ in range(h.cod)]),
+                   ("mul", ts[1], ts[-1]), mul(ts[1], ts[0])]
+            renamed.clear()
+            assert_then_matches_reference(h, ElemMap(h.cod, len(ts), ts))
+            assert len(renamed) == renames
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_then_after_a_pushed_structural_map_matches_reference(data):
+    h = structural(data.draw(st.sampled_from(KINDS)),
+                   data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3)))
+    ts = data.draw(st.lists(trees(4, h.cod), min_size=1, max_size=3))
+    t = ts[0]
+    ts.append(data.draw(st.sampled_from([
+        ("add", const(0), t), ("mul", const(1), t), ("pow", t, 1),
+        ("pow", t, 0), ("mul", ("add", t, const(0)), t)])))
+    moved = ref_subst(t, [var(data.draw(st.integers(0, h.cod - 1)))
+                          for _ in range(h.cod)])
+    ts += [moved, sin(mul(t, ts[-1])), sin(mul(moved, ts[-1]))]
+    assert_then_matches_reference(h, ElemMap(h.cod, len(ts), ts))
+
+
+def test_then_keeps_the_digit_limit_an_engine_error():
+    power = ElemMap(1, 1, [pow_(var(0), 20000)])
+    with pytest.raises(EngineError):
+        ElemMap(1, 1, [const(2)]).then(power)
+    with pytest.raises(EngineError):     # refolded by the renaming
+        identity(1, "elementary").then(
+            ElemMap(1, 1, [("pow", const(2), 20000)]))
+
+
+def test_checkers_build_each_pushed_structural_map_once(monkeypatch):
+    """Both DS checkers and `tangent` take a structural map pushed through
+    k doublings from a memo: one build per (kind, block size, k)."""
+    builds = []
+    real = maps.pfunctor_apply
+    monkeypatch.setattr(maps, "pfunctor_apply", lambda h, k: builds.append(
+        (h.dom, h.components, k)) or real(h, k))
+    maps._pushed.cache_clear()
+    tower = omega(parse_map(["sin(x0)*exp(x0)"], 1, 1, "elementary"), 4)
+    check_ds_primed(tower), check_ds_unprimed(tower), tower.tangent()
+    assert builds and len(builds) == len(set(builds))
+    first = len(builds)
+    check_ds_primed(tower), check_ds_unprimed(tower), tower.tangent()
+    assert len(builds) == first
