@@ -7,7 +7,8 @@ the seeded selftest.
 
 Exit codes: 0 all checks passed, 1 at least one law entry failed, 2 bad
 input (unreadable file, parse error, dimension mismatch, order guard,
-out-of-range option, a point where evaluation leaves the float range).
+out-of-range option, a point where evaluation leaves the float range, a
+point coordinate of more than 4,300 digits).
 All JSON output is canonical: two-space indent, stable key order, ASCII,
 trailing newline, no NaN or infinity.  Identical invocations produce
 byte-identical output.
@@ -16,6 +17,7 @@ byte-identical output.
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from .fixtures import random_dim, random_map, rng_for
 from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
                      read_json, to_canonical_json, write_json)
 from .laws import tower_identity_laws
-from .maps import _text
+from .maps import _CONSTANT_DIGITS_LIMIT as _LIMIT, _text
 from .reports import LawReport, bool_entry
 from .selftest import run_selftest
 
@@ -197,6 +199,28 @@ def cmd_faa(args):
     return 0 if equal else 1
 
 
+# A coordinate with a decimal exponent, in the syntax Fraction reads.
+_EXPONENTIAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                          r"(?:\.(\d*|\d+(?:_\d+)*))?"
+                          r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _coordinate(tok):
+    """Fraction(tok), but a nonzero value beyond 10^+-4300, which could not
+    be printed, is refused before Fraction builds its power of ten."""
+    m = _EXPONENTIAL.fullmatch(tok)
+    if m:
+        whole, frac, exp = (g.replace("_", "") for g in m.groups(""))
+        if len(exp.lstrip("+-")) > _LIMIT:
+            return Fraction(tok)        # which refuses so long an exponent
+        if not any(map(int, whole + frac)):
+            return Fraction(0)          # Fraction would still build 10^exp
+        if not -_LIMIT - len(whole) < int(exp) < _LIMIT + len(frac):
+            raise EngineError(f"point coordinate has more than {_LIMIT} "
+                              "digits")
+    return Fraction(tok)
+
+
 def _parse_point(text, base, size):
     tokens = [tok.strip() for tok in text.split(",")] if text else []
     if len(tokens) != size:
@@ -204,7 +228,7 @@ def _parse_point(text, base, size):
             f"point needs {size} coordinates, got {len(tokens)}")
     try:
         if base == "poly":
-            return [Fraction(tok) for tok in tokens]
+            return [_coordinate(tok) for tok in tokens]
         point = [float(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise EngineError(f"bad point coordinate: {exc}")

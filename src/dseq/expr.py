@@ -91,6 +91,10 @@ def neg(a):
     return mul(const(-1), a)
 
 
+def _key(ins):      # a builder's lookup key (hashing a Fraction is slow)
+    return ins if ins[0] != "const" else (ins[1].numerator, ins[1].denominator)
+
+
 def _renumbered(ins, new):
     """The instruction reading new[i] where it read i."""
     tag = ins[0]
@@ -145,9 +149,8 @@ class _Builder:
 
     def _add(self, ins, node):
         """The index of the instruction ins, whose tree is node."""
-        key = ins if ins[0] != "const" else (ins[1].numerator,
-                                             ins[1].denominator)
-        k = self.index.get(key)     # (hashing a Fraction is slow)
+        key = _key(ins)
+        k = self.index.get(key)
         if k is None:
             k = self.index[key] = self.at[id(node)] = len(self.code)
             self.code.append(ins)
@@ -157,6 +160,11 @@ class _Builder:
     def copy(self, m):
         """Handles of m's components, its instructions taken as they are."""
         code, roots, nodes = m.tape
+        if not self.code:       # whole: one instruction per distinct subtree
+            self.code, self.nodes = list(code), list(nodes)
+            self.index = {_key(ins): k for k, ins in enumerate(code)}
+            self.at = {id(node): k for k, node in enumerate(nodes)}
+            return [nodes[r] for r in roots]
         new = []
         for ins, node in zip(code, nodes):
             new.append(self._add(_renumbered(ins, new), node))

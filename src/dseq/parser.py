@@ -9,68 +9,49 @@
 
 "-" is surface syntax only: both the binary and the unary form parse as
 addition of a (-1)-scaled operand.  Function atoms are rejected under the
-polynomial base.  Printing emits polynomial terms in the canonical
-(descending graded-lexicographic) order, so print-then-parse reproduces the
-map exactly; elementary trees print structurally.
+polynomial base, where a term that is a product of plain atoms (rationals
+and variables, each with an optional power and at most one unary minus) is
+read straight into one packed monomial.  Printing emits polynomial terms in
+the canonical (descending graded-lexicographic) order, so print-then-parse
+reproduces the map exactly; elementary trees print structurally.
 """
 
+import re
 from fractions import Fraction
+from itertools import takewhile
+from math import gcd
 
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
-from .maps import _text, map_class
+from .maps import _check_constant_power, _text, map_class
+from .poly import _factors, _summed
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+# One token per match, after optional whitespace: an operator, a variable, a
+# number, a run of letters or any other character.
+_TOKEN = re.compile(r"\s*(?:([-+*^/()])|x(\d+)|(\d+)|([^\W\d_]+)|(\S))")
 
 
 def _tokenize(text):
+    """(kind, text, position) triples and an "end" token; a "var" token's
+    text is its index, and an operator is its own kind."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            name = text[i:j]
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        tok, pos = m[group], m.start(group)
+        if group == 4:      # [^\W\d_] also matches numerals such as "²"
+            name = "".join(takewhile(str.isalpha, tok))
             if name == "x":
-                k = j
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j:
-                    raise ParseError("variable needs an index", i, ("x<nat>",))
-                tokens.append(_Token("var", text[j:k], i))
-                i = k
-                continue
-            tokens.append(_Token("name", name, i))
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i,
-                         ("number", "variable", "function", "operator"))
-    tokens.append(_Token("end", "", n))
+                raise ParseError("variable needs an index", pos, ("x<nat>",))
+            if name != tok:
+                group, tok, pos = 5, tok[len(name)], pos + len(name)
+        if group == 5:
+            raise ParseError(f"unexpected character {tok!r}", pos,
+                             ("number", "variable", "function", "operator"))
+        kind = (tok, "var", "num", "name")[group - 1]
+        tokens.append((kind, tok, pos - (kind == "var")))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -84,16 +65,17 @@ class _Parser:
         self.cls = cls
         self.dom = dom
         self.ops = cls._ops
+        self.packed = cls.base == "poly"
 
     @staticmethod
     def nat(tok):
         """The natural number a num or var token spells; Python refuses to
         convert decimal strings of more than 4,300 digits."""
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:
-            raise ParseError(f"number of {len(tok.text)} digits is too long",
-                             tok.pos) from None
+            raise ParseError(f"number of {len(tok[1])} digits is too long",
+                             tok[2]) from None
 
     def neg(self, value):
         return self.ops["mul"](self.cls._constant(self.dom, -1), value)
@@ -108,82 +90,126 @@ class _Parser:
 
     def expect(self, kind, expected):
         tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'}",
-                             tok.pos, expected)
+        if tok[0] != kind:
+            raise ParseError(f"unexpected {tok[1] or 'end of input'}",
+                             tok[2], expected)
         return tok
 
     def parse(self):
         value = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos,
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2],
                              ("'+'", "'-'", "'*'", "end of input"))
         return value
 
     def expr(self):
-        summands = [self.term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            summands.append(self.neg(rhs) if op.kind == "-" else rhs)
-        return summands[0] if len(summands) == 1 else self.ops["sum"](summands)
+        plain, built = [], []
+        negative = False
+        while True:
+            self.term(negative, plain, built)
+            kind = self.peek()[0]
+            if kind != "+" and kind != "-":
+                break
+            self.take()
+            negative = kind == "-"
+        if plain:
+            built.append(_summed(self.dom, plain))
+        return built[0] if len(built) == 1 else self.ops["sum"](built)
 
-    def term(self):
+    def term(self, negative, plain, built):
+        """One summand, negated if `negative`.  A polynomial product of plain
+        atoms goes to `plain` as ([(variable, exponent), ...], numerator,
+        denominator); any other is read again from its start and built in
+        the component algebra, factor by factor, into `built`."""
+        tokens, start = self.tokens, self.i
+        num, den, exps = 1, 1, []
+        while self.packed:
+            minus = tokens[self.i][0] == "-"    # a chain takes `factor`
+            tok = tokens[self.i + minus]
+            if tok[0] != "num" and tok[0] != "var":
+                self.i = start
+                break
+            self.i += 1 + minus
+            if tok[0] == "var":
+                exps.append((self.variable(tok), self.exponent(1)))
+            else:
+                c, d = self.rational(tok)
+                n = self.exponent(1)
+                if n != 1:
+                    _check_constant_power(Fraction(c, d), n)
+                    c, d = (Fraction(c, d) ** n).as_integer_ratio()
+                num, den = num * c, den * d
+            num = -num if minus else num
+            if tokens[self.i][0] != "*":
+                plain.append((exps, -num if negative else num, den))
+                return
+            self.i += 1
         value = self.factor()
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             self.take()
             value = self.ops["mul"](value, self.factor())
-        return value
+        built.append(self.neg(value) if negative else value)
 
     def factor(self):
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.take()
             return self.neg(self.factor())
         value = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.expect("num", ("natural exponent",))
-            value = self.ops["pow"](value, self.nat(tok))
-        return value
+        n = self.exponent()
+        return value if n is None else self.ops["pow"](value, n)
+
+    def exponent(self, absent=None):
+        """The natural exponent after a "^", or `absent`."""
+        if self.peek()[0] != "^":
+            return absent
+        self.take()
+        return self.nat(self.expect("num", ("natural exponent",)))
+
+    def rational(self, tok):
+        """(numerator, denominator) of the num token just taken."""
+        num = self.nat(tok)
+        if self.peek()[0] != "/":
+            return num, 1
+        self.take()
+        tok = self.expect("num", ("positive denominator",))
+        den = self.nat(tok)
+        if den == 0:
+            raise ParseError("zero denominator", tok[2],
+                             ("positive denominator",))
+        return num, den
+
+    def variable(self, tok):
+        index = self.nat(tok)
+        if index >= self.dom:
+            raise UnknownVariable(f"variable x{index} outside domain "
+                                  f"of dimension {self.dom}", tok[2])
+        return index
 
     def atom(self):
         tok = self.take()
-        if tok.kind == "num":
-            value = Fraction(self.nat(tok))
-            if self.peek().kind == "/":
-                self.take()
-                den = self.expect("num", ("positive denominator",))
-                divisor = self.nat(den)
-                if divisor == 0:
-                    raise ParseError("zero denominator", den.pos,
-                                     ("positive denominator",))
-                value /= divisor
-            return self.cls._constant(self.dom, value)
-        if tok.kind == "var":
-            index = self.nat(tok)
-            if index >= self.dom:
-                raise UnknownVariable(f"variable x{index} outside domain "
-                                      f"of dimension {self.dom}", tok.pos)
-            return self.cls._variable(self.dom, index)
-        if tok.kind == "name":
-            if tok.text not in _FUNCTIONS:
-                raise ParseError(f"unknown function {tok.text!r}", tok.pos,
+        if tok[0] == "num":
+            return self.cls._constant(self.dom, Fraction(*self.rational(tok)))
+        if tok[0] == "var":
+            return self.cls._variable(self.dom, self.variable(tok))
+        if tok[0] == "name":
+            if tok[1] not in _FUNCTIONS:
+                raise ParseError(f"unknown function {tok[1]!r}", tok[2],
                                  _FUNCTIONS)
-            fn = self.ops.get(tok.text)
+            fn = self.ops.get(tok[1])
             if fn is None:
-                raise FunctionNotAllowed(f"function {tok.text} not allowed "
+                raise FunctionNotAllowed(f"function {tok[1]} not allowed "
                                          f"in a {self.cls.base} component",
-                                         tok.pos)
+                                         tok[2])
             self.expect("(", ("'('",))
             arg = self.expr()
             self.expect(")", ("')'",))
             return fn(arg)
-        if tok.kind == "(":
+        if tok[0] == "(":
             value = self.expr()
             self.expect(")", ("')'",))
             return value
-        raise ParseError(f"unexpected {tok.text or 'end of input'}", tok.pos,
+        raise ParseError(f"unexpected {tok[1] or 'end of input'}", tok[2],
                          ("number", "variable", "function", "'('"))
 
 
@@ -194,9 +220,9 @@ def parse_component(text, dom, base="poly"):
         return parser.parse()
     except RecursionError:
         raise ParseError("expression nested too deeply",
-                         parser.peek().pos) from None
+                         parser.peek()[2]) from None
     except OverflowError as exc:       # a base's size budget
-        raise ParseError(str(exc), parser.peek().pos) from None
+        raise ParseError(str(exc), parser.peek()[2]) from None
 
 
 def parse_map(components, dom, cod, base="poly"):
@@ -204,29 +230,22 @@ def parse_map(components, dom, cod, base="poly"):
     return map_class(base)(dom, cod, parsed)
 
 
-def _format_coeff_monomial(coeff, exps):
-    mono = "*".join(f"x{j}" if e == 1 else f"x{j}^{_text(e)}"
-                    for j, e in enumerate(exps) if e)
-    mag = abs(coeff)
-    if not mono:
-        return _text(mag)
-    if mag == 1:
-        return mono
-    return f"{_text(mag)}*{mono}"
-
-
 def format_poly(p):
-    """Canonical text form; parse(format(p)) rebuilds p exactly."""
-    if not p.terms:
-        return "0"
+    """Canonical text form; parse(format(p)) rebuilds p exactly.  Reads the
+    nonzero exponent fields, and each coefficient off its numerator."""
+    n, w, den = p.nvars, p._w, p._den
+    low = (1 << (n * w)) - 1
     out = []
-    for i, (exps, coeff) in enumerate(p.terms):
-        body = _format_coeff_monomial(coeff, exps)
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+    for m, c in zip(p._mons, p._nums):
+        mono = "*".join(f"x{n - 1 - s // w}" if e == 1 else
+                        f"x{n - 1 - s // w}^{_text(e)}"
+                        for s, e in _factors(m & low, w))
+        g = gcd(c, den)
+        mag = _text(abs(c) // g) if g == den else (
+            f"{_text(abs(c) // g)}/{_text(den // g)}")
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        out.append((" - " if c < 0 else " + ") + body)
+    return ("-" if p._nums[0] < 0 else "") + "".join(out)[3:] if out else "0"
 
 
 def _wrap(value, ctx):

@@ -68,13 +68,6 @@ def _width(degree):
 _NARROW = _width(0)
 
 
-def _pack(exps, w):
-    """Packed monomial of an exponent tuple: one shift per nonzero field."""
-    top = len(exps) * w
-    return sum(exps) << top | sum(e << (top - (i + 1) * w)
-                                  for i, e in enumerate(exps) if e)
-
-
 def _repack(mons, nvars, w, new_w):
     """Monomials moved to field width new_w: one step per nonzero field,
     the degree's included (it fits a field), not one per variable."""
@@ -210,29 +203,34 @@ def _sum(ps):
     return total.result()
 
 
+def _summed(nvars, monomials):
+    """Sum of monomials given as ([(j, e), ...], numerator, denominator)."""
+    degrees = [sum(e for _, e in m[0]) for m in monomials]
+    w = _width(max(degrees, default=0))
+    top = nvars * w
+    den = lcm(*(m[2] for m in monomials))
+    acc = {}
+    for deg, (exps, num, d) in zip(degrees, monomials):
+        mon = deg << top
+        for j, e in exps:
+            mon += e << (top - (j + 1) * w)
+        acc[mon] = acc.get(mon, 0) + num * (den // d)
+    return _normal(nvars, w, acc, den)
+
+
 def _canonical(nvars, items):
     """Packed parts (width, monomials, numerators, denominator) of a
     collection of (exponents, coefficient) pairs."""
-    acc = {}
+    monomials = []
     for exps, coeff in items:
         if len(exps) != nvars:
             raise DimensionMismatch(
                 f"term has {len(exps)} exponents, expected {nvars}")
-        exps = tuple(exps)
-        cur = acc.get(exps)
-        coeff = cur + coeff if cur is not None else Fraction(coeff)
-        if coeff:
-            acc[exps] = coeff
-        elif cur is not None:
-            del acc[exps]
-    if not acc:
-        return _NARROW, (), (), 1
-    w = _width(max(map(sum, acc)))
-    den = lcm(*(c.denominator for c in acc.values()))
-    packed = sorted(((_pack(e, w), c.numerator * (den // c.denominator))
-                     for e, c in acc.items()), reverse=True)
-    return (w, tuple(m for m, _ in packed), tuple(c for _, c in packed),
-            den)
+        coeff = Fraction(coeff)
+        monomials.append(([(j, e) for j, e in enumerate(exps) if e],
+                          coeff.numerator, coeff.denominator))
+    p = _summed(nvars, monomials)
+    return p._w, p._mons, p._nums, p._den
 
 
 class Poly:
@@ -366,10 +364,15 @@ class Poly:
                            for m in self._mons), self._nums, self._den)
 
     def eval(self, point):
-        """Evaluate at a point; exact when the point is rational."""
+        """Evaluate at a point; exact when the point is rational, scaled to
+        integers over a common denominator q (a float point is taken as is)."""
         assert len(point) == self.nvars
-        n, w = self.nvars, self._w
+        n, w, top = self.nvars, self._w, max(self.degree(), 0)
         low = (1 << (n * w)) - 1
+        q = 1
+        if not any(isinstance(x, float) for x in point):
+            q = lcm(*(x.denominator for x in point))
+            point = [x.numerator * (q // x.denominator) for x in point]
         powers = {}
         total = 0
         for m, c in zip(self._mons, self._nums):
@@ -379,9 +382,9 @@ class Poly:
                     shift, e = key
                     x = powers[key] = point[n - 1 - shift // w] ** e
                 c = c * x
-            total += c
+            total += c * q ** (top - (m >> (n * w)))
         if isinstance(total, int):
-            return Fraction(total, self._den)
+            return Fraction(total, self._den * q ** top)
         return total / self._den
 
     def subst(self, maps, nvars_out, powers=None):

@@ -555,3 +555,34 @@ def test_derive_long_flat_poly_sum(tmp_path, capsys):
     printed = json.loads(out)["terms"][0]["components"][0]
     assert printed.startswith("x0^1999 + x0^1998 + ")
     assert printed.endswith(" + x0 + 1")
+
+
+def test_eval_refuses_a_point_coordinate_over_the_digit_limit(tmp_path,
+                                                              capsys):
+    # Fraction("1e99999999") would first build a power of ten of 10^8
+    # digits; a coordinate past 10^+-4300 could not be printed anyway.
+    src = write_json(tmp_path / "map.json",
+                     {"base": "poly", "dom": 1, "cod": 1,
+                      "components": ["x0"]})
+    tower = str(tmp_path / "tower.json")
+    assert run(capsys, "derive", "--map", src, "--order", "0",
+               "--out", tower)[0] == 0
+    for point in ("1e99999999", "-2.5E-99999999", "1e4300", "1e-4301",
+                  "1" * 4000 + "e-8301", "0.001e4303"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--seq", tower, "--term", "0",
+                             "--point=" + point)
+        assert time.perf_counter() - start < 3.0
+        assert code == 2 and out == ""
+        assert err == "error: point coordinate has more than 4300 digits\n"
+    # at the limit the point is read as before, and zero at any exponent
+    # without a power of ten
+    for point, value in (("1e4299", "1" + "0" * 4299),
+                         ("1e-4299", "1/1" + "0" * 4299), ("0e5000", "0"),
+                         ("-0.0e99999999", "0"), ("1_0e3", "10000"),
+                         ("-.5e1", "-5")):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--seq", tower, "--term", "0",
+                           "--point=" + point)
+        assert time.perf_counter() - start < 3.0
+        assert code == 0 and json.loads(out)["value"] == [value]

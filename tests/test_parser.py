@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from dseq.errors import FunctionNotAllowed, ParseError, UnknownVariable
 from dseq.fixtures import random_elem_map, random_poly_map, rng_for
 from dseq.maps import identity
-from dseq.parser import format_map, format_poly, parse_component, parse_map
+from dseq.parser import (_tokenize, format_map, format_poly, parse_component,
+                         parse_map)
 from dseq.poly import Poly
 
 
@@ -140,3 +141,208 @@ def test_elem_round_trip(seed):
 def test_format_map_returns_component_strings():
     m = identity(2)
     assert format_map(m) == ["x0", "x1"]
+
+
+# Generated polynomial texts against the same expressions built by the Poly
+# algebra: (text, precedence, value), precedence 1 a sum, 2 a product, 3 a
+# signed factor or power, 4 an atom.
+
+TEXT_DOM = 3
+spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\xa0"])
+
+
+def wrapped(node, prec):
+    text, p, value = node
+    return node if p >= prec else (f"({text})", 4, value)
+
+
+rationals = st.builds(
+    lambda n, d, slash: (f"{n}/{d}" if slash else str(n), 4,
+                         Poly.constant(TEXT_DOM, Fraction(n, d if slash else 1))),
+    st.sampled_from([0, 0, 1, 2, 3, 7, 12, 10 ** 20]), st.integers(1, 6),
+    st.booleans())
+variables = st.builds(
+    lambda j: (f"x{j}", 4, Poly.variable(TEXT_DOM, j)),
+    st.integers(0, TEXT_DOM - 1))
+
+
+def combined(children):
+    def sum_(a, b, minus, s1, s2):
+        a, b = wrapped(a, 1), wrapped(b, 2)
+        op = "-" if minus else "+"
+        return (f"{a[0]}{s1}{op}{s2}{b[0]}", 1,
+                a[2] - b[2] if minus else a[2] + b[2])
+
+    def product(a, b, s1, s2):
+        a, b = wrapped(a, 2), wrapped(b, 2)
+        return f"{a[0]}{s1}*{s2}{b[0]}", 2, a[2] * b[2]
+
+    def power(a, n, s):
+        a = wrapped(a, 4)
+        return f"{a[0]}{s}^{s}{n}", 3, a[2] ** n
+
+    def negated(a, s):
+        a = wrapped(a, 3)
+        return f"-{s}{a[0]}", 3, -a[2]
+
+    def parenthesised(a, s1, s2):
+        return f"({s1}{a[0]}{s2})", 4, a[2]
+
+    return st.one_of(
+        st.builds(sum_, children, children, st.booleans(), spaces, spaces),
+        st.builds(product, children, children, spaces, spaces),
+        st.builds(power, children, st.integers(0, 3), spaces),
+        st.builds(negated, children, spaces),
+        st.builds(parenthesised, children, spaces, spaces))
+
+
+poly_texts = st.recursive(st.one_of(rationals, variables), combined,
+                          max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_texts, spaces, spaces)
+def test_parse_matches_the_algebra(node, s1, s2):
+    text, _, value = node
+    assert parse_component(s1 + text + s2, TEXT_DOM, "poly") == value
+
+
+@pytest.mark.parametrize("text", ["0^0", "0^0*x0", "-0^0", "0^3 + x1",
+                                  "- - -x0", "x0*x0*x1*x0", "0*x0^5 + x1",
+                                  "x0 - x0", "3/6*x1 + -1/2*x1", "(((x2)))"])
+def test_parse_edge_texts_match_the_algebra(text):
+    x0, x1, x2 = (Poly.variable(TEXT_DOM, j) for j in range(TEXT_DOM))
+    one, zero = Poly.constant(TEXT_DOM, 1), Poly.zero(TEXT_DOM)
+    expected = {"0^0": one, "0^0*x0": x0, "-0^0": -one, "0^3 + x1": x1,
+                "- - -x0": -x0, "x0*x0*x1*x0": x0 ** 3 * x1,
+                "0*x0^5 + x1": x1, "x0 - x0": zero,
+                "3/6*x1 + -1/2*x1": zero, "(((x2)))": x2}[text]
+    got = parse_component(text, TEXT_DOM, "poly")
+    assert got == expected
+    assert format_poly(got) == format_poly(expected)
+
+
+# Each kind of parse error: message, position and expected list, as the
+# character-by-character parser reported them.
+ERRORS = [
+    ("2*3^9100 + x0", ParseError,
+     "constant power would have more than 4300 digits", 9, ()),
+    ("x1 - (x0 + 1)^3000", ParseError,
+     "power would cost about 9006001 term products, over the budget of "
+     "250000", 18, ()),
+    ("x0 + " + "9" * 4301, ParseError, "number of 4301 digits is too long",
+     5, ()),
+    ("x" + "1" * 4301, ParseError, "number of 4301 digits is too long", 0, ()),
+    ("x0*x2", UnknownVariable, "variable x2 outside domain of dimension 2",
+     3, ()),
+    ("x0 - 3/0*x1", ParseError, "zero denominator", 7,
+     ("positive denominator",)),
+    ("x0 + ٣/0", ParseError, "zero denominator", 7, ("positive denominator",)),
+    ("x0^2^3", ParseError, "unexpected '^'", 4,
+     ("'+'", "'-'", "'*'", "end of input")),
+    ("x0 x1", ParseError, "unexpected '1'", 3,
+     ("'+'", "'-'", "'*'", "end of input")),
+    ("x0 + x1 +", ParseError, "unexpected end of input", 9,
+     ("number", "variable", "function", "'('")),
+    ("x0 + -", ParseError, "unexpected end of input", 6,
+     ("number", "variable", "function", "'('")),
+    ("", ParseError, "unexpected end of input", 0,
+     ("number", "variable", "function", "'('")),
+    ("x1 + 2^", ParseError, "unexpected end of input", 7,
+     ("natural exponent",)),
+    ("x0 + x", ParseError, "variable needs an index", 5, ("x<nat>",)),
+    ("x²", ParseError, "variable needs an index", 0, ("x<nat>",)),
+    ("x0 ²", ParseError, "unexpected character '²'", 3,
+     ("number", "variable", "function", "operator")),
+    ("x0 * y1", ParseError, "unknown function 'y'", 5, ("sin", "cos", "exp")),
+    ("x0 + sin(x1)", FunctionNotAllowed,
+     "function sin not allowed in a poly component", 5, ()),
+    ("x0 + 2*(x1", ParseError, "unexpected end of input", 10, ("')'",)),
+    ("-(x0", ParseError, "unexpected end of input", 4, ("')'",)),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, position, expected", ERRORS)
+def test_parse_errors_are_pinned(text, kind, message, position, expected):
+    with pytest.raises(ParseError) as err:
+        parse_component(text, 2, "poly")
+    assert type(err.value) is kind
+    assert err.value.position == position
+    assert err.value.expected == expected
+    detail = f"{message} at position {position}"
+    if expected:
+        detail += " (expected " + ", ".join(expected) + ")"
+    assert str(err.value) == detail
+
+
+def char_loop_tokenize(text):
+    """The character-by-character tokenizer the compiled pattern replaced,
+    returning (kind, text, position) triples."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            name = text[i:j]
+            if name == "x":
+                k = j
+                while k < n and text[k].isdecimal():
+                    k += 1
+                if k == j:
+                    raise ParseError("variable needs an index", i, ("x<nat>",))
+                tokens.append(("var", text[j:k], i))
+                i = k
+                continue
+            tokens.append(("name", name, i))
+            i = j
+            continue
+        if ch in "+-*^/()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i,
+                         ("number", "variable", "function", "operator"))
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position, exc.expected
+
+
+# Digits, letters, spaces and numerals of several scripts: Arabic-Indic and
+# fullwidth digits, superscripts, fractions, Roman numerals (letter-like
+# numbers that are no letters), titlecase and modifier letters, combining
+# marks, no-break and em spaces.
+TRICKY = "x0123+-*^/() \t\n_.٣٠０９²³¹½Ⅻéªǅ々ßΣ́\xa0\u2003\u3000"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(TRICKY), st.characters()),
+               max_size=12))
+def test_tokens_match_the_character_loop(text):
+    assert (tokens_or_error(_tokenize, text)
+            == tokens_or_error(char_loop_tokenize, text))
+
+
+@pytest.mark.parametrize("text", ["x²", "ab²c", "x1²", "xy1", "sin٣",
+                                  "x٣ + ½", "Ⅻx0", " \u3000x0\u2003", "x_1"])
+def test_tricky_tokens_match_the_character_loop(text):
+    assert (tokens_or_error(_tokenize, text)
+            == tokens_or_error(char_loop_tokenize, text))

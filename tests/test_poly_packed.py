@@ -204,6 +204,27 @@ def test_eval(case, point):
     assert got == ref_eval(p, point[:nvars])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), dicts(n, exponents=[0, 1, 2, 3, 15, 16, 17]))),
+    st.lists(st.floats(-2, 2), min_size=3, max_size=3))
+def test_eval_at_a_float_point_goes_term_by_term(case, point):
+    """A float point is not scaled to integers: the value and its type are
+    those of the plain term-by-term float sum."""
+    nvars, p = case
+    q = packed(nvars, p)
+    want = 0
+    for exps, coeff in q.terms:
+        c = coeff.numerator * (q._den // coeff.denominator)
+        for x, e in zip(point, exps):
+            if e:
+                c = c * x ** e
+        want += c
+    want = Fraction(want, q._den) if isinstance(want, int) else want / q._den
+    got = q.eval(point[:nvars])
+    assert type(got) is type(want) and got == want
+
+
 def routes(nvars_out):
     """A substitute that is a variable or zero: the routing path."""
     return st.one_of(
