@@ -14,14 +14,14 @@ operation builds its result's tape from its operands' tapes (`_Builder`).
 Sampled equality runs each tape once over columns of floats, one value per
 sample point.
 
-Precomposing with a renaming, a map whose components are pairwise-distinct
-variables and zeros (every structural map of the axioms but the sum,
-pushed through any number of doublings), renames the other map's tape
-(`_renamed`): its var instructions are relabelled and its trees rebuilt in
-one straight loop.  Distinct variables keep distinct instructions apart,
-so nothing is looked up until a zero, or a hand-built unfolded node, makes
-a smart constructor fold; from there on the smart constructors run where
-an operand is a constant, and a `_Builder` merges what folding made equal.
+Every rebuild of a tape under a substitution (`then`, the shifted copies
+of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
+constructors run only where an operand is a constant, and the builder
+merges what folding made equal.  Precomposing with a routing (variables
+and zeros: every structural map of the axioms but the sum, pushed through
+any number of doublings) opens that loop by relabelling the other tape's
+instructions as they stand, with no lookup, until one folds or a var
+reads a zero or a repeated variable.
 """
 
 import functools
@@ -128,10 +128,21 @@ class _Builder:
     """A tape under construction.  Instruction k is a node whose subtrees
     are replaced by the indices of their own, earlier, instructions, and
     nodes[k], its tree, is its handle: what operations pass around.
-    `intern` takes a smart constructor's result on handles to its handle."""
+    `intern` takes a smart constructor's result on handles to its handle.
+
+    The lookup tables are built when first needed (`_tables`).  Until then
+    the builder holds one lean tape's instructions as they stand, copied
+    whole or relabelled by `rewrite`, and nothing in it needs merging or
+    pruning."""
 
     def __init__(self):     # index: instruction -> k; at: id(handle) -> k
         self.code, self.nodes, self.index, self.at = [], [], {}, {}
+
+    def _tables(self):
+        if len(self.index) < len(self.code):
+            self.index = {_key(ins): k for k, ins in enumerate(self.code)}
+            self.at = {id(node): k for k, node in enumerate(self.nodes)}
+        return self.at
 
     def intern(self, node):
         at = self.at
@@ -162,96 +173,67 @@ class _Builder:
         code, roots, nodes = m.tape
         if not self.code:       # whole: one instruction per distinct subtree
             self.code, self.nodes = list(code), list(nodes)
-            self.index = {_key(ins): k for k, ins in enumerate(code)}
-            self.at = {id(node): k for k, node in enumerate(nodes)}
             return [nodes[r] for r in roots]
+        self._tables()
         new = []
         for ins, node in zip(code, nodes):
             new.append(self._add(_renumbered(ins, new), node))
         return [self.nodes[new[r]] for r in roots]
 
-    def run(self, tape, leaf, table=None):
-        """The tape's roots in `table` (default: the smart constructors),
-        each value, or each of a tuple of them, interned."""
-        post = self.intern if table is None else (
-            lambda vals: tuple(map(self.intern, vals)))
-        return _run(tape, {tag: (lambda *a, f=f: post(f(*a)))
-                           for tag, f in (table or ElemMap._ops).items()}, leaf)
-
-    def tape(self, comps):
-        """The tape of these components."""
-        return _pruned(self.code, [self.at[id(self.intern(c))] for c in comps],
-                       self.nodes)
-
-    def map(self, dom, comps):
-        return _map(dom, self.tape(comps))
-
-
-def _map(dom, tape):
-    m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
-    m.tape = code, roots, nodes = tape
-    m.dom, m.cod = dom, len(roots)
-    m.components = tuple(nodes[r] for r in roots)
-    return m
-
-
-def _renaming(m):
-    """Whether m's components are pairwise-distinct variables and zeros."""
-    seen = set()
-    for c in m.components:
-        if c[0] == "var":
-            if c[1] in seen:
-                return False
-            seen.add(c[1])
-        elif c[0] != "const" or c[1]:
-            return False
-    return True
-
-
-def _renamed(tape, reps):
-    """The tape with var j read as reps[j], the var or zero node of a
-    renaming (see the module docstring): up to the first instruction that
-    folds, each is relabelled as it stands; from there on a `_Builder`
-    merges what the smart constructors fold."""
-    code, roots, nodes = tape
-    out, trees, ops = [], [], ElemMap._ops
-    for ins in code:                # relabel, up to the first fold
-        tag = ins[0]
-        if tag == "var":
-            ins = t = reps[ins[1]]
-            if t[0] != "var":
-                break
-        elif tag == "const":
-            t = ins
-        elif tag == "add" or tag == "mul":
-            x, y = trees[ins[1]], trees[ins[2]]
-            if x[0] == "const" or y[0] == "const":
-                t = ops[tag](x, y)
-                if t is x or t is y or t[0] == "const":
-                    break
+    def rewrite(self, tape, reps):
+        """Indices of the tape's roots, its instructions rebuilt here with
+        var j read as the node reps[j]: a handle, or a var or zero leaf.
+        The smart constructors run only where an operand is a constant, an
+        instruction that folds to an operand takes the operand's index, and
+        the lookup merges what folding made equal.  Into an empty builder,
+        instructions are first relabelled as they stand, with no lookup
+        (distinct variables keep them distinct), until a var reads a zero
+        or a repeated variable or an instruction folds."""
+        code, roots, _ = tape
+        out, trees, ops = self.code, self.nodes, ElemMap._ops
+        new = []
+        if not out:
+            seen = set()
+            for ins in code:
+                tag = ins[0]
+                if tag == "var":
+                    ins = t = reps[ins[1]]
+                    if t[0] != "var" or t[1] in seen:
+                        break
+                    seen.add(t[1])
+                elif tag == "const":
+                    t = ins
+                elif tag == "add" or tag == "mul":
+                    x, y = trees[ins[1]], trees[ins[2]]
+                    if x[0] == "const" or y[0] == "const":
+                        t = ops[tag](x, y)
+                        if t is x or t is y or t[0] == "const":
+                            break
+                    else:
+                        t = (tag, x, y)
+                elif tag == "pow":
+                    x = trees[ins[1]]
+                    t = pow_(x, ins[2])
+                    if t is x or t[0] == "const":
+                        break
+                else:
+                    t = (tag, trees[ins[1]])
+                out.append(ins)
+                trees.append(t)
             else:
-                t = (tag, x, y)
-        elif tag == "pow":
-            x = trees[ins[1]]
-            t = pow_(x, ins[2])
-            if t is x or t[0] == "const":
-                break
-        else:
-            t = (tag, trees[ins[1]])
-        out.append(ins)
-        trees.append(t)
-    else:
-        return out, roots, trees
-    b = _Builder()                  # from there on, merge what folds
-    new = [b._add(ins, t) for ins, t in zip(out, trees)]
-    trees = b.nodes
-    for ins in code[len(new):]:
-        tag = ins[0]
-        if tag == "var":
-            ins = t = reps[ins[1]]
-        elif tag == "const":
-            t = ins
-        else:
+                return roots
+            new = list(range(len(out)))
+        at = self._tables()
+        for ins in code[len(new):]:
+            tag = ins[0]
+            if tag == "var":
+                t = reps[ins[1]]
+                k = at.get(id(t))
+                new.append(self._add(t, t) if k is None else k)
+                continue
+            if tag == "const":
+                new.append(self._add(ins, ins))
+                continue
             i = j = new[ins[1]]
             x = trees[i]
             if tag == "add" or tag == "mul":
@@ -268,10 +250,25 @@ def _renamed(tape, reps):
             if t is x or t is trees[j]:     # folded to an operand
                 new.append(i if t is x else j)
                 continue
-            if t[0] == "const":
-                ins = t
-        new.append(b._add(ins, t))
-    return _pruned(b.code, [new[r] for r in roots], trees)
+            new.append(self._add(t if t[0] == "const" else ins, t))
+        return [new[r] for r in roots]
+
+    def tape(self, comps):
+        """The tape of these components: handles, or trees to intern."""
+        at = self._tables()
+        return _pruned(self.code, [at[id(self.intern(c))] for c in comps],
+                       self.nodes)
+
+    def map(self, dom, comps):
+        return _map(dom, self.tape(comps))
+
+
+def _map(dom, tape):
+    m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
+    m.tape = code, roots, nodes = tape
+    m.dom, m.cod = dom, len(roots)
+    m.components = tuple(nodes[r] for r in roots)
+    return m
 
 
 def _pruned(code, roots, nodes):
@@ -408,44 +405,50 @@ class ElemMap(CoordMap):
     def _variable(nvars, j):
         return var(j)
 
+    @staticmethod
+    def _route(c):
+        if c[0] == "var":
+            return c[1]
+        return -1 if c[0] == "const" and not c[1] else None
+
     def _combine(self, dom, parts, build):
         b = _Builder()
-        blocks = [b.copy(m) if offset is None else b.run(
-                      m.tape, lambda ins, o=offset:
-                      var(ins[1] + o) if ins[0] == "var" else ins)
+        blocks = [b.copy(m) if offset is None else
+                  [b.nodes[k] for k in b.rewrite(
+                      m.tape, [var(j + offset) for j in range(m.dom)])]
                   for m, offset in parts]
         return b.map(dom, build(blocks))
 
     def then(self, other):
         """other's components with x_j replaced by self's component j.
 
-        When self's components are pairwise-distinct variables and zeros,
-        this is a renaming: other's var instructions are relabelled and its
-        trees rebuilt in one pass, and the smart constructors and the
-        builder's lookup run only from a zero or a hand-built unfolded node
-        upwards.  Any other self is substituted through the smart
-        constructors."""
+        other's tape is rewritten with each var instruction read as self's
+        component: as it stands when self only routes variables (see
+        `CoordMap._routes`), else as the handle of a copy of self's tape."""
         self._require_composable(other)
+        b = _Builder()
         try:
-            if _renaming(self):
-                return _map(self.dom, _renamed(other.tape, self.components))
-            b = _Builder()
-            reps = b.copy(self)
-            comps = b.run(other.tape, lambda ins:
-                          reps[ins[1]] if ins[0] == "var" else ins)
+            reps = (self.components if self._routes() is not None
+                    else b.copy(self))
+            roots = b.rewrite(other.tape, reps)
         except OverflowError as exc:    # a constant power over the limit
             raise EngineError(str(exc)) from None
-        return b.map(self.dom, comps)
+        tape = b.code, roots, b.nodes
+        if len(b.index) < len(b.code):      # no lookup needed: lean
+            return _map(self.dom, tape)
+        return _map(self.dom, _pruned(*tape))
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction),
         one forward-mode run per variable the components read."""
         d, b = self.dom, _Builder()
         zero, one = b.intern(const(0)), b.intern(const(1))
+        pairs = {tag: (lambda *a, f=f: tuple(map(b.intern, f(*a))))
+                 for tag, f in _PAIRS.items()}
         comps = [zero] * self.cod
         for j in sorted({ins[1] for ins in self.tape[0] if ins[0] == "var"}):
-            partials = b.run(self.tape, lambda ins: (
-                b.intern(ins), one if ins == ("var", j) else zero), _PAIRS)
+            partials = _run(self.tape, pairs, lambda ins: (
+                b.intern(ins), one if ins == ("var", j) else zero))
             comps = [b.intern(add(total, mul(dt, var(d + j))))
                      for total, (_, dt) in zip(comps, partials)]
         return b.map(2 * d, comps)

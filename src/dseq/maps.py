@@ -56,12 +56,15 @@ class CoordMap:
     `map_class`, and supplies the component algebra the parser also builds
     with: `_constant`, `_variable`, `_ops` (add, sum, mul, pow and the
     functions the base admits); plus `_check_components`, `_combine`,
-    `then`, `differential`, `eval` and `equal_witness`.  Composition is
-    written diagrammatically: f.then(g) runs f first.
+    `_route`, `then`, `differential`, `eval` and `equal_witness`.
+    Composition is written diagrammatically: f.then(g) runs f first.
 
     `_combine(dom, parts, build)` makes a map on `dom` variables from the
     components `build(blocks)` yields, one block per (map, offset) part:
     its components, moved up by `offset` variables unless that is None.
+
+    `_route(c)` is the index of the variable the component c is, -1 if c
+    is zero, and None otherwise; `_routes` reads it off every component.
     """
 
     base = None
@@ -100,6 +103,14 @@ class CoordMap:
         if len(point) != self.dom:
             raise DimensionMismatch(
                 f"point of length {len(point)} for domain {self.dom}")
+
+    def _routes(self):
+        """The variable or zero each component is, or None: precomposing
+        with a map whose components are all variables and zeros (every
+        structural map but the sum, pushed through any number of
+        doublings) only moves and drops the other map's variables."""
+        routes = [self._route(c) for c in self.components]
+        return None if None in routes else routes
 
     def pair(self, other):
         """Pairing into the product of the codomains."""

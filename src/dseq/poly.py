@@ -389,13 +389,12 @@ class Poly:
 
     def subst(self, maps, nvars_out, powers=None):
         """Substitute variable j := maps[j]; all maps live in nvars_out
-        variables.  `powers`, a _Powers of the same maps, may be shared by
-        calls with the same maps."""
+        variables.  `powers`, a dict of maps[j] ** e under the key (j, e),
+        may be shared by calls with the same maps.  A map whose components
+        are variables and zeros composes by `_routed` instead."""
         assert len(maps) == self.nvars
         if powers is None:
-            powers = _Powers(maps, nvars_out)
-        if powers.routes is not None:
-            return self._routed(powers.routes, nvars_out)
+            powers = {}
         n, w = self.nvars, self._w
         low = (1 << (n * w)) - 1
         total = _Sum(nvars_out)
@@ -437,54 +436,24 @@ class Poly:
 
     def _routed(self, routes, nvars_out):
         """Substitution where variable j becomes variable routes[j], or
-        zero where routes[j] < 0: exponents move field by field."""
+        zero where routes[j] < 0: each monomial's nonzero fields move."""
         n, w = self.nvars, self._w
-        mask = (1 << w) - 1
-        dead = 0
-        moves = []
-        for j, r in enumerate(routes):
-            if r < 0:
-                dead |= mask << ((n - 1 - j) * w)
-            else:
-                moves.append(((n - 1 - j) * w, (nvars_out - 1 - r) * w))
         top, new_top = n * w, nvars_out * w
+        low = (1 << top) - 1
+        # to[s // w] is where the field at shift s goes, -1 for nowhere
+        to = [(nvars_out - 1 - r) * w if r >= 0 else -1
+              for r in reversed(routes)]
         acc = {}
         for m, c in zip(self._mons, self._nums):
-            if m & dead:
-                continue
             out = (m >> top) << new_top
-            for src, dst in moves:
-                out += ((m >> src) & mask) << dst
-            acc[out] = acc.get(out, 0) + c
+            for shift, e in _factors(m & low, w):
+                dst = to[shift // w]
+                if dst < 0:
+                    break
+                out += e << dst
+            else:
+                acc[out] = acc.get(out, 0) + c
         return _normal(nvars_out, w, acc, self._den)
-
-
-class _Powers(dict):
-    """Cache of maps[j] ** e under the key (j, e) for substitutions into one
-    list of maps, holding also their _routes, found once for all of them."""
-
-    def __init__(self, maps, nvars_out):
-        super().__init__()
-        self.routes = _routes(maps, nvars_out)
-
-
-def _routes(maps, nvars_out):
-    """Index of the variable each substitute is, or -1 for zero; None
-    unless every substitute is a variable or zero."""
-    routes = []
-    top = nvars_out * _NARROW
-    for q in maps:
-        if not q._mons:
-            routes.append(-1)
-            continue
-        if len(q._mons) != 1 or q._nums[0] != 1 or q._den != 1:
-            return None
-        m = q._mons[0]
-        if m >> top != 1:
-            return None
-        routes.append(nvars_out - 1 - ((m & ((1 << top) - 1)).bit_length()
-                                       - 1) // _NARROW)
-    return routes
 
 
 class PolyMap(CoordMap):
@@ -502,6 +471,16 @@ class PolyMap(CoordMap):
     _constant = staticmethod(Poly.constant)
     _variable = staticmethod(Poly.variable)
 
+    @staticmethod
+    def _route(p):
+        if not p._mons:
+            return -1
+        top = p.nvars * p._w
+        if p._nums != (1,) or p._den != 1 or p._mons[0] >> top != 1:
+            return None
+        return p.nvars - 1 - ((p._mons[0] & ((1 << top) - 1)).bit_length()
+                              - 1) // p._w
+
     _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow,
             "sum": _sum}
 
@@ -514,9 +493,12 @@ class PolyMap(CoordMap):
     def then(self, other):
         """Diagrammatic composite: self first, then other."""
         self._require_composable(other)
-        maps = self.components
-        powers = _Powers(maps, self.dom)
-        comps = [p.subst(maps, self.dom, powers) for p in other.components]
+        routes = self._routes()
+        if routes is not None:
+            comps = [p._routed(routes, self.dom) for p in other.components]
+        else:
+            maps, powers = self.components, {}
+            comps = [p.subst(maps, self.dom, powers) for p in other.components]
         return PolyMap(self.dom, other.cod, comps)
 
     def __neg__(self):

@@ -159,6 +159,22 @@ def test_check_text_format(capsys):
     assert out.rstrip().endswith("PASS")
 
 
+@pytest.mark.parametrize("suite", ["cd", "all"])
+@pytest.mark.parametrize("dom,cod,components", [(0, 1, ["sin(3)"]),
+                                                (1, 0, [])])
+def test_check_elementary_map_on_or_into_no_coordinates(tmp_path, capsys,
+                                                        suite, dom, cod,
+                                                        components):
+    # the CD partner maps draw no coordinate leaves on a 0-dim domain
+    src = write_json(tmp_path / "map.json",
+                     {"base": "elementary", "dom": dom, "cod": cod,
+                      "components": components})
+    code, out, err = run(capsys, "check", "--input", src, "--suite", suite,
+                         "--format", "text", "--trials", "2")
+    assert code == 0 and out.rstrip().endswith("PASS")
+    assert "Traceback" not in err
+
+
 def test_check_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"base\": \"poly\"}", encoding="utf-8")

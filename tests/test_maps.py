@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dseq.errors import DimensionMismatch, TagMismatch
-from dseq.maps import (canonical_map, identity, map_class, pfunctor_apply,
-                       proj, zero_map)
+from dseq.maps import (_pushed, canonical_map, identity, map_class,
+                       pfunctor_apply, proj, zero_map)
 from dseq.parser import parse_map
 from dseq.poly import Poly
 
@@ -94,6 +94,25 @@ def test_elem_canonical_maps_match_poly_semantics():
     assert z.eval([2.0]) == pytest.approx((2.0, 0.0))
     fl = canonical_map("flip", 1, "elementary")
     assert fl.eval([1.0, 2.0, 3.0, 4.0]) == pytest.approx((1.0, 3.0, 2.0, 4.0))
+
+
+@pytest.mark.parametrize("kind", ["zpair", "sumv", "sumproj0", "sumproj1",
+                                  "lift", "flip", "proj0"])
+def test_routes_agree_on_both_bases(kind):
+    """Every pushed structural map but the sum's is a routing, read the same
+    off both bases: component i is variable routes[i], or zero where -1."""
+    for dim in (1, 2):
+        for k in range(4):
+            maps = {base: _pushed(kind, dim, k, base)
+                    for base in ("poly", "elementary")}
+            routes = maps["poly"]._routes()
+            assert maps["elementary"]._routes() == routes
+            assert (routes is None) == (kind == "sumv")
+            for base, m in maps.items():
+                cls = map_class(base)
+                assert routes is None or list(m.components) == [
+                    cls._variable(m.dom, r) if r >= 0
+                    else cls._constant(m.dom, 0) for r in routes]
 
 
 def test_map_class_rejects_unknown_tag():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dseq.errors import DimensionMismatch
-from dseq.maps import identity, pfunctor_apply, proj, zero_map
+from dseq.maps import CoordMap, identity, pfunctor_apply, proj, zero_map
 from dseq.poly import Poly, PolyMap
 
 
@@ -67,14 +67,14 @@ def test_subst_coordinate_fast_path():
     q = p.subst(maps, 3)
     x = [Poly.variable(3, i) for i in range(3)]
     assert q == x[2] * x[0] + x[2] ** 2
+    assert PolyMap(3, 2, maps).then(PolyMap(2, 1, [p])).components == (q,)
 
 
 def test_then_finds_routes_once(monkeypatch):
     # a routing `then` checks its substitutes once, not once per component
-    import dseq.poly
     calls = []
-    routes = dseq.poly._routes
-    monkeypatch.setattr(dseq.poly, "_routes",
+    routes = CoordMap._routes
+    monkeypatch.setattr(CoordMap, "_routes",
                         lambda *args: calls.append(args) or routes(*args))
     swap = PolyMap(2, 2, [Poly.variable(2, 1), Poly.variable(2, 0)])
     x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)

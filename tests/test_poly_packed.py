@@ -254,9 +254,12 @@ def substitutions(draw, general):
                  (2, 0, 0): Fraction(1, 2)},
           [{(1, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]))
 def test_subst_routing(case):
+    """A `then` whose first map's components are variables and zeros moves
+    the exponent fields of the second map's monomials."""
     nvars, nvars_out, p, maps = case
-    got = packed(nvars, p).subst([packed(nvars_out, q) for q in maps],
-                                 nvars_out)
+    routing = PolyMap(nvars_out, nvars, [packed(nvars_out, q) for q in maps])
+    assert routing._routes() is not None
+    (got,) = routing.then(PolyMap(nvars, 1, [packed(nvars, p)])).components
     same(got, nvars_out, ref_subst(p, maps, nvars_out))
 
 

@@ -380,8 +380,9 @@ def test_zero_power_keeps_the_run_per_point_rule():
     assert any(p[0] > 0.71 for p in g.sample_points())
 
 
-# Precomposing with a renaming (pairwise-distinct variables and zeros) renames
-# the other map's tape; every other left operand is substituted as before.
+# Precomposing with a routing (variables and zeros) rewrites the other map's
+# tape into an empty builder, opening with a relabelled stretch; every other
+# left operand is copied first, and its components substituted as handles.
 
 KINDS = ("zpair", "sumv", "sumproj0", "sumproj1", "lift", "flip")
 
@@ -392,7 +393,7 @@ def structural(kind, dim, k):
 
 
 def renamings():
-    """Maps whose components are pairwise-distinct variables and zeros."""
+    """Maps whose components are variables and zeros."""
     for kind in KINDS:
         if kind != "sumv":      # (a, b + c) is not a renaming
             for k in range(4):
@@ -402,6 +403,7 @@ def renamings():
     yield coord_slice(5, 1, 3, "elementary")
     yield pfunctor_apply(proj(1, 1, 0, "elementary"), 2)
     yield zero_map(3, 4, "elementary")
+    yield ElemMap(2, 4, [var(0), var(1), var(0), const(0)])    # a diagonal
 
 
 def unfolded(rng, nvars):
@@ -421,15 +423,15 @@ def assert_then_matches_reference(h, m):
 
 
 def test_then_after_a_routing_matches_reference(monkeypatch):
-    """Renamings take the renaming branch, and the sum, a diagonal and a
-    nonzero constant the general one; both agree with the reference."""
+    """Renamings, a diagonal among them, rewrite into an empty builder (the
+    renaming mode), and the sum and a nonzero constant after a copy of the
+    left operand; both agree with the reference."""
     renamed = []
-    real = expr._renamed
-    monkeypatch.setattr(expr, "_renamed",
-                        lambda *a: renamed.append(a) or real(*a))
+    real = expr._Builder.rewrite
+    monkeypatch.setattr(expr._Builder, "rewrite", lambda b, *a: renamed.append(
+        not b.code) or real(b, *a))
     rng = random.Random(20182)
     general = [structural("sumv", 1, k) for k in range(3)] + [
-        ElemMap(2, 4, [var(0), var(1), var(0), const(0)]),    # a diagonal
         ElemMap(3, 3, [var(2), const(3), var(0)])]
     for h, renames in [(h, True) for h in renamings()] + [
             (h, False) for h in general]:
@@ -442,7 +444,7 @@ def test_then_after_a_routing_matches_reference(monkeypatch):
                    ("mul", ts[1], ts[-1]), mul(ts[1], ts[0])]
             renamed.clear()
             assert_then_matches_reference(h, ElemMap(h.cod, len(ts), ts))
-            assert len(renamed) == renames
+            assert renamed == [renames]
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,6 +461,22 @@ def test_then_after_a_pushed_structural_map_matches_reference(data):
                           for _ in range(h.cod)])
     ts += [moved, sin(mul(t, ts[-1])), sin(mul(moved, ts[-1]))]
     assert_then_matches_reference(h, ElemMap(h.cod, len(ts), ts))
+
+
+def test_pfunctor_apply_refolds_hand_built_trees():
+    """Each shifted copy, the first included, runs the smart constructors
+    where the hand-built tree skipped them."""
+    rng = random.Random(20183)
+    for _ in range(40):
+        ts = [unfolded(rng, DOM), unfolded(rng, DOM), wild_tree(rng, 4)]
+        ts.append(("mul", ts[0], ts[2]))
+        h = ElemMap(DOM, len(ts), ts)
+        for k in range(3):
+            got = pfunctor_apply(h, k)
+            assert list(got.components) == [
+                ref_subst(t, [var(c * DOM + i) for i in range(DOM)])
+                for c in range(1 << k) for t in ts]
+            assert_lean_tape(got)
 
 
 def test_then_keeps_the_digit_limit_an_engine_error():
