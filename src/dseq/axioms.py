@@ -21,7 +21,7 @@ with DS.1 .. DS.4 the tower-level counterparts.
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .maps import _pushed, coord_slice, zero_map
+from .maps import canonical_map, coord_slice, pfunctor_apply, zero_map
 from .reports import LawReport, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity, seq_zero
 
@@ -54,7 +54,8 @@ def check_ds_primed(seq, tol=None):
         zero = zero_map(seq.dom << n, seq.cod, seq.base)
         for k in range(n + 1):
             def along(kind, m):
-                return _pushed(kind, seq.dom << (n - k), k, seq.base).then(m)
+                h = canonical_map(kind, seq.dom << (n - k), seq.base)
+                return pfunctor_apply(h, k).then(m)
 
             for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
                 report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,
@@ -72,10 +73,8 @@ def check_ds_unprimed(seq, tol=None):
         second = first.differential() if first.order else None
         zero = seq_zero(seq.dom << n, seq.cod, first.order, seq.base)
 
-        def along(kind, m):     # m.lmul(canonical_map(kind, seq.dom << n))
-            terms = tuple(_pushed(kind, seq.dom << n, j, seq.base).then(f)
-                          for j, f in enumerate(m.terms))
-            return PreDSeq(terms[0].dom, m.cod, terms)
+        def along(kind, m):
+            return m.lmul(canonical_map(kind, seq.dom << n, seq.base))
 
         for axiom, _, lhs, rhs in _ds_laws(along, first, second, zero):
             report.add(seq_entry(axiom, n, 0, lhs, rhs, tol))

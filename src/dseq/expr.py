@@ -189,69 +189,72 @@ class _Builder:
         instructions are first relabelled as they stand, with no lookup
         (distinct variables keep them distinct), until a var reads a zero
         or a repeated variable or an instruction folds."""
-        code, roots, _ = tape
-        out, trees, ops = self.code, self.nodes, ElemMap._ops
-        new = []
-        if not out:
-            seen = set()
-            for ins in code:
-                tag = ins[0]
-                if tag == "var":
-                    ins = t = reps[ins[1]]
-                    if t[0] != "var" or t[1] in seen:
-                        break
-                    seen.add(t[1])
-                elif tag == "const":
-                    t = ins
-                elif tag == "add" or tag == "mul":
-                    x, y = trees[ins[1]], trees[ins[2]]
-                    if x[0] == "const" or y[0] == "const":
-                        t = ops[tag](x, y)
-                        if t is x or t is y or t[0] == "const":
+        try:
+            code, roots, _ = tape
+            out, trees, ops = self.code, self.nodes, ElemMap._ops
+            new = []
+            if not out:
+                seen = set()
+                for ins in code:
+                    tag = ins[0]
+                    if tag == "var":
+                        ins = t = reps[ins[1]]
+                        if t[0] != "var" or t[1] in seen:
+                            break
+                        seen.add(t[1])
+                    elif tag == "const":
+                        t = ins
+                    elif tag == "add" or tag == "mul":
+                        x, y = trees[ins[1]], trees[ins[2]]
+                        if x[0] == "const" or y[0] == "const":
+                            t = ops[tag](x, y)
+                            if t is x or t is y or t[0] == "const":
+                                break
+                        else:
+                            t = (tag, x, y)
+                    elif tag == "pow":
+                        x = trees[ins[1]]
+                        t = pow_(x, ins[2])
+                        if t is x or t[0] == "const":
                             break
                     else:
-                        t = (tag, x, y)
-                elif tag == "pow":
-                    x = trees[ins[1]]
-                    t = pow_(x, ins[2])
-                    if t is x or t[0] == "const":
-                        break
+                        t = (tag, trees[ins[1]])
+                    out.append(ins)
+                    trees.append(t)
                 else:
-                    t = (tag, trees[ins[1]])
-                out.append(ins)
-                trees.append(t)
-            else:
-                return roots
-            new = list(range(len(out)))
-        at = self._tables()
-        for ins in code[len(new):]:
-            tag = ins[0]
-            if tag == "var":
-                t = reps[ins[1]]
-                k = at.get(id(t))
-                new.append(self._add(t, t) if k is None else k)
-                continue
-            if tag == "const":
-                new.append(self._add(ins, ins))
-                continue
-            i = j = new[ins[1]]
-            x = trees[i]
-            if tag == "add" or tag == "mul":
-                j = new[ins[2]]
-                y = trees[j]
-                t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
-                     else (tag, x, y))
-                ins = (tag, i, j)
-            elif tag == "pow":
-                t = pow_(x, ins[2])
-                ins = ("pow", i, ins[2])
-            else:
-                ins, t = (tag, i), (tag, x)
-            if t is x or t is trees[j]:     # folded to an operand
-                new.append(i if t is x else j)
-                continue
-            new.append(self._add(t if t[0] == "const" else ins, t))
-        return [new[r] for r in roots]
+                    return roots
+                new = list(range(len(out)))
+            at = self._tables()
+            for ins in code[len(new):]:
+                tag = ins[0]
+                if tag == "var":
+                    t = reps[ins[1]]
+                    k = at.get(id(t))
+                    new.append(self._add(t, t) if k is None else k)
+                    continue
+                if tag == "const":
+                    new.append(self._add(ins, ins))
+                    continue
+                i = j = new[ins[1]]
+                x = trees[i]
+                if tag == "add" or tag == "mul":
+                    j = new[ins[2]]
+                    y = trees[j]
+                    t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
+                         else (tag, x, y))
+                    ins = (tag, i, j)
+                elif tag == "pow":
+                    t = pow_(x, ins[2])
+                    ins = ("pow", i, ins[2])
+                else:
+                    ins, t = (tag, i), (tag, x)
+                if t is x or t is trees[j]:     # folded to an operand
+                    new.append(i if t is x else j)
+                    continue
+                new.append(self._add(t if t[0] == "const" else ins, t))
+            return [new[r] for r in roots]
+        except OverflowError as exc:    # a constant power over the limit
+            raise EngineError(str(exc)) from None
 
     def tape(self, comps):
         """The tape of these components: handles, or trees to intern."""
@@ -266,7 +269,7 @@ class _Builder:
 def _map(dom, tape):
     m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
     m.tape = code, roots, nodes = tape
-    m.dom, m.cod = dom, len(roots)
+    m.dom, m.cod, m._kept = dom, len(roots), {}
     m.components = tuple(nodes[r] for r in roots)
     return m
 
@@ -427,12 +430,8 @@ class ElemMap(CoordMap):
         `CoordMap._routes`), else as the handle of a copy of self's tape."""
         self._require_composable(other)
         b = _Builder()
-        try:
-            reps = (self.components if self._routes() is not None
-                    else b.copy(self))
-            roots = b.rewrite(other.tape, reps)
-        except OverflowError as exc:    # a constant power over the limit
-            raise EngineError(str(exc)) from None
+        reps = self.components if self._routes() is not None else b.copy(self)
+        roots = b.rewrite(other.tape, reps)
         tape = b.code, roots, b.nodes
         if len(b.index) < len(b.code):      # no lookup needed: lean
             return _map(self.dom, tape)

@@ -4,20 +4,20 @@ Every space is a finite coordinate space identified by its dimension.  A
 map carries one component per output coordinate; `CoordMap` owns what
 every base shares (signatures, pairing, sums), each base subclass supplies
 its algebra, and `identity`, `zero_map`, `coord_slice` and `proj` build
-structural maps of any base from its leaves.  The doubling functor
+structural maps of any base from its leaves; `canonical_map` builds the
+structural block maps of the axioms from one table.  The doubling functor
 `pfunctor_apply` sends a map to block-diagonal copies of itself; its n-th
 power acts on 2^n stacked blocks, indexed so that bit 0 of a block index
 is the innermost doubling.
 
+A map keeps its doublings and its routes (`_routes`) once asked for them.
 The axiom checkers and the tangent precompose terms with a few dozen
-structural maps pushed through k doublings, each many times over (both DS
-checkers on an order-4 tower read 56).  `_pushed` builds each once and
-keeps the 128 most recently used, keyed by (kind, block size, k, base)
-rather than by the map, whose trees are never hashed.
+structural maps pushed through k doublings, each many times over, so the
+cached `canonical_map` builds each doubling once per process.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 
 from .errors import DimensionMismatch, EngineError, TagMismatch
@@ -65,10 +65,12 @@ class CoordMap:
 
     `_route(c)` is the index of the variable the component c is, -1 if c
     is zero, and None otherwise; `_routes` reads it off every component.
+    `_kept` holds what was worked out once for the map: its doublings
+    under k and its routes under "routes".
     """
 
     base = None
-    __slots__ = ("dom", "cod", "components")
+    __slots__ = ("dom", "cod", "components", "_kept")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -82,6 +84,7 @@ class CoordMap:
         self.dom = dom
         self.cod = cod
         self.components = components
+        self._kept = {}
         self._check_components()
 
     def _require_same_kind(self, other):
@@ -109,8 +112,11 @@ class CoordMap:
         with a map whose components are all variables and zeros (every
         structural map but the sum, pushed through any number of
         doublings) only moves and drops the other map's variables."""
-        routes = [self._route(c) for c in self.components]
-        return None if None in routes else routes
+        kept = self._kept
+        if "routes" not in kept:
+            routes = tuple(map(self._route, self.components))
+            kept["routes"] = None if None in routes else routes
+        return kept["routes"]
 
     def pair(self, other):
         """Pairing into the product of the codomains."""
@@ -178,55 +184,48 @@ def coord_slice(total, start, size, base="poly"):
 
 
 def pfunctor_apply(h, k):
-    """k-fold doubling: 2^k block-diagonal copies of h."""
+    """k-fold doubling: 2^k block-diagonal copies of h, built once and
+    kept on h."""
     assert k >= 0
-    return h._combine(h.dom << k, [(h, c * h.dom) for c in range(1 << k)],
-                      chain.from_iterable)
+    kept = h._kept
+    if k not in kept:
+        kept[k] = h._combine(h.dom << k,
+                             [(h, c * h.dom) for c in range(1 << k)],
+                             chain.from_iterable)
+    return kept[k]
 
 
-@lru_cache(maxsize=128)
-def _pushed(kind, dim, k, base):
-    """canonical_map(kind, dim, base), or for kind "proj0" the projection
-    X^2 -> X, (a, b) |-> a, pushed through k doublings."""
-    h = (proj(dim, dim, 0, base) if kind == "proj0"
-         else canonical_map(kind, dim, base))
-    return pfunctor_apply(h, k)
+# kind: (input blocks, source of each output block), a source being an
+# input block's index, None for a zero block, or a pair of input blocks
+# for their sum.
+_STRUCTURAL = {
+    "zpair": (1, (0, None)),            # x |-> (x, 0)
+    "sumv": (3, (0, (1, 2))),           # (a, b, c) |-> (a, b + c)
+    "sumproj0": (3, (0, 1)),            # (a, b, c) |-> (a, b)
+    "sumproj1": (3, (0, 2)),            # (a, b, c) |-> (a, c)
+    "lift": (2, (0, None, None, 1)),    # (a, b) |-> (a, 0, 0, b)
+    "flip": (4, (0, 2, 1, 3)),          # (a, b, c, d) |-> (a, c, b, d)
+    "proj0": (2, (0,)),                 # (a, b) |-> a, the tangent's base
+}
 
 
 @lru_cache(maxsize=None)
 def canonical_map(kind, dim, base="poly"):
-    """Structural block maps used by the axiom checkers, built at block size dim.
+    """The structural block map `kind` of `_STRUCTURAL`, at block size dim."""
+    try:
+        blocks, sources = _STRUCTURAL[kind]
+    except KeyError:
+        raise ValueError(f"unknown canonical map kind {kind!r}") from None
+    total = blocks * dim
 
-    zpair:    X -> X^2          x |-> (x, 0)
-    sumv:     X^3 -> X^2        (a, b, c) |-> (a, b + c)
-    sumproj0: X^3 -> X^2        (a, b, c) |-> (a, b)
-    sumproj1: X^3 -> X^2        (a, b, c) |-> (a, c)
-    lift:     X^2 -> X^4        (a, b) |-> (a, 0, 0, b)
-    flip:     X^4 -> X^4        (a, b, c, d) |-> (a, c, b, d)
-    """
-    d = dim
-    if kind == "zpair":
-        return identity(d, base).pair(zero_map(d, d, base))
-    if kind == "sumv":
-        second = (coord_slice(3 * d, d, d, base)
-                  + coord_slice(3 * d, 2 * d, d, base))
-        return coord_slice(3 * d, 0, d, base).pair(second)
-    if kind == "sumproj0":
-        return coord_slice(3 * d, 0, 2 * d, base)
-    if kind == "sumproj1":
-        return coord_slice(3 * d, 0, d, base).pair(
-            coord_slice(3 * d, 2 * d, d, base))
-    if kind == "lift":
-        top = coord_slice(2 * d, 0, d, base).pair(zero_map(2 * d, d, base))
-        bottom = zero_map(2 * d, d, base).pair(coord_slice(2 * d, d, d, base))
-        return top.pair(bottom)
-    if kind == "flip":
-        blocks = [coord_slice(4 * d, i * d, d, base) for i in (0, 2, 1, 3)]
-        out = blocks[0]
-        for b in blocks[1:]:
-            out = out.pair(b)
-        return out
-    raise ValueError(f"unknown canonical map kind {kind!r}")
+    def block(source):
+        if source is None:
+            return zero_map(total, dim, base)
+        if isinstance(source, tuple):
+            return block(source[0]) + block(source[1])
+        return coord_slice(total, source * dim, dim, base)
+
+    return reduce(lambda out, b: out.pair(b), map(block, sources))
 
 
 def compare_maps(f, g, tol=None):

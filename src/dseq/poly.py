@@ -327,15 +327,12 @@ class Poly:
                        [c1 * c for c in p._nums], self._den * other._den)
 
     def __pow__(self, n):
+        """Square-and-multiply from p itself, so p ** 1 is p."""
         assert n >= 0
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else Poly.constant(self.nvars, 1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def partial(self, j):
         """Partial derivative with respect to variable j."""

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import _pushed, coord_slice, pfunctor_apply, proj, zero_map
+from .maps import (canonical_map, coord_slice, pfunctor_apply, proj,
+                   zero_map)
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,14 @@ class PreDSeq:
         return PreDSeq(2 * self.dom, self.cod, self.terms[1:])
 
     def tangent(self):
-        """Tangent tower: n-th term pairs f_n at the even blocks with f_{n+1}.
-        Costs one order."""
+        """The tangent tower T f = <f o pi0, D f>: f precomposed with the
+        projection pi0 (a, b) |-> a by the left scalar action, paired with
+        its shift.  Costs one order."""
         if self.order < 1:
             raise InsufficientOrder("tangent needs order >= 1")
-        terms = []
-        for n in range(self.order):
-            left = _pushed("proj0", self.dom, n, self.base).then(self.terms[n])
-            terms.append(left.pair(self.terms[n + 1]))
-        return PreDSeq(2 * self.dom, 2 * self.cod, tuple(terms))
+        pi0 = canonical_map("proj0", self.dom, self.base)
+        return self.truncate(self.order - 1).lmul(pi0).pair(
+            self.differential())
 
     def lmul(self, h):
         """Left scalar action: reparameterize by h through every doubling."""

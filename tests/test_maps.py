@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dseq.errors import DimensionMismatch, TagMismatch
-from dseq.maps import (_pushed, canonical_map, identity, map_class,
-                       pfunctor_apply, proj, zero_map)
-from dseq.parser import parse_map
+from dseq.maps import (canonical_map, coord_slice, identity,
+                       map_class, pfunctor_apply, proj, zero_map)
+from dseq.parser import format_map, parse_map
 from dseq.poly import Poly
 
 
@@ -103,7 +103,7 @@ def test_routes_agree_on_both_bases(kind):
     off both bases: component i is variable routes[i], or zero where -1."""
     for dim in (1, 2):
         for k in range(4):
-            maps = {base: _pushed(kind, dim, k, base)
+            maps = {base: pfunctor_apply(canonical_map(kind, dim, base), k)
                     for base in ("poly", "elementary")}
             routes = maps["poly"]._routes()
             assert maps["elementary"]._routes() == routes
@@ -113,6 +113,64 @@ def test_routes_agree_on_both_bases(kind):
                 assert routes is None or list(m.components) == [
                     cls._variable(m.dom, r) if r >= 0
                     else cls._constant(m.dom, 0) for r in routes]
+
+
+def hand_built(kind, d, base):
+    """The structural block maps as they were spelled one by one, kept as
+    the reference for the table in `maps`."""
+    def s(total, start, size):
+        return coord_slice(total, start, size, base)
+
+    if kind == "proj0":
+        return proj(d, d, 0, base)
+    if kind == "zpair":
+        return identity(d, base).pair(zero_map(d, d, base))
+    if kind == "sumv":
+        return s(3 * d, 0, d).pair(s(3 * d, d, d) + s(3 * d, 2 * d, d))
+    if kind == "sumproj0":
+        return s(3 * d, 0, 2 * d)
+    if kind == "sumproj1":
+        return s(3 * d, 0, d).pair(s(3 * d, 2 * d, d))
+    if kind == "lift":
+        return s(2 * d, 0, d).pair(zero_map(2 * d, d, base)).pair(
+            zero_map(2 * d, d, base).pair(s(2 * d, d, d)))
+    assert kind == "flip"
+    out = s(4 * d, 0, d)
+    for i in (2, 1, 3):
+        out = out.pair(s(4 * d, i * d, d))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["zpair", "sumv", "sumproj0", "sumproj1",
+                                  "lift", "flip", "proj0"])
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_table_builds_the_hand_built_structural_maps(kind, base):
+    for dim in (1, 2, 3):
+        got, want = canonical_map(kind, dim, base), hand_built(kind, dim, base)
+        assert type(got) is type(want)
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert got.components == want.components
+        assert format_map(got) == format_map(want)
+
+
+def test_routes_are_scanned_once_per_map(monkeypatch):
+    """A map keeps its routes: repeated `then`s with one left operand scan
+    its components once, on both bases."""
+    found = {}
+    for base in ("poly", "elementary"):
+        cls = map_class(base)
+        scanned = []
+        real = cls._route
+        monkeypatch.setattr(cls, "_route", staticmethod(
+            lambda c, real=real, scanned=scanned: scanned.append(c)
+            or real(c)))
+        h = pfunctor_apply(hand_built("lift", 1, base), 2)
+        f = parse_map(["x0*x3 + x1", "x2^2"], h.cod, 2, base)
+        for _ in range(3):
+            h.then(f)
+        assert len(scanned) == h.cod
+        found[base] = h._routes()
+    assert found["poly"] == found["elementary"] is not None
 
 
 def test_map_class_rejects_unknown_tag():

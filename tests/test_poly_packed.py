@@ -8,6 +8,7 @@ Exponents are drawn around field-width boundaries, coefficients with mixed
 denominators, and sums are drawn to cancel.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -149,6 +150,28 @@ def test_mul(case):
 def test_pow(case):
     nvars, p, k = case
     same(packed(nvars, p) ** k, nvars, ref_pow(p, k, nvars))
+
+
+def test_pow_is_the_repeated_product_from_the_first_factor(monkeypatch):
+    """p ** n equals p * ... * p, wide fields included; p ** 1 is p and
+    runs no multiplication."""
+    rng = random.Random(20184)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        p = packed(nvars, ref_dict(
+            [(tuple(rng.choice(EXPONENTS[:9]) for _ in range(nvars)),
+              Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+             for _ in range(rng.randint(1, 3))]))
+        product = Poly.constant(nvars, 1)
+        for n in range(7):
+            assert p ** n == product
+            product = product * p
+    products = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(
+        (a, b)) or real(a, b))
+    wide = packed(2, {(17, 0): Fraction(1), (1, 1): Fraction(-2, 3)})
+    assert wide ** 1 is wide and not products
 
 
 @settings(max_examples=100, deadline=None)
