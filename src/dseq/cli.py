@@ -15,6 +15,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -276,7 +277,10 @@ def cmd_selftest(args):
     return 0 if result["pass"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing reads it and
+    changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="dseq",
         description="Exact higher-order differentiation over truncated "

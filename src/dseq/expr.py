@@ -445,11 +445,15 @@ class ElemMap(CoordMap):
         pairs = {tag: (lambda *a, f=f: tuple(map(b.intern, f(*a))))
                  for tag, f in _PAIRS.items()}
         comps = [zero] * self.cod
-        for j in sorted({ins[1] for ins in self.tape[0] if ins[0] == "var"}):
-            partials = _run(self.tape, pairs, lambda ins: (
-                b.intern(ins), one if ins == ("var", j) else zero))
-            comps = [b.intern(add(total, mul(dt, var(d + j))))
-                     for total, (_, dt) in zip(comps, partials)]
+        try:
+            for j in sorted({ins[1] for ins in self.tape[0]
+                             if ins[0] == "var"}):
+                partials = _run(self.tape, pairs, lambda ins: (
+                    b.intern(ins), one if ins == ("var", j) else zero))
+                comps = [b.intern(add(total, mul(dt, var(d + j))))
+                         for total, (_, dt) in zip(comps, partials)]
+        except OverflowError as exc:    # a constant power over the limit
+            raise EngineError(str(exc)) from None
         return b.map(2 * d, comps)
 
     def eval(self, point):

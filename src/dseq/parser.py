@@ -9,11 +9,15 @@
 
 "-" is surface syntax only: both the binary and the unary form parse as
 addition of a (-1)-scaled operand.  Function atoms are rejected under the
-polynomial base, where a term that is a product of plain atoms (rationals
-and variables, each with an optional power and at most one unary minus) is
-read straight into one packed monomial.  Printing emits polynomial terms in
-the canonical (descending graded-lexicographic) order, so print-then-parse
-reproduces the map exactly; elementary trees print structurally.
+polynomial base.  There, a component that is a flat sum of plain products
+(rationals and variables, each with an optional power and at most one unary
+minus: what `format_poly` writes) is read by one compiled pattern, factor by
+factor, straight into packed monomials, in time linear in the text.  Any
+other text, and any that the scan finds at fault, is read again by the
+recursive-descent `_Parser`, which builds in the base's component algebra
+and reports every error.  Printing emits polynomial terms in the canonical
+(descending graded-lexicographic) order, so print-then-parse reproduces the
+map exactly; elementary trees print structurally.
 """
 
 import re
@@ -65,7 +69,6 @@ class _Parser:
         self.cls = cls
         self.dom = dom
         self.ops = cls._ops
-        self.packed = cls.base == "poly"
 
     @staticmethod
     def nat(tok):
@@ -104,67 +107,30 @@ class _Parser:
         return value
 
     def expr(self):
-        plain, built = [], []
-        negative = False
-        while True:
-            self.term(negative, plain, built)
-            kind = self.peek()[0]
-            if kind != "+" and kind != "-":
-                break
-            self.take()
-            negative = kind == "-"
-        if plain:
-            built.append(_summed(self.dom, plain))
-        return built[0] if len(built) == 1 else self.ops["sum"](built)
+        summands = [self.term()]
+        while self.peek()[0] in ("+", "-"):
+            minus = self.take()[0] == "-"
+            value = self.term()
+            summands.append(self.neg(value) if minus else value)
+        return summands[0] if len(summands) == 1 else self.ops["sum"](summands)
 
-    def term(self, negative, plain, built):
-        """One summand, negated if `negative`.  A polynomial product of plain
-        atoms goes to `plain` as ([(variable, exponent), ...], numerator,
-        denominator); any other is read again from its start and built in
-        the component algebra, factor by factor, into `built`."""
-        tokens, start = self.tokens, self.i
-        num, den, exps = 1, 1, []
-        while self.packed:
-            minus = tokens[self.i][0] == "-"    # a chain takes `factor`
-            tok = tokens[self.i + minus]
-            if tok[0] != "num" and tok[0] != "var":
-                self.i = start
-                break
-            self.i += 1 + minus
-            if tok[0] == "var":
-                exps.append((self.variable(tok), self.exponent(1)))
-            else:
-                c, d = self.rational(tok)
-                n = self.exponent(1)
-                if n != 1:
-                    _check_constant_power(Fraction(c, d), n)
-                    c, d = (Fraction(c, d) ** n).as_integer_ratio()
-                num, den = num * c, den * d
-            num = -num if minus else num
-            if tokens[self.i][0] != "*":
-                plain.append((exps, -num if negative else num, den))
-                return
-            self.i += 1
+    def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.take()
             value = self.ops["mul"](value, self.factor())
-        built.append(self.neg(value) if negative else value)
+        return value
 
     def factor(self):
         if self.peek()[0] == "-":
             self.take()
             return self.neg(self.factor())
         value = self.atom()
-        n = self.exponent()
-        return value if n is None else self.ops["pow"](value, n)
-
-    def exponent(self, absent=None):
-        """The natural exponent after a "^", or `absent`."""
         if self.peek()[0] != "^":
-            return absent
+            return value
         self.take()
-        return self.nat(self.expect("num", ("natural exponent",)))
+        n = self.nat(self.expect("num", ("natural exponent",)))
+        return self.ops["pow"](value, n)
 
     def rational(self, tok):
         """(numerator, denominator) of the num token just taken."""
@@ -213,9 +179,61 @@ class _Parser:
                          ("number", "variable", "function", "'('"))
 
 
+# One factor of a flat sum of plain products per match: the operator before
+# it (none before the first), at most one unary minus, a variable or a
+# rational, and an optional power.  Every \s* but the first stands next to a
+# character its group requires, so no two of them can take the same run of
+# spaces, and a match, failed or not, costs time linear in what it reads.
+_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:(-)\s*)?"
+                     r"(?:x(\d+)|(\d+)(?:\s*/\s*(\d+))?)(?:\s*\^\s*(\d+))?")
+
+
+def _plain_sum(text, dom):
+    """The ([(variable, exponent), ...], numerator, denominator) monomials of
+    a flat sum of plain products, read in one pass; None for any other text
+    and wherever `_Parser` could object (a number of more than 4,300 digits,
+    a variable out of range, a zero denominator, a constant power over the
+    digit limit), so that it reads the text again and reports."""
+    monomials, pos = [], 0
+    try:
+        while m := _FACTOR.match(text, pos):
+            op, minus, var, num, den, power = m.groups()
+            if op is None if pos else op in ("+", "*"):
+                return None
+            if op != "*":
+                term = [[], -1 if op == "-" else 1, 1]
+                monomials.append(term)
+            n = 1 if power is None else int(power)
+            if var is not None:
+                j = int(var)
+                if j >= dom:
+                    return None
+                term[0].append((j, n))
+            else:
+                c, d = int(num), 1 if den is None else int(den)
+                if not d:
+                    return None
+                if n != 1:
+                    _check_constant_power(Fraction(c, d), n)
+                    c, d = (Fraction(c, d) ** n).as_integer_ratio()
+                term[1] *= c
+                term[2] *= d
+            if minus:
+                term[1] = -term[1]
+            pos = m.end()
+    except (ValueError, OverflowError):
+        return None
+    return monomials if monomials and not text[pos:].strip() else None
+
+
 def parse_component(text, dom, base="poly"):
-    """Parse one component expression into a polynomial or a tree."""
-    parser = _Parser(_tokenize(text), map_class(base), dom)
+    """Parse one component expression into a polynomial or a tree; a flat
+    polynomial sum of plain products is read by `_plain_sum`."""
+    cls = map_class(base)
+    monomials = _plain_sum(text, dom) if cls.base == "poly" else None
+    if monomials is not None:
+        return _summed(dom, monomials)
+    parser = _Parser(_tokenize(text), cls, dom)
     try:
         return parser.parse()
     except RecursionError:

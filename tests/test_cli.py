@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dseq.cli import main
+from dseq.cli import build_parser, main
 from dseq.jsonio import to_canonical_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -279,6 +279,25 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["check", "--suite", "bogus", "--input", "x.json"])
     assert err.value.code == 2
+
+
+def test_one_argument_parser_serves_every_call(capsys):
+    """The parser is built once per process, and no call leaves anything in
+    it: after an explicit --order and a rejected call, compose without
+    --order writes the default-order tower."""
+    pair = ["--first", fx("map_square.json"), "--second", fx("map_cube.json")]
+    code, order2, _ = run(capsys, "compose", *pair, "--order", "2")
+    assert code == 0 and json.loads(order2)["order"] == 2
+    with pytest.raises(SystemExit) as err:
+        main(["compose", *pair, "--order", "two"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, default, _ = run(capsys, "compose", *pair)
+    assert code == 0 and json.loads(default)["order"] == 3
+    with open(os.path.join(FIXTURES, "golden", "compose_square_cube.out"),
+              encoding="ascii") as fh:
+        assert default == fh.read()
+    assert build_parser() is build_parser()
 
 
 def usage_exit_code(*argv):

@@ -55,6 +55,14 @@ CASES = {
                                        "--suite", "ds", "--format", "json"]),
     "eval_seq_square": (0, ["eval", "--seq", fx("seq_square.json"),
                             "--term", "2", "--point", "1,-2,1/3,5"]),
+    # Dense cubic 2->1 and 1->1 maps with coefficients in +-3/2..+-9/2: the
+    # order-3 tower written by `compose --out` is seq_dense3.json, which
+    # `eval --seq` reads back.
+    "compose_dense3": (0, ["compose", "--first", fx("map_dense3_first.json"),
+                           "--second", fx("map_dense3_second.json")]),
+    "eval_seq_dense3": (0, ["eval", "--seq", fx("seq_dense3.json"),
+                            "--term", "3", "--point",
+                            "1,-2,1/3,5,-3/2,2,0,1,-1,3,2/3,-1/2,1,1,-3,1/4"]),
     "selftest_42": (0, ["selftest", "--seed", "42", "--trials", "2",
                         "--format", "json"]),
 }

@@ -1,17 +1,26 @@
 """Expression grammar: parsing, error reporting, canonical printing,
 and the print/parse round trip."""
 
+import json
+import os
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dseq import parser
+from dseq.comonad import omega
 from dseq.errors import FunctionNotAllowed, ParseError, UnknownVariable
 from dseq.fixtures import random_elem_map, random_poly_map, rng_for
+from dseq.jsonio import load_map
 from dseq.maps import identity
 from dseq.parser import (_tokenize, format_map, format_poly, parse_component,
                          parse_map)
 from dseq.poly import Poly
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def test_basic_polynomial():
@@ -346,3 +355,119 @@ def test_tokens_match_the_character_loop(text):
 def test_tricky_tokens_match_the_character_loop(text):
     assert (tokens_or_error(_tokenize, text)
             == tokens_or_error(char_loop_tokenize, text))
+
+
+# The scan of flat sums against the recursive-descent parser alone: plain
+# products with odd whitespace, per-atom unary minus and double minus, a
+# leading "+" or "*", repeated variables, zero and unit powers, juxtaposed
+# atoms, trailing operators, zero denominators, numbers of 4,301 digits and
+# variables outside the domain.
+SCAN_DOM = 2
+odd_spaces = st.sampled_from(["", "", "", " ", "   ", "\t", "\n ", "\xa0",
+                              "\u3000"])
+plain_atoms = st.one_of(
+    st.sampled_from(["x0", "x1", "x01", "x١", "0", "1", "2", "3/2", "7/4",
+                     "0/5", "٣/2", "12/8"]),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 20), st.integers(1, 9)))
+faulty_atoms = st.sampled_from(["x2", "x" + "1" * 4301, "9" * 4301, "1/0",
+                                "x", "x0x1"])
+plain_powers = st.sampled_from(["", "", "", "^0", "^1", "^2", "^3", " ^ 2"])
+faulty_powers = st.sampled_from(["^ 9100", "^" + "9" * 4301, "^", "^^2"])
+plain_minus = st.sampled_from(["", "", "-", "- "])
+
+
+def factors(atoms, powers, minus):
+    return st.builds(lambda m, s, atom, power: f"{m}{s}{atom}{power}",
+                     minus, odd_spaces, atoms, powers)
+
+
+@st.composite
+def scan_texts(draw):
+    """Texts the scan reads, and texts with faults in any place."""
+    ops = st.sampled_from(["+", "-", "*"])
+    ends = st.just("")
+    factor = factors(plain_atoms, plain_powers, plain_minus)
+    if draw(st.booleans()):
+        ops = st.sampled_from(["+", "-", "*", "*", "", " "])
+        ends = st.sampled_from(["", "", "", "+", "*", "-"])
+        factor = factors(st.one_of(plain_atoms, plain_atoms, faulty_atoms),
+                         st.one_of(plain_powers, plain_powers, faulty_powers),
+                         st.sampled_from(["", "", "-", "- ", "--"]))
+    out = [draw(ends), draw(odd_spaces), draw(factor)]
+    for _ in range(draw(st.integers(0, 6))):
+        out += [draw(odd_spaces), draw(ops), draw(odd_spaces), draw(factor)]
+    out += [draw(odd_spaces), draw(ends), draw(odd_spaces)]
+    return "".join(out)
+
+
+def packed_or_error(text):
+    try:
+        p = parse_component(text, SCAN_DOM, "poly")
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position, exc.expected
+    return p._w, p._mons, p._nums, p._den
+
+
+def test_pinned_texts_are_read_by_the_scan():
+    for text in ["0^0", "-x0^0*x1", "2*x0*x0", "x0 - -x1", "-1/2", "3/2^2"]:
+        assert parser._plain_sum(text, SCAN_DOM) is not None, text
+    for text in ["+x0", "2x0", "x0 x1", "x0 +", "x2", "1/0", "x0^2^3", ""]:
+        assert parser._plain_sum(text, SCAN_DOM) is None, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(scan_texts())
+def test_scan_agrees_with_the_descent_parser(text):
+    got = packed_or_error(text)
+    with mock.patch.object(parser, "_plain_sum", lambda text, dom: None):
+        assert got == packed_or_error(text)
+
+
+def no_descent(*args):
+    raise AssertionError("the scan handed the text to _Parser")
+
+
+def test_printed_tower_components_are_read_by_the_scan():
+    """Every component `format_poly` writes for a dense order-3 tower is
+    read by the scan alone, and reads back to the same polynomial."""
+    maps = []
+    for name in ("map_dense3_first.json", "map_dense3_second.json"):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            maps.append(load_map(json.load(fh)))
+    f, g = maps
+    tower = omega(f, 3).compose(omega(g, 3))
+    with mock.patch.object(parser, "_Parser", no_descent):
+        for term in tower.terms:
+            assert parse_map(format_map(term), term.dom, term.cod) == term
+
+
+# Inputs on which a scan whose spaces can be split between two \s* takes
+# time quadratic or worse in the text: each must be read, or refused with the
+# error the descent parser reports, within a second on either base.
+LONG_GAP = " " * 50_000
+COST_CASES = [
+    pytest.param(" " * 100_000 + "?", "unexpected character '?'", 100_000,
+                 id="spaces"),
+    pytest.param("x0" + " " * 100_000 + "?", "unexpected character '?'",
+                 100_002, id="x0-spaces"),
+    pytest.param(LONG_GAP.join(["x0", "+", "3/2*x1^2", "-", "x0", "*", "-x1"]),
+                 None, "x0 + 3/2*x1^2 - x0*-x1", id="spaced-sum"),
+]
+
+
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+@pytest.mark.parametrize("text, message, where", COST_CASES)
+def test_parse_cost_is_linear_in_the_text(base, text, message, where):
+    start = time.perf_counter()
+    try:
+        got = parse_component(text, SCAN_DOM, base)
+    except ParseError as exc:
+        got = exc
+    assert time.perf_counter() - start < 1.0
+    if message is None:
+        assert got == parse_component(where, SCAN_DOM, base)
+    else:
+        assert (str(got), got.position, got.expected) == (
+            f"{message} at position {where} (expected number, variable, "
+            "function, operator)", where,
+            ("number", "variable", "function", "operator"))

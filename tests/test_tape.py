@@ -498,6 +498,16 @@ def test_doubling_keeps_the_digit_limit_an_engine_error():
         m.tangent()
 
 
+def test_differential_keeps_the_digit_limit_an_engine_error():
+    """The forward-mode run refolds a hand-built constant power and refuses
+    it as `tangent` does."""
+    m = ElemMap(1, 1, [("mul", var(0), ("pow", const(2), 20000))])
+    with pytest.raises(EngineError):
+        m.differential()
+    with pytest.raises(EngineError):
+        m.tangent()
+
+
 def test_checkers_build_each_pushed_structural_map_once(monkeypatch):
     """Both DS checkers, `tangent` and an `lmul` by a canonical map take a
     structural map pushed through k doublings from the map, which keeps

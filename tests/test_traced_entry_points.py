@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from dseq import maps
+from dseq import maps, parser
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -37,3 +37,20 @@ def test_spanned_entry_point_resolves(modname, path, prefix):
 
 def test_canonical_map_keeps_its_cache():
     assert callable(maps.canonical_map.cache_info)
+
+
+def test_parse_map_reads_through_the_module_global(monkeypatch):
+    """The tracer wraps `parser.parse_component` in the module namespace, so
+    `parse_map` must look it up there for the traced metrics to cover every
+    component it reads, the flat-sum scan included."""
+    calls = []
+    real = parser.parse_component
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parser, "parse_component", counted)
+    m = parser.parse_map(["x0^2 + 3/2*x1", "x0 - 1"], 2, 2, "poly")
+    assert len(calls) == 2
+    assert m == parser.parse_map(["x0^2 + 3/2*x1", "x0 - 1"], 2, 2, "poly")
