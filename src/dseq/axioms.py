@@ -60,7 +60,7 @@ def check_ds_primed(seq, tol=None):
             for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
                 report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,
                                      tol))
-    return report.sort()
+    return report
 
 
 def check_ds_unprimed(seq, tol=None):
@@ -78,7 +78,7 @@ def check_ds_unprimed(seq, tol=None):
 
         for axiom, _, lhs, rhs in _ds_laws(along, first, second, zero):
             report.add(seq_entry(axiom, n, 0, lhs, rhs, tol))
-    return report.sort()
+    return report
 
 
 def is_linear(seq, tol=None):

@@ -30,7 +30,7 @@ import operator
 import random
 from fractions import Fraction
 
-from .errors import DimensionMismatch, EngineError
+from .errors import DimensionMismatch
 from .maps import CoordMap, _check_constant_power
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
@@ -189,72 +189,69 @@ class _Builder:
         instructions are first relabelled as they stand, with no lookup
         (distinct variables keep them distinct), until a var reads a zero
         or a repeated variable or an instruction folds."""
-        try:
-            code, roots, _ = tape
-            out, trees, ops = self.code, self.nodes, ElemMap._ops
-            new = []
-            if not out:
-                seen = set()
-                for ins in code:
-                    tag = ins[0]
-                    if tag == "var":
-                        ins = t = reps[ins[1]]
-                        if t[0] != "var" or t[1] in seen:
-                            break
-                        seen.add(t[1])
-                    elif tag == "const":
-                        t = ins
-                    elif tag == "add" or tag == "mul":
-                        x, y = trees[ins[1]], trees[ins[2]]
-                        if x[0] == "const" or y[0] == "const":
-                            t = ops[tag](x, y)
-                            if t is x or t is y or t[0] == "const":
-                                break
-                        else:
-                            t = (tag, x, y)
-                    elif tag == "pow":
-                        x = trees[ins[1]]
-                        t = pow_(x, ins[2])
-                        if t is x or t[0] == "const":
-                            break
-                    else:
-                        t = (tag, trees[ins[1]])
-                    out.append(ins)
-                    trees.append(t)
-                else:
-                    return roots
-                new = list(range(len(out)))
-            at = self._tables()
-            for ins in code[len(new):]:
+        code, roots, _ = tape
+        out, trees, ops = self.code, self.nodes, ElemMap._ops
+        new = []
+        if not out:
+            seen = set()
+            for ins in code:
                 tag = ins[0]
                 if tag == "var":
-                    t = reps[ins[1]]
-                    k = at.get(id(t))
-                    new.append(self._add(t, t) if k is None else k)
-                    continue
-                if tag == "const":
-                    new.append(self._add(ins, ins))
-                    continue
-                i = j = new[ins[1]]
-                x = trees[i]
-                if tag == "add" or tag == "mul":
-                    j = new[ins[2]]
-                    y = trees[j]
-                    t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
-                         else (tag, x, y))
-                    ins = (tag, i, j)
+                    ins = t = reps[ins[1]]
+                    if t[0] != "var" or t[1] in seen:
+                        break
+                    seen.add(t[1])
+                elif tag == "const":
+                    t = ins
+                elif tag == "add" or tag == "mul":
+                    x, y = trees[ins[1]], trees[ins[2]]
+                    if x[0] == "const" or y[0] == "const":
+                        t = ops[tag](x, y)
+                        if t is x or t is y or t[0] == "const":
+                            break
+                    else:
+                        t = (tag, x, y)
                 elif tag == "pow":
+                    x = trees[ins[1]]
                     t = pow_(x, ins[2])
-                    ins = ("pow", i, ins[2])
+                    if t is x or t[0] == "const":
+                        break
                 else:
-                    ins, t = (tag, i), (tag, x)
-                if t is x or t is trees[j]:     # folded to an operand
-                    new.append(i if t is x else j)
-                    continue
-                new.append(self._add(t if t[0] == "const" else ins, t))
-            return [new[r] for r in roots]
-        except OverflowError as exc:    # a constant power over the limit
-            raise EngineError(str(exc)) from None
+                    t = (tag, trees[ins[1]])
+                out.append(ins)
+                trees.append(t)
+            else:
+                return roots
+            new = list(range(len(out)))
+        at = self._tables()
+        for ins in code[len(new):]:
+            tag = ins[0]
+            if tag == "var":
+                t = reps[ins[1]]
+                k = at.get(id(t))
+                new.append(self._add(t, t) if k is None else k)
+                continue
+            if tag == "const":
+                new.append(self._add(ins, ins))
+                continue
+            i = j = new[ins[1]]
+            x = trees[i]
+            if tag == "add" or tag == "mul":
+                j = new[ins[2]]
+                y = trees[j]
+                t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
+                     else (tag, x, y))
+                ins = (tag, i, j)
+            elif tag == "pow":
+                t = pow_(x, ins[2])
+                ins = ("pow", i, ins[2])
+            else:
+                ins, t = (tag, i), (tag, x)
+            if t is x or t is trees[j]:     # folded to an operand
+                new.append(i if t is x else j)
+                continue
+            new.append(self._add(t if t[0] == "const" else ins, t))
+        return [new[r] for r in roots]
 
     def tape(self, comps):
         """The tape of these components: handles, or trees to intern."""
@@ -445,15 +442,11 @@ class ElemMap(CoordMap):
         pairs = {tag: (lambda *a, f=f: tuple(map(b.intern, f(*a))))
                  for tag, f in _PAIRS.items()}
         comps = [zero] * self.cod
-        try:
-            for j in sorted({ins[1] for ins in self.tape[0]
-                             if ins[0] == "var"}):
-                partials = _run(self.tape, pairs, lambda ins: (
-                    b.intern(ins), one if ins == ("var", j) else zero))
-                comps = [b.intern(add(total, mul(dt, var(d + j))))
-                         for total, (_, dt) in zip(comps, partials)]
-        except OverflowError as exc:    # a constant power over the limit
-            raise EngineError(str(exc)) from None
+        for j in sorted({ins[1] for ins in self.tape[0] if ins[0] == "var"}):
+            partials = _run(self.tape, pairs, lambda ins: (
+                b.intern(ins), one if ins == ("var", j) else zero))
+            comps = [b.intern(add(total, mul(dt, var(d + j))))
+                     for total, (_, dt) in zip(comps, partials)]
         return b.map(2 * d, comps)
 
     def eval(self, point):

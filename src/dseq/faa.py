@@ -144,4 +144,4 @@ def chain_equivalence_check(f, g, n, order=None, tol=None):
             report.add(bool_entry("chain.faa-vs-oracle", n, i,
                                   faa_map.eval(point + v * n)
                                   == oracle.eval(point), n))
-    return report.sort()
+    return report

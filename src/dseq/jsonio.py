@@ -35,13 +35,19 @@ def _field(obj, key, types, what):
     return value
 
 
-def load_map(obj, what="map"):
+def _signature(obj, what):
+    """The base, dom and cod fields that map and tower objects share."""
     base = _field(obj, "base", str, what)
     map_class(base)     # an unknown base is a TagMismatch
     dom = _field(obj, "dom", int, what)
     cod = _field(obj, "cod", int, what)
     if dom < 0 or cod < 0:
         raise EngineError(f"{what} dimensions must be naturals")
+    return base, dom, cod
+
+
+def load_map(obj, what="map"):
+    base, dom, cod = _signature(obj, what)
     components = _field(obj, "components", list, what)
     if len(components) != cod or not all(isinstance(c, str) for c in components):
         raise EngineError(
@@ -60,10 +66,7 @@ def dump_seq(seq):
 
 
 def load_seq(obj, what="tower"):
-    base = _field(obj, "base", str, what)
-    map_class(base)     # an unknown base is a TagMismatch
-    dom = _field(obj, "dom", int, what)
-    cod = _field(obj, "cod", int, what)
+    base, dom, cod = _signature(obj, what)
     order = _field(obj, "order", int, what)
     terms = _field(obj, "terms", list, what)
     if order < 0:

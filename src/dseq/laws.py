@@ -60,7 +60,7 @@ def base_category_laws(rng, trials, base="poly", tol=None):
               proj(a, a, 1, base).then(lin))
             E("base.linear-tangent", 0, lin.tangent(),
               pfunctor_apply(lin, 1))
-    return report.sort()
+    return report
 
 
 def tower_identity_laws(rng, trials, order=3, tol=None):
@@ -191,7 +191,7 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
                        seq_proj(a, a, 1, order).pair(seq_proj(a, a, 0, order)),
                        ident_a]),
           seq_identity(4 * a, order).rmul(canonical_map("flip", a)))
-    return report.sort()
+    return report
 
 
 def tower_axiom_closure_laws(rng, trials, order=3, tol=None):
@@ -248,7 +248,7 @@ def tower_axiom_closure_laws(rng, trials, order=3, tol=None):
         report.add(seq_entry("linear.diff-form", t, 0,
                              lin_tower.differential(),
                              lin_tower.lmul(proj(a, a, 1)), tol))
-    return report.sort()
+    return report
 
 
 def tower_naturality_laws(rng, trials, order=3, tol=None):
@@ -277,7 +277,7 @@ def tower_naturality_laws(rng, trials, order=3, tol=None):
           TF.rmul(canonical_map("lift", b)))
         E("nat.flip", T2F.lmul(canonical_map("flip", a)),
           T2F.rmul(canonical_map("flip", b)))
-    return report.sort()
+    return report
 
 
 def omega_structure_laws(rng, trials, order=3, tol=None):
@@ -313,4 +313,4 @@ def omega_structure_laws(rng, trials, order=3, tol=None):
             report.add(bool_entry("delta.preserves", t, n,
                                   check_ds_primed(rows[n], tol).passed,
                                   order - n))
-    return report.sort()
+    return report

@@ -25,10 +25,17 @@ from .errors import DimensionMismatch, EngineError, TagMismatch
 _BASES = {}
 
 # Python refuses to print an integer of more than 4,300 digits, so the
-# component algebras refuse a power of a constant that would have more, as
-# an OverflowError that the parser reports as a ParseError, and printing
-# refuses a number that products or composition grew past it.
+# component algebras refuse a power of a constant that would have more
+# (`_DigitLimit`), and printing refuses a number that products or
+# composition grew past it.
 _CONSTANT_DIGITS_LIMIT = 4300
+
+
+class _DigitLimit(EngineError, OverflowError):
+    """The refusal of a constant power over the digit limit: an EngineError,
+    as every refusal of bad input is, and an OverflowError, which the
+    parser reports as a ParseError at its position, as it does a base's
+    other size budgets."""
 
 
 def _text(value):
@@ -45,8 +52,8 @@ def _check_constant_power(value, n):
     have more than _CONSTANT_DIGITS_LIMIT digits."""
     for part in (abs(value.numerator), value.denominator):
         if part > 1 and n >= _CONSTANT_DIGITS_LIMIT / math.log10(part):
-            raise OverflowError(f"constant power would have more than "
-                                f"{_CONSTANT_DIGITS_LIMIT} digits")
+            raise _DigitLimit(f"constant power would have more than "
+                              f"{_CONSTANT_DIGITS_LIMIT} digits")
 
 
 class CoordMap:
@@ -128,8 +135,8 @@ class CoordMap:
 
     def tangent(self):
         """Pair of (self at the base point, derivative in the direction)."""
-        d = self.dom
-        return proj(d, d, 0, self.base).then(self).pair(self.differential())
+        pi0 = canonical_map("proj0", self.dom, self.base)
+        return pi0.then(self).pair(self.differential())
 
     def __add__(self, other):
         self._require_same_signature(

@@ -334,20 +334,6 @@ class Poly:
         half = self ** (n >> 1)
         return half * half * self if n & 1 else half * half
 
-    def partial(self, j):
-        """Partial derivative with respect to variable j."""
-        n, w = self.nvars, self._w
-        shift = (n - 1 - j) * w
-        mask = (1 << w) - 1
-        step = (1 << (n * w)) + (1 << shift)
-        mons, nums = [], []
-        for m, c in zip(self._mons, self._nums):
-            e = (m >> shift) & mask
-            if e:
-                mons.append(m - step)
-                nums.append(c * e)
-        return _finish(n, w, mons, nums, self._den)
-
     def shift(self, offset, new_nvars):
         """Reinterpret in `new_nvars` variables with indices moved up by offset."""
         assert offset + self.nvars <= new_nvars

@@ -5,14 +5,18 @@ law instance.  An entry records the axiom identifier, the instance indices
 (n, k), the verdict, the depth up to which the two sides were compared
 (the deepest tower term index involved), and, on failure, a witness: the
 difference map for polynomial comparisons or a failing sample point for
-elementary ones.  Entries are kept sorted by (axiom, n, k) so serialized
-reports are byte-stable.
+elementary ones.  Entries keep the order they were added in; `failing`
+and `to_json` read them sorted by (axiom, n, k), so reports are
+byte-stable whatever order a checker adds them in.
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .jsonio import dump_map
 from .maps import CoordMap, compare_maps
+
+_ORDER = attrgetter("axiom", "n", "k")     # the order reports are read in
 
 
 @dataclass
@@ -37,16 +41,12 @@ class LawReport:
     def add(self, entry):
         self.entries.append(entry)
 
-    def sort(self):
-        self.entries.sort(key=lambda e: (e.axiom, e.n, e.k))
-        return self
-
     def failing(self):
-        return [e for e in self.entries if not e.passed]
+        return sorted((e for e in self.entries if not e.passed), key=_ORDER)
 
     def to_json(self):
         entries = []
-        for e in sorted(self.entries, key=lambda x: (x.axiom, x.n, x.k)):
+        for e in sorted(self.entries, key=_ORDER):
             witness = e.witness
             if isinstance(witness, CoordMap):
                 witness = dump_map(witness)

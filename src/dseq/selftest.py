@@ -45,7 +45,7 @@ def ds_axiom_suite(rng, trials, order, tol):
         failing = {e.axiom for e in check_ds_primed(bad, tol).failing()}
         report.add(bool_entry("ds.rejects", trials, k, failing == {name},
                               bad.order))
-    return report.sort()
+    return report
 
 
 def comonad_suite(rng, trials, order, tol):
@@ -54,7 +54,7 @@ def comonad_suite(rng, trials, order, tol):
         a, b = random_dim(rng), random_dim(rng)
         tower = random_tower(rng, a, b, order)
         _collapse(report, check_comonad_laws(tower, tol), t, order)
-    return report.sort()
+    return report
 
 
 def coalgebra_suite(rng, trials, order, tol):
@@ -63,7 +63,7 @@ def coalgebra_suite(rng, trials, order, tol):
         a, b = random_dim(rng), random_dim(rng)
         f = random_poly_map(rng, a, b)
         _collapse(report, check_coalgebra(f, order, tol), t, order)
-    return report.sort()
+    return report
 
 
 def cd_suite(rng, trials, order, tol):
@@ -75,7 +75,7 @@ def cd_suite(rng, trials, order, tol):
         sv = DSeq.verify(omega(random_poly_map(rng, b, c), order), tol)
         nested = check_cd_axioms([su, (su, sw), (su, sv)], tol)
         _collapse(report, nested, t, order)
-    return report.sort()
+    return report
 
 
 def chain_suite(rng, trials, order, tol):
@@ -86,7 +86,7 @@ def chain_suite(rng, trials, order, tol):
         n = 1 + t % order
         _collapse(report, chain_equivalence_check(inner, outer, n, order, tol),
                   t, n)
-    return report.sort()
+    return report
 
 
 SUITE_BUILDERS = (

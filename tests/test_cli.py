@@ -142,6 +142,14 @@ def test_check_cd_on_corrupted_reports_stamp_failure(capsys):
     assert entries[0]["axiom"] == "CD.stamp" and not entries[0]["pass"]
 
 
+@pytest.mark.parametrize("suite", ["cd", "all"])
+def test_check_cd_below_order_three_exits_two(capsys, suite):
+    code, out, err = run(capsys, "check", "--input", fx("map_square.json"),
+                         "--suite", suite, "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: CD battery needs stamped towers of order >= 3\n"
+
+
 def test_check_all_suites_on_seq_input(capsys):
     code, out, _ = run(capsys, "check", "--input", fx("seq_square.json"),
                        "--suite", "all", "--trials", "2")

@@ -74,6 +74,14 @@ def test_load_seq_term_dimensions_validated():
         load_seq(obj)
 
 
+def test_load_seq_refuses_negative_dimensions_as_load_map_does():
+    obj = dump_seq(omega(pm(["x0^2"], 1), 1))
+    obj["dom"] = -1
+    with pytest.raises(EngineError) as info:
+        load_seq(obj, what="t.json")
+    assert str(info.value) == "t.json dimensions must be naturals"
+
+
 def test_load_seq_unknown_base():
     obj = dump_seq(omega(pm(["x0^2"], 1), 1))
     obj["base"] = "maple"

@@ -1,9 +1,11 @@
-"""Randomized law batteries stay green and are reproducible."""
+"""Randomized law batteries stay green and are reproducible; reports read
+entries in one order."""
 
 from dseq.fixtures import random_dim, random_nonlinear_map, rng_for
 from dseq.laws import (base_category_laws, omega_structure_laws,
                        tower_axiom_closure_laws, tower_identity_laws,
                        tower_naturality_laws)
+from dseq.reports import LawReport, bool_entry
 
 TRIALS = 10
 
@@ -62,3 +64,17 @@ def test_nonlinear_fixture_keeps_a_nonlinear_monomial():
         rng = rng_for(seed, "t-nonlinear")
         m = random_nonlinear_map(rng, random_dim(rng), random_dim(rng))
         assert max(p.degree() for p in m.components) >= 2, (seed, m)
+
+
+def test_reports_read_entries_sorted_by_axiom_n_k():
+    """Entries keep the order they were added in; `failing` and `to_json`
+    read them sorted by (axiom, n, k)."""
+    report = LawReport("order")
+    for axiom, n, k in [("b", 0, 1), ("a", 2, 0), ("b", 0, 0), ("a", 1, 3)]:
+        report.add(bool_entry(axiom, n, k, False))
+    report.add(bool_entry("a", 0, 0, True))
+    failing = [("a", 1, 3), ("a", 2, 0), ("b", 0, 0), ("b", 0, 1)]
+    assert [(e.axiom, e.n, e.k) for e in report.failing()] == failing
+    assert [(e["axiom"], e["n"], e["k"])
+            for e in report.to_json()["entries"]] == [("a", 0, 0)] + failing
+    assert report.entries[0].axiom == "b"

@@ -37,12 +37,20 @@ def test_add_mul_pow():
 
 
 def test_partial_derivative():
+    """The differential's coefficient of direction j is the partial in x_j,
+    and a second differential along two unit directions is a mixed one."""
     x0 = Poly.variable(2, 0)
     x1 = Poly.variable(2, 1)
     p = x0 ** 2 * x1 + x1.scale(Fraction(3))
-    assert p.partial(0) == (x0 * x1).scale(Fraction(2))
-    assert p.partial(1) == x0 ** 2 + Poly.constant(2, Fraction(3))
-    assert p.partial(0).partial(1) == x0.scale(Fraction(2))
+    a0, a1, v0, v1 = (Poly.variable(4, j) for j in range(4))
+    dp = PolyMap(2, 1, [p]).differential()
+    assert dp.components == (
+        (a0 * a1).scale(Fraction(2)) * v0
+        + (a0 ** 2 + Poly.constant(4, Fraction(3))) * v1,)
+    one, zero = Poly.constant(2, Fraction(1)), Poly.zero(2)
+    along = PolyMap(2, 8, [x0, x1, one, zero, zero, one, zero, zero])
+    assert along.then(dp.differential()) == PolyMap(2, 1,
+                                                    [x0.scale(Fraction(2))])
 
 
 def test_eval_exact():
@@ -176,4 +184,8 @@ def test_mul_distributes(cs, ds, es):
        st.lists(coef, min_size=1, max_size=5))
 def test_derivative_is_leibniz(cs, ds):
     p, q = univariate(cs), univariate(ds)
-    assert (p * q).partial(0) == p.partial(0) * q + p * q.partial(0)
+
+    def d(r):
+        return PolyMap(1, 1, [r]).differential().components[0]
+
+    assert d(p * q) == d(p) * q.shift(0, 2) + p.shift(0, 2) * d(q)

@@ -13,7 +13,7 @@ from dseq.axioms import check_ds_primed, check_ds_unprimed
 from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
                        exp, mul, neg, pow_, sin, var)
-from dseq.errors import EngineError
+from dseq.errors import EngineError, ParseError
 from dseq.maps import (canonical_map, coord_slice, identity, pfunctor_apply,
                        proj, zero_map)
 from dseq.parser import format_map, parse_component, parse_map
@@ -354,9 +354,10 @@ def test_operations_build_tapes_without_walking_trees(monkeypatch):
     real = expr._tape
     monkeypatch.setattr(expr, "_tape", lambda roots: trees_taped.append(
         [r for r in roots if r[0] not in ("const", "var")]) or real(roots))
+    canonical_map.cache_clear()     # so `tangent` builds its projection
     f.then(g), f + g, f.pair(g), f.differential(), pfunctor_apply(f, 3)
     f.equal_witness(g), f.tangent()
-    assert trees_taped == [[]]      # the projection that `tangent` builds
+    assert trees_taped == [[]]      # that projection: leaves only
     tower = omega(f, 2).compose(omega(g, 2))
     check_ds_primed(tower), check_ds_unprimed(tower)
     assert not any(trees_taped)     # structural maps only: leaves
@@ -479,33 +480,45 @@ def test_pfunctor_apply_refolds_hand_built_trees():
             assert_lean_tape(got)
 
 
+def refused_at_digit_limit(build):
+    """The refusal of a constant power over the digit limit is the engine's
+    error and an OverflowError, as the parser reads it."""
+    with pytest.raises(EngineError) as info:
+        build()
+    assert isinstance(info.value, OverflowError)
+    assert str(info.value) == "constant power would have more than 4300 digits"
+
+
 def test_then_keeps_the_digit_limit_an_engine_error():
     power = ElemMap(1, 1, [pow_(var(0), 20000)])
-    with pytest.raises(EngineError):
-        ElemMap(1, 1, [const(2)]).then(power)
-    with pytest.raises(EngineError):     # refolded by the renaming
-        identity(1, "elementary").then(
-            ElemMap(1, 1, [("pow", const(2), 20000)]))
+    refused_at_digit_limit(lambda: pow_(const(2), 20000))
+    refused_at_digit_limit(lambda: ElemMap(1, 1, [const(2)]).then(power))
+    refused_at_digit_limit(     # refolded by the renaming
+        lambda: identity(1, "elementary").then(
+            ElemMap(1, 1, [("pow", const(2), 20000)])))
+    with pytest.raises(ParseError) as info:     # with its position
+        parse_component("x0 + 2^20000", 1, "elementary")
+    assert info.value.position == 12
 
 
 def test_doubling_keeps_the_digit_limit_an_engine_error():
     """The shifted copies of `pfunctor_apply` refold a hand-built constant
     power as `then` does, and refuse it the same way."""
     m = ElemMap(1, 1, [("pow", const(2), 20000)])
-    with pytest.raises(EngineError):
-        pfunctor_apply(m, 1)
-    with pytest.raises(EngineError):
-        m.tangent()
+    refused_at_digit_limit(lambda: pfunctor_apply(m, 1))
+    refused_at_digit_limit(m.tangent)
+    m = ElemMap(2, 1, [("add", var(1), ("pow", const(Fraction(1, 3)), 10000))])
+    refused_at_digit_limit(lambda: pfunctor_apply(m, 2))
 
 
 def test_differential_keeps_the_digit_limit_an_engine_error():
     """The forward-mode run refolds a hand-built constant power and refuses
     it as `tangent` does."""
     m = ElemMap(1, 1, [("mul", var(0), ("pow", const(2), 20000))])
-    with pytest.raises(EngineError):
-        m.differential()
-    with pytest.raises(EngineError):
-        m.tangent()
+    refused_at_digit_limit(m.differential)
+    refused_at_digit_limit(m.tangent)
+    m = ElemMap(1, 1, [("sin", ("mul", var(0), ("pow", const(-7), 9000)))])
+    refused_at_digit_limit(m.differential)
 
 
 def test_checkers_build_each_pushed_structural_map_once(monkeypatch):
