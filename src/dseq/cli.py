@@ -6,8 +6,9 @@ against the iterated derivative, evaluate tower terms at points, and run
 the seeded selftest.
 
 Exit codes: 0 all checks passed, 1 at least one law entry failed, 2 bad
-input, which is any of these: an unreadable file; a parse error; a
-dimension mismatch; an order over the guard; a --tolerance that is not a
+input, which is any of these: an unreadable file; a sequence file where
+a map file is expected, or the reverse; a parse error; a dimension
+mismatch; an order over the guard; a --tolerance that is not a
 finite number >= 0; --trials below 1; a non-finite eval point, or one
 where evaluation leaves the float range; a component nested too deeply; a
 polynomial product or power over the expansion budget; a constant power
@@ -92,7 +93,11 @@ def _emit(payload, out):
 
 
 def _load_map_file(path):
-    return load_map(read_json(path), what=path)
+    obj = read_json(path)
+    if is_seq_object(obj):
+        raise EngineError(
+            f"{path} is a sequence file; a map file was expected")
+    return load_map(obj, what=path)
 
 
 def cmd_derive(args):

@@ -138,17 +138,18 @@ def _mons_at(p, w):
 
 
 class _Sum:
-    """Running sum of integer multiples of polynomials and of their
-    products: one dict keyed by packed monomial, over one common
-    denominator, both widened as the summands need."""
+    """Running sum, from an optional integer constant, of integer multiples
+    of polynomials and of their products: one dict keyed by packed
+    monomial, over one common denominator, both widened as the summands
+    need."""
 
     __slots__ = ("nvars", "w", "den", "acc")
 
-    def __init__(self, nvars):
+    def __init__(self, nvars, constant=None):
         self.nvars = nvars
         self.w = _NARROW
         self.den = 1
-        self.acc = {}
+        self.acc = {0: constant} if constant else {}
 
     def _fit(self, w, den):
         """Widen the fields to at least w and the denominator to a multiple
@@ -374,47 +375,46 @@ class Poly:
         """Substitute variable j := maps[j]; all maps live in nvars_out
         variables.  `powers`, a dict of maps[j] ** e under the key (j, e),
         may be shared by calls with the same maps.  A map whose components
-        are variables and zeros composes by `_routed` instead."""
+        are variables and zeros composes by `_routed` instead.
+
+        Horner over shared suffixes: read each monomial as its tuple of
+        factors x_j^e, most significant first.  The value at a suffix s is
+        the coefficient of s plus, over each factor f, f(maps) times the
+        value at (f,) + s; the result is the value at ().  So the parts in
+        x0, x1, ... (a tower term's base point) of all monomials that end
+        alike are summed before the factors they share multiply them."""
         assert len(maps) == self.nvars
         if powers is None:
             powers = {}
         n, w = self.nvars, self._w
         low = (1 << (n * w)) - 1
-        total = _Sum(nvars_out)
-        one = Poly.constant(nvars_out, 1)
-        # Terms that share all factors but the last share one product:
-        # sum_t c_t * lead * last_t = lead * (sum_t c_t * last_t).
-        groups = {}
+        # slots[s]: the value at s, a numerator until a longer tuple folds
+        # into it, then a _Sum; by_len[k]: the tuples of length k.
+        slots, by_len = {}, {}
         for m, c in zip(self._mons, self._nums):
-            factors = _factors(m & low, w)
-            last = factors.pop() if factors else None
-            groups.setdefault(tuple(factors), []).append((c, last))
-
-        def power(key):
-            if key is None:
-                return one
-            shift, e = key
-            key = (n - 1 - shift // w, e)
-            got = powers.get(key)
-            if got is None:
-                got = powers[key] = maps[key[0]] ** e
-            return got
-
-        for lead, members in groups.items():
-            if len(members) == 1:
-                k, tail = members[0][0], power(members[0][1])
-            else:
-                inner = _Sum(nvars_out)
-                for c, last in members:
-                    inner.add(c, power(last))
-                k, tail = 1, inner.result()
-            if not lead:
-                total.add(k, tail)
-                continue
-            prod = power(lead[0])
-            for key in lead[1:]:
-                prod = prod * power(key)
-            total.add_product(k, prod, tail)
+            key = tuple(_factors(m & low, w))
+            slots[key] = c
+            by_len.setdefault(len(key), []).append(key)
+        for size in range(max(by_len, default=0), 0, -1):
+            for key in by_len.get(size, ()):
+                value, suffix = slots.pop(key), key[1:]
+                acc = slots.get(suffix)
+                if type(acc) is not _Sum:
+                    if acc is None:
+                        by_len.setdefault(size - 1, []).append(suffix)
+                    acc = slots[suffix] = _Sum(nvars_out, acc)
+                shift, e = key[0]
+                j = n - 1 - shift // w
+                first = powers.get((j, e))
+                if first is None:
+                    first = powers[j, e] = maps[j] ** e
+                if type(value) is _Sum:
+                    acc.add_product(1, first, value.result())
+                else:
+                    acc.add(value, first)
+        total = slots.get(())
+        if type(total) is not _Sum:
+            total = _Sum(nvars_out, total)
         return total.result(self._den)
 
     def _routed(self, routes, nvars_out):

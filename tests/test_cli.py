@@ -260,6 +260,23 @@ def test_eval_rejects_map_file(capsys):
     assert code == 2 and "sequence" in err
 
 
+@pytest.mark.parametrize("seq", ["seq_square.json", "seq_dense3.json"])
+@pytest.mark.parametrize("argv", [
+    ("derive", "--map", "SEQ"),
+    ("compose", "--first", "SEQ", "--second", "map_square.json"),
+    ("compose", "--first", "map_square.json", "--second", "SEQ"),
+    ("faa", "--inner", "SEQ", "--outer", "map_square.json", "--n", "1"),
+    ("faa", "--inner", "map_square.json", "--outer", "SEQ", "--n", "1"),
+])
+def test_map_commands_refuse_a_sequence_file(capsys, seq, argv):
+    argv = [fx(seq) if a == "SEQ" else fx(a) if a.endswith(".json") else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {fx(seq)} is a sequence file; "
+                   "a map file was expected\n")
+
+
 def test_selftest_small_run(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "7", "--trials", "1")
     assert code == 0

@@ -279,6 +279,25 @@ def test_subst_routing(case):
           [{(1, 0): Fraction(1, 2), (0, 0): Fraction(1)},
            {(0, 1): Fraction(3), (2, 0): Fraction(1)},
            {(1, 1): Fraction(1, 3)}]))
+# x1 is a proper suffix of x0*x1, and the constant of both: a slot holds
+# its own coefficient and a folded sum
+@example((2, 2, {(0, 1): Fraction(1), (1, 1): Fraction(-2, 3),
+                 (0, 0): Fraction(5)},
+          [{(1, 0): Fraction(1, 2), (0, 0): Fraction(1)},
+           {(0, 1): Fraction(3), (2, 0): Fraction(1)}]))
+@example((2, 1, {}, [{(1,): Fraction(2)}, {(2,): Fraction(1)}]))
+@example((2, 2, {(0, 0): Fraction(-7, 3)},
+          [{(1, 1): Fraction(1)}, {(0, 2): Fraction(1, 2)}]))
+# x2 ends every monomial
+@example((3, 2, {(1, 0, 1): Fraction(1), (0, 2, 1): Fraction(1, 2),
+                 (0, 0, 1): Fraction(-3)},
+          [{(1, 0): Fraction(2), (0, 0): Fraction(1)},
+           {(0, 1): Fraction(1), (1, 0): Fraction(-1)},
+           {(1, 1): Fraction(1, 3), (0, 0): Fraction(2)}]))
+@example((2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3),
+                 (1, 1): Fraction(-5, 4)},
+          [{(1, 0): Fraction(1, 3), (0, 1): Fraction(1)},
+           {(0, 1): Fraction(2, 5), (0, 0): Fraction(1, 7)}]))
 def test_subst_general_and_then(case):
     nvars, nvars_out, p, maps = case
     qs = [packed(nvars_out, q) for q in maps]
@@ -288,6 +307,20 @@ def test_subst_general_and_then(case):
     composite = PolyMap(nvars_out, nvars, qs).then(outer)
     same(composite.components[0], nvars_out, want)
     same(composite.components[1], nvars_out, ref_scale(want, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(general=True), st.data())
+def test_subst_of_two_components_shares_one_power_cache(case, data):
+    nvars, nvars_out, p, maps = case
+    q = data.draw(dicts(nvars, 6, [0, 1, 2, 3]))
+    qs = [packed(nvars_out, m) for m in maps]
+    powers = {}
+    for r in (p, q):
+        same(packed(nvars, r).subst(qs, nvars_out, powers), nvars_out,
+             ref_subst(r, maps, nvars_out))
+    for (j, e), got in powers.items():
+        same(got, nvars_out, ref_pow(maps[j], e, nvars_out))
 
 
 @st.composite

@@ -102,6 +102,15 @@ def test_compose_chain_rule_frozen():
     assert shown(fg) == [["x0^6"], ["6*x0^5*x1"]]
 
 
+def test_compose_is_the_tower_of_the_composite_at_order_5():
+    """Every term of a dense 2->2 pair's order-5 composite, each of which
+    substitutes lower terms into its direction monomials, is the term of
+    the composite map's own tower."""
+    f = pm(["x0^3 + x0*x1^2 - 2*x1 + 1", "x1^3 - x0^2*x1 + 1/2*x0"], 2)
+    g = pm(["x0^2*x1 + x1^2 - x0 + 2", "x0^3 - 3/2*x0*x1^2 + x1"], 2)
+    assert omega(f, 5).compose(omega(g, 5)).terms == omega(f.then(g), 5).terms
+
+
 def test_compose_takes_min_order():
     f = omega(pm(["x0^2"], 1), 3)
     g = omega(pm(["x0^3"], 1), 1)
