@@ -5,7 +5,10 @@ checks each tower entry against structural block maps pushed through k
 doublings; the tower-level ("unprimed") form states the same laws as
 equalities of residual towers under left scalar actions.  The primed
 instance at (n + k, k) coincides with the unprimed instance at (n, k), so
-the two checkers must agree in aggregate on every input.  Both run the one
+the two checkers must agree in aggregate on every input, and they build the
+same precompositions: both go through `maps.precompose` (the unprimed one
+by `lmul`), so a term keeps each one and the second checker run on a tower
+reads what the first built.  Both run the one
 statement of the four laws, `_ds_laws`, which the CD battery also runs
 (`comonad._cd_laws`: CD.2, CD.6 and CD.7 are these laws read on a
 morphism's first and second shift).
@@ -21,7 +24,7 @@ with DS.1 .. DS.4 the tower-level counterparts.
 from dataclasses import dataclass
 
 from .errors import AxiomViolation
-from .maps import canonical_map, coord_slice, pfunctor_apply, zero_map
+from .maps import canonical_map, coord_slice, precompose, zero_map
 from .reports import LawReport, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity, seq_zero
 
@@ -55,7 +58,7 @@ def check_ds_primed(seq, tol=None):
         for k in range(n + 1):
             def along(kind, m):
                 h = canonical_map(kind, seq.dom << (n - k), seq.base)
-                return pfunctor_apply(h, k).then(m)
+                return precompose(h, k, m)
 
             for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
                 report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,

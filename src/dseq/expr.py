@@ -12,7 +12,7 @@ an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
 `_tape` tapes the trees of the parser or of hand-built maps; every
 operation builds its result's tape from its operands' tapes (`_Builder`).
 Sampled equality runs each tape once over columns of floats, one value per
-sample point.
+sample point, and a map keeps those rows (`ElemMap._rows`).
 
 Every rebuild of a tape under a substitution (`then`, the shifted copies
 of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
@@ -30,7 +30,7 @@ import operator
 import random
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EngineError
 from .maps import CoordMap, _check_constant_power
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
@@ -380,7 +380,8 @@ class ElemMap(CoordMap):
     relative tolerance (absolute when the reference magnitude is below 1).
     Trees that agree on the cloud but differ elsewhere are declared equal;
     that false-positive risk is accepted by design for this base.  A
-    comparison with no sample point where both sides are finite fails.
+    comparison with no sample point where both sides are finite fails, and
+    a tolerance that is not a finite number >= 0 is refused.
     """
 
     base = "elementary"
@@ -456,15 +457,24 @@ class ElemMap(CoordMap):
     def sample_points(self):
         return [list(p) for p in _cloud(self.dom)[0]]
 
+    def _rows(self):
+        """`_float_rows` of the tape over the domain's cloud, run once."""
+        kept = self._kept
+        if "rows" not in kept:
+            kept["rows"] = _float_rows(self.tape, _cloud(self.dom)[1])
+        return kept["rows"]
+
     def equal_witness(self, other, tol=None):
         """(equal?, first failing sample point or None)."""
         self._require_same_signature(other, "comparison needs equal signatures")
         if tol is None:
             tol = ELEM_TOLERANCE
-        points, columns = _cloud(self.dom)
+        elif not (math.isfinite(tol) and tol >= 0):
+            raise EngineError(f"tolerance must be a finite number >= 0, "
+                              f"got {tol!r}")
+        points = _cloud(self.dom)[0]
         informative = False
-        for point, ref, got in zip(points, _float_rows(self.tape, columns),
-                                   _float_rows(other.tape, columns)):
+        for point, ref, got in zip(points, self._rows(), other._rows()):
             if ref is None and got is None:
                 continue
             if ref is None or got is None or any(

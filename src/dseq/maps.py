@@ -13,7 +13,9 @@ is the innermost doubling.
 A map keeps its doublings and its routes (`_routes`) once asked for them.
 The axiom checkers and the tangent precompose terms with a few dozen
 structural maps pushed through k doublings, each many times over, so the
-cached `canonical_map` builds each doubling once per process.
+cached `canonical_map` builds each doubling once per process, and a term
+keeps its precompositions with them (`precompose`): the termwise and the
+tower-level DS checkers build the same ones.
 """
 
 import math
@@ -73,7 +75,8 @@ class CoordMap:
     `_route(c)` is the index of the variable the component c is, -1 if c
     is zero, and None otherwise; `_routes` reads it off every component.
     `_kept` holds what was worked out once for the map: its doublings
-    under k and its routes under "routes".
+    under k, its routes under "routes", what `canonical_map` made it under
+    "structural", and its precompositions with such maps (`precompose`).
     """
 
     base = None
@@ -202,6 +205,18 @@ def pfunctor_apply(h, k):
     return kept[k]
 
 
+def precompose(h, k, m):
+    """pfunctor_apply(h, k).then(m), kept on m when h is a structural map
+    of `canonical_map`, under its (kind, dim, base) and k."""
+    stamp = h._kept.get("structural")
+    if stamp is None:
+        return pfunctor_apply(h, k).then(m)
+    key, kept = (*stamp, k), m._kept
+    if key not in kept:
+        kept[key] = pfunctor_apply(h, k).then(m)
+    return kept[key]
+
+
 # kind: (input blocks, source of each output block), a source being an
 # input block's index, None for a zero block, or a pair of input blocks
 # for their sum.
@@ -232,7 +247,9 @@ def canonical_map(kind, dim, base="poly"):
             return block(source[0]) + block(source[1])
         return coord_slice(total, source * dim, dim, base)
 
-    return reduce(lambda out, b: out.pair(b), map(block, sources))
+    h = reduce(lambda out, b: out.pair(b), map(block, sources))
+    h._kept["structural"] = (kind, dim, base)
+    return h
 
 
 def compare_maps(f, g, tol=None):

@@ -28,7 +28,7 @@ from math import gcd
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
 from .maps import _check_constant_power, _text, map_class
-from .poly import _factors, _summed
+from .poly import _summed
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -249,18 +249,32 @@ def parse_map(components, dom, cod, base="poly"):
 
 
 def format_poly(p):
-    """Canonical text form; parse(format(p)) rebuilds p exactly.  Reads the
-    nonzero exponent fields, and each coefficient off its numerator."""
+    """Canonical text form; parse(format(p)) rebuilds p exactly.  Walks the
+    nonzero exponent fields of each monomial, the most significant first,
+    printing each (shift, exponent) factor once per call, and reads each
+    coefficient off its numerator."""
     n, w, den = p.nvars, p._w, p._den
     low = (1 << (n * w)) - 1
+    texts = {}
     out = []
     for m, c in zip(p._mons, p._nums):
-        mono = "*".join(f"x{n - 1 - s // w}" if e == 1 else
-                        f"x{n - 1 - s // w}^{_text(e)}"
-                        for s, e in _factors(m & low, w))
-        g = gcd(c, den)
-        mag = _text(abs(c) // g) if g == den else (
-            f"{_text(abs(c) // g)}/{_text(den // g)}")
+        fields, mono = m & low, []
+        while fields:
+            shift = (fields.bit_length() - 1) // w * w
+            e = fields >> shift
+            fields -= e << shift
+            text = texts.get((shift, e))
+            if text is None:
+                x = f"x{n - 1 - shift // w}"
+                text = texts[shift, e] = x if e == 1 else f"{x}^{_text(e)}"
+            mono.append(text)
+        if den == 1:
+            mag = _text(abs(c))
+        else:
+            g = gcd(c, den)
+            mag = _text(abs(c) // g) if g == den else (
+                f"{_text(abs(c) // g)}/{_text(den // g)}")
+        mono = "*".join(mono)
         body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
         out.append((" - " if c < 0 else " + ") + body)
     return ("-" if p._nums[0] < 0 else "") + "".join(out)[3:] if out else "0"

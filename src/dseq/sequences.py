@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import (canonical_map, coord_slice, pfunctor_apply, proj,
-                   zero_map)
+from .maps import canonical_map, coord_slice, precompose, proj, zero_map
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ class PreDSeq:
 
     def lmul(self, h):
         """Left scalar action: reparameterize by h through every doubling."""
-        terms = tuple(pfunctor_apply(h, n).then(f)
-                      for n, f in enumerate(self.terms))
+        terms = tuple(precompose(h, n, f) for n, f in enumerate(self.terms))
         return PreDSeq(h.dom, self.cod, terms)
 
     def rmul(self, k):

@@ -1,17 +1,19 @@
 """Axiom checkers: the termwise and tower-level batteries, linearity,
 verified stamping, and the corrupted fixtures."""
 
+import math
+
 import pytest
 
 from dseq.axioms import (DSeq, check_ds_primed, check_ds_unprimed, is_linear,
                          t2)
 from dseq.comonad import omega
-from dseq.errors import AxiomViolation
+from dseq.errors import AxiomViolation, EngineError
 from dseq.fixtures import (CORRUPT_BUILDERS, corrupt_ds2, corrupt_ds3,
                            corrupt_ds3_joint, corrupt_ds4, random_poly_map,
                            rng_for)
 from dseq.parser import parse_map
-from dseq.sequences import seq_identity, seq_proj, seq_zero
+from dseq.sequences import PreDSeq, seq_identity, seq_proj, seq_zero
 
 
 def pm(components, dom):
@@ -127,3 +129,28 @@ def test_stamp_rejects_corrupted():
     with pytest.raises(AxiomViolation) as err:
         DSeq.verify(corrupt_ds3())
     assert "DS.3'" in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_elementary_checks_refuse_a_tolerance_that_is_not_finite_or_is_negative(
+        tol):
+    """A NaN tolerance made every sampled comparison pass, and a negative
+    one failed equal maps: both are refused, with the value named."""
+    tower = omega(parse_map(["1/2 + 3/2*sin(x0) - 5/2*exp(x0)"], 1, 1,
+                            "elementary"), 2)
+    bump = parse_map(["2*x1^2*x2^2"], 4, 1, "elementary")
+    broken = PreDSeq(1, 1, tower.terms[:2] + (tower.terms[2] + bump,))
+    assert failing_families(check_ds_primed(broken)) == {"DS.2'"}
+    assert failing_families(check_ds_unprimed(broken)) == {"DS.2"}
+    sin_, cos_ = (parse_map([f"{fn}(x0)"], 1, 1, "elementary")
+                  for fn in ("sin", "cos"))
+    message = f"tolerance must be a finite number >= 0, got {tol!r}"
+    for check in (lambda: check_ds_primed(broken, tol),
+                  lambda: check_ds_unprimed(broken, tol),
+                  lambda: sin_.equal_witness(cos_, tol),
+                  lambda: sin_.equal_witness(sin_, tol)):
+        with pytest.raises(EngineError) as info:
+            check()
+        assert str(info.value) == message
+    assert sin_.equal_witness(sin_, 0.0) == (True, None)
+    assert not sin_.equal_witness(cos_, 0.0)[0]

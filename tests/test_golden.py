@@ -38,6 +38,11 @@ CASES = {
                               "--format", "text", "--trials", "2"]),
     "check_sin_json": (0, ["check", "--input", fx("map_sin.json"),
                            "--format", "json", "--trials", "2"]),
+    # Both DS checkers on one order-4 elementary tower: the unprimed run
+    # reads the precompositions and sampled rows the primed run kept.
+    "check_sin_ds_order4_json": (0, ["check", "--input", fx("map_sin.json"),
+                                     "--suite", "ds", "--order", "4",
+                                     "--format", "json"]),
     "check_corrupt_ds2_json": (1, ["check", "--input", fx("corrupt_ds2.json"),
                                    "--format", "json", "--trials", "2"]),
     "check_corrupt_ds2_text": (1, ["check", "--input", fx("corrupt_ds2.json"),

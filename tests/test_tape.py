@@ -8,15 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dseq import expr, maps
+from dseq import axioms, expr, maps
 from dseq.axioms import check_ds_primed, check_ds_unprimed
 from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
                        exp, mul, neg, pow_, sin, var)
-from dseq.errors import EngineError, ParseError
+from dseq.errors import EngineError, ParseError, TagMismatch
 from dseq.maps import (canonical_map, coord_slice, identity, pfunctor_apply,
                        proj, zero_map)
 from dseq.parser import format_map, parse_component, parse_map
+from dseq.sequences import PreDSeq, seq_zero
 
 DOM = 3
 
@@ -544,3 +545,114 @@ def test_checkers_build_each_pushed_structural_map_once(monkeypatch):
         runs.append(len(builds))
     assert builds and len(builds) == len(set(builds))
     assert runs[1] == runs[0]
+
+
+# Both DS checkers build the same precompositions of a tower's terms with
+# the structural maps: a term keeps each one (`maps.precompose`), and a map
+# keeps its sampled rows, so the second checker reads what the first built.
+
+def elem_tower(order):
+    f = parse_map(["1/2 + 3/2*sin(x0) - 5/2*exp(x0)"], 1, 1, "elementary")
+    g = parse_map(["-3/2 + 7/2*exp(x0) + 9/2*cos(x0)"], 1, 1, "elementary")
+    return omega(f, order).compose(omega(g, order))
+
+
+@pytest.mark.parametrize("first", [check_ds_primed, check_ds_unprimed])
+def test_both_checkers_build_each_precomposition_once(first, monkeypatch):
+    """On an order-4 1->1 tower each checker precomposes 52 times with a
+    pushed structural map; run after the other, it builds none of them."""
+    tower = elem_tower(4)
+    pushed = [structural(kind, dim, k) for kind in KINDS
+              for dim in (1, 2, 4, 8) for k in range(4)]
+    ids = {id(h) for h in pushed}
+    calls = []
+    real = ElemMap.then
+    monkeypatch.setattr(ElemMap, "then", lambda h, m: (
+        calls.append(m) if id(h) in ids else None) or real(h, m))
+    second = check_ds_unprimed if first is check_ds_primed else check_ds_primed
+    first(tower)
+    assert len(calls) == 52
+    second(tower)
+    assert len(calls) == 52
+    check_ds_primed(tower), check_ds_unprimed(tower)
+    assert len(calls) == 52
+
+
+def test_both_checkers_sample_each_map_once(monkeypatch):
+    tower = elem_tower(4)
+    sampled = []
+    real = expr._float_rows
+    monkeypatch.setattr(expr, "_float_rows", lambda tape, columns: (
+        sampled.append(tape) or real(tape, columns)))
+    primed, unprimed = check_ds_primed(tower), check_ds_unprimed(tower)
+    assert primed.passed and unprimed.passed
+    assert len({id(t) for t in sampled}) == len(sampled)
+
+
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_unprimed_residuals_are_the_lmul_towers(base, monkeypatch):
+    """The towers the unprimed checker compares, read off what the primed
+    run kept, are the `lmul` towers built afresh with no keep."""
+    if base == "poly":
+        tower = omega(parse_map(["x0^3*x1 - 2*x1^2", "x0*x1 + 3*x0^2"], 2, 2),
+                      3)
+    else:
+        tower = elem_tower(3)
+    compared = []
+    real = axioms.seq_entry
+    monkeypatch.setattr(axioms, "seq_entry", lambda *a: (
+        compared.append(a[3:5]) or real(*a)))
+    check_ds_primed(tower)
+    assert check_ds_unprimed(tower).passed
+
+    want, first = [], tower
+    for n in range(tower.order):
+        first = first.differential()
+        second = first.differential() if first.order else None
+        h = {kind: canonical_map(kind, tower.dom << n, base) for kind in KINDS}
+
+        def along(kind, m):
+            return PreDSeq(h[kind].dom, m.cod, tuple(
+                pfunctor_apply(h[kind], j).then(t)
+                for j, t in enumerate(m.terms)))
+
+        zero = seq_zero(tower.dom << n, tower.cod, first.order, base)
+        want += [(lhs, rhs) for _, _, lhs, rhs
+                 in axioms._ds_laws(along, first, second, zero)]
+
+    def same(f, g):     # `then` builds the same tape from the same operands
+        return f == g if base == "poly" else f.tape[:2] == g.tape[:2]
+
+    assert len(compared) == len(want) == 3 * 2 + 2 * 2
+    for got, ref in zip(compared, want):
+        for a, b in zip(got, ref):
+            assert (a.dom, a.cod, a.order) == (b.dom, b.cod, b.order)
+            assert all(map(same, a.terms, b.terms))
+
+
+def test_kept_rows_give_the_same_witness_again():
+    """A map that leaves float range on part of the cloud keeps its marked
+    points: a second comparison, from the kept rows, finds the witness the
+    first found and the reference finds."""
+    f = ElemMap(1, 1, [exp(exp(mul(const(8), var(0))))])
+    g = ElemMap(1, 1, [exp(exp(mul(const(8), var(0))))])
+    h = ElemMap(1, 1, [add(exp(exp(mul(const(8), var(0)))), const(1))])
+    ok, point = f.equal_witness(h)
+    assert not ok
+    assert (ok, point) == ref_equal_witness(f, h)
+    assert "rows" in f._kept and "rows" in h._kept
+    assert f.equal_witness(h) == (ok, point)
+    assert h.equal_witness(f) == ref_equal_witness(h, f)
+    assert any(r is None for r in f._kept["rows"])
+    assert f.equal_witness(g) == ref_equal_witness(f, g) == (True, None)
+    assert f.equal_witness(g) == (True, None)
+
+
+def test_a_kept_precomposition_does_not_cross_bases():
+    """A term keeps its precompositions per base: the structural map of
+    the other base is still refused."""
+    tower = elem_tower(2).differential()
+    kept = tower.lmul(canonical_map("zpair", 1, "elementary"))
+    assert tower.lmul(canonical_map("zpair", 1, "elementary")) == kept
+    with pytest.raises(TagMismatch):
+        tower.lmul(canonical_map("zpair", 1, "poly"))
