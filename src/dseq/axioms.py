@@ -7,8 +7,9 @@ equalities of residual towers under left scalar actions.  The primed
 instance at (n + k, k) coincides with the unprimed instance at (n, k), so
 the two checkers must agree in aggregate on every input, and they build the
 same precompositions: both go through `maps.precompose` (the unprimed one
-by `lmul`), so a term keeps each one and the second checker run on a tower
-reads what the first built.  Both run the one
+by `lmul`), so a term keeps each one and DS.2's sum of two of them, and
+the second checker run on a tower reads what the first built; DS.1's zero
+map is the cached `zero_map`.  Both run the one
 statement of the four laws, `_ds_laws`, which the CD battery also runs
 (`comonad._cd_laws`: CD.2, CD.6 and CD.7 are these laws read on a
 morphism's first and second shift).
@@ -34,16 +35,17 @@ def _ds_laws(along, first, second, zero):
 
     `first` and `second` are a morphism's first and second shift (`second`
     is None when the order runs out, which drops DS.3 and DS.4); depth
-    counts the shifts a law reads.  `along(kind, m)` precomposes m with the
-    structural map `kind` (`maps.canonical_map`), and `zero` is the zero
-    morphism that DS.1 compares with.
+    counts the shifts a law reads.  `along(m, *kinds)` is the sum of m
+    precomposed with each structural map of `kinds`
+    (`maps.canonical_map`), and `zero` is the zero morphism that DS.1
+    compares with.
     """
-    yield "DS.1", 1, along("zpair", first), zero
-    yield ("DS.2", 1, along("sumv", first),
-           along("sumproj0", first) + along("sumproj1", first))
+    yield "DS.1", 1, along(first, "zpair"), zero
+    yield ("DS.2", 1, along(first, "sumv"),
+           along(first, "sumproj0", "sumproj1"))
     if second is not None:
-        yield "DS.3", 2, along("lift", second), first
-        yield "DS.4", 2, along("flip", second), second
+        yield "DS.3", 2, along(second, "lift"), first
+        yield "DS.4", 2, along(second, "flip"), second
 
 
 def check_ds_primed(seq, tol=None):
@@ -56,9 +58,10 @@ def check_ds_primed(seq, tol=None):
         second = seq.terms[n + 2] if n + 2 <= seq.order else None
         zero = zero_map(seq.dom << n, seq.cod, seq.base)
         for k in range(n + 1):
-            def along(kind, m):
-                h = canonical_map(kind, seq.dom << (n - k), seq.base)
-                return precompose(h, k, m)
+            def along(m, *kinds):
+                h, *more = (canonical_map(kind, seq.dom << (n - k), seq.base)
+                            for kind in kinds)
+                return precompose(h, k, m, *more)
 
             for axiom, depth, lhs, rhs in _ds_laws(along, first, second, zero):
                 report.add(map_entry(axiom + "'", n, k, n + depth, lhs, rhs,
@@ -76,8 +79,9 @@ def check_ds_unprimed(seq, tol=None):
         second = first.differential() if first.order else None
         zero = seq_zero(seq.dom << n, seq.cod, first.order, seq.base)
 
-        def along(kind, m):
-            return m.lmul(canonical_map(kind, seq.dom << n, seq.base))
+        def along(m, *kinds):
+            return m.lmul(*(canonical_map(kind, seq.dom << n, seq.base)
+                            for kind in kinds))
 
         for axiom, _, lhs, rhs in _ds_laws(along, first, second, zero):
             report.add(seq_entry(axiom, n, 0, lhs, rhs, tol))

@@ -15,8 +15,10 @@ polynomial product or power over the expansion budget; a constant power
 over 4,300 digits; an integer of more than 4,300 digits in a component or
 a JSON file; a JSON file nested too deeply or not UTF-8; a negative
 dimension, or a tower order below 0; a DSEQ_MAX_ORDER that is not a
-natural number; an eval point coordinate of more than 4,300 digits; check
---suite cd|all on a tower below order 3.
+natural number; an eval point coordinate of more than 4,300 digits; a
+map or tower file whose widest term (dom * 2^order inputs) or whose cod is
+over the width guard, unless --allow-large is passed; check --suite ds|all
+on a tower below order 1; check --suite cd|all on a tower below order 3.
 All JSON output is canonical: two-space indent, stable key order, ASCII,
 trailing newline, no NaN or infinity.  Identical invocations produce
 byte-identical output.
@@ -32,7 +34,8 @@ from fractions import Fraction
 
 from .axioms import DSeq, check_ds_primed, check_ds_unprimed
 from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
-from .errors import AxiomViolation, DimensionMismatch, EngineError
+from .errors import (AxiomViolation, DimensionMismatch, EngineError,
+                     InsufficientOrder)
 from .faa import faa_compose, faa_sequence
 from .fixtures import random_dim, random_map, rng_for
 from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
@@ -46,6 +49,10 @@ DEFAULT_ORDER = 3
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 25
 ORDER_LIMIT = 4  # f_4 over dim 2 already takes 32 inputs
+# The structural maps the checks build at a term's width take memory
+# quadratic in it: `check --suite ds` reached 43 MB at width 2,048, 116 MB
+# at 4,096 and 5.8 GB at 32,000, and `--suite all` took 61 MB at 1,024.
+WIDTH_LIMIT = 1024
 
 
 def _order_limit():
@@ -67,6 +74,17 @@ def guard_order(order, allow_large):
             f"order {order} exceeds the guard ({limit}); "
             "pass --allow-large or set DSEQ_MAX_ORDER")
     return order
+
+
+def guard_width(what, f, order, allow_large):
+    """Refuse the map or tower f if its widest term at `order`, of
+    f.dom << order inputs, or its cod is over WIDTH_LIMIT."""
+    if not allow_large and (f.dom > WIDTH_LIMIT >> order
+                            or f.cod > WIDTH_LIMIT):
+        raise EngineError(
+            f"{what} has terms of {f.dom} * 2^{order} inputs and {f.cod} "
+            f"outputs, over the width guard ({WIDTH_LIMIT}); "
+            "pass --allow-large")
 
 
 def _tolerance(text):
@@ -103,6 +121,7 @@ def _load_map_file(path):
 def cmd_derive(args):
     f = _load_map_file(args.map)
     order = guard_order(args.order, args.allow_large)
+    guard_width(args.map, f, order, args.allow_large)
     _emit(dump_seq(omega(f, order)), args.out)
     return 0
 
@@ -111,6 +130,8 @@ def cmd_compose(args):
     first = _load_map_file(args.first)
     second = _load_map_file(args.second)
     order = guard_order(args.order, args.allow_large)
+    guard_width(args.first, first, order, args.allow_large)
+    guard_width(args.second, second, order, args.allow_large)
     if first.cod != second.dom:
         raise DimensionMismatch(
             f"cannot compose: first has cod {first.cod}, "
@@ -128,8 +149,13 @@ def _input_tower(path, order, allow_large):
     taken as already built, at its own order."""
     obj = read_json(path)
     if is_seq_object(obj):
-        return load_seq(obj, what=path)
-    return omega(load_map(obj, what=path), guard_order(order, allow_large))
+        tower = load_seq(obj, what=path)
+        guard_width(path, tower, tower.order, allow_large)
+        return tower
+    f = load_map(obj, what=path)
+    order = guard_order(order, allow_large)
+    guard_width(path, f, order, allow_large)
+    return omega(f, order)
 
 
 def _cd_reports(tower, seed, tol):
@@ -154,6 +180,8 @@ def _check_reports(tower, suite, args):
     tol = args.tolerance
     reports = []
     if suite in ("ds", "all"):
+        if tower.order < 1:
+            raise InsufficientOrder("DS battery needs a tower of order >= 1")
         reports.append(check_ds_primed(tower, tol))
         reports.append(check_ds_unprimed(tower, tol))
     if suite in ("comonad", "all"):
@@ -197,6 +225,8 @@ def cmd_faa(args):
     inner = _load_map_file(args.inner)
     outer = _load_map_file(args.outer)
     n = guard_order(args.n, args.allow_large)
+    guard_width(args.inner, inner, n, args.allow_large)
+    guard_width(args.outer, outer, n, args.allow_large)
     faa_map = faa_compose(faa_sequence(omega(inner, n)),
                           faa_sequence(omega(outer, n)), n)
     iterated = faa_sequence(omega(inner.then(outer), n))[n]
@@ -299,7 +329,7 @@ def build_parser():
             p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                            help="truncation order (default 3, guard at 4)")
             p.add_argument("--allow-large", action="store_true",
-                           help="bypass the order guard")
+                           help="bypass the order and width guards")
         if tolerance:
             p.add_argument("--tolerance", type=_tolerance, default=None,
                            help="sampled-equality tolerance (elementary "
@@ -337,7 +367,7 @@ def build_parser():
     p.add_argument("--outer", required=True, help="poly map JSON file")
     p.add_argument("--n", type=int, required=True, help="derivative order")
     p.add_argument("--allow-large", action="store_true",
-                   help="bypass the order guard")
+                   help="bypass the order and width guards")
     p.set_defaults(func=cmd_faa)
 
     p = sub.add_parser("eval", help="evaluate one tower term at a point")

@@ -9,6 +9,9 @@ reduce to index arithmetic over one shared family.  The CD.1-CD.7
 statement here serves base maps as well as towers.
 """
 
+import operator
+from functools import reduce
+
 from .axioms import DSeq, _ds_laws
 from .errors import AxiomViolation, InsufficientOrder
 from .maps import canonical_map, identity, proj, zero_map
@@ -111,8 +114,10 @@ def _cd_laws(lift, compose, single=None, parallel=None, composable=None):
         df = f.differential()
         d2 = df.differential()
 
-        def along(kind, m):
-            return compose(lift(canonical_map(kind, a, base)), m)
+        def along(m, *kinds):
+            return reduce(operator.add, (
+                compose(lift(canonical_map(kind, a, base)), m)
+                for kind in kinds))
 
         zero = lift(zero_map(a, b, base))
         yield "CD.1", 1, zero.differential(), lift(zero_map(2 * a, b, base))

@@ -14,11 +14,14 @@ A map keeps its doublings and its routes (`_routes`) once asked for them.
 The axiom checkers and the tangent precompose terms with a few dozen
 structural maps pushed through k doublings, each many times over, so the
 cached `canonical_map` builds each doubling once per process, and a term
-keeps its precompositions with them (`precompose`): the termwise and the
-tower-level DS checkers build the same ones.
+keeps its precompositions with them, and the sums of two of them that
+DS.2 compares with (`precompose`): the termwise and the tower-level DS
+checkers build the same ones.  `zero_map` is cached too, so a zero map
+is sampled once per signature.
 """
 
 import math
+import operator
 from functools import lru_cache, reduce
 from itertools import chain
 
@@ -174,7 +177,10 @@ def identity(dim, base="poly"):
     return coord_slice(dim, 0, dim, base)
 
 
+@lru_cache(maxsize=None)
 def zero_map(dom, cod, base="poly"):
+    """The zero map, one object per signature and base, so that what it
+    keeps (its sampled rows) is worked out once."""
     cls = map_class(base)
     return cls(dom, cod, [cls._constant(dom, 0)] * cod)
 
@@ -205,15 +211,26 @@ def pfunctor_apply(h, k):
     return kept[k]
 
 
-def precompose(h, k, m):
-    """pfunctor_apply(h, k).then(m), kept on m when h is a structural map
-    of `canonical_map`, under its (kind, dim, base) and k."""
-    stamp = h._kept.get("structural")
-    if stamp is None:
-        return pfunctor_apply(h, k).then(m)
-    key, kept = (*stamp, k), m._kept
+def precompose(h, k, m, *more):
+    """pfunctor_apply(h, k).then(m); with `more` maps of h's signature, the
+    sum of m precomposed so with h and with each of them (DS.2's right
+    side).  Kept on m when every map came from `canonical_map`: a
+    precomposition under its stamp (kind, dim, base) and k, a sum under
+    ("sum", key, key, ...) of its summands' keys, with the summands not
+    kept, since only the sum is compared."""
+    if more:
+        stamps = [g._kept.get("structural") for g in (h, *more)]
+        key = None if None in stamps else ("sum", *((*s, k) for s in stamps))
+    else:
+        stamp = h._kept.get("structural")
+        key = None if stamp is None else (*stamp, k)
+    kept = m._kept
     if key not in kept:
-        kept[key] = pfunctor_apply(h, k).then(m)
+        value = reduce(operator.add,
+                       (pfunctor_apply(g, k).then(m) for g in (h, *more)))
+        if key is None:
+            return value
+        kept[key] = value
     return kept[key]
 
 

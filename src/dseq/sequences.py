@@ -75,9 +75,12 @@ class PreDSeq:
         return self.truncate(self.order - 1).lmul(pi0).pair(
             self.differential())
 
-    def lmul(self, h):
-        """Left scalar action: reparameterize by h through every doubling."""
-        terms = tuple(precompose(h, n, f) for n, f in enumerate(self.terms))
+    def lmul(self, h, *more):
+        """Left scalar action: reparameterize by h through every doubling.
+        With `more` maps of h's signature, the termwise sum of the actions
+        of h and of each of them (`maps.precompose`)."""
+        terms = tuple(precompose(h, n, f, *more)
+                      for n, f in enumerate(self.terms))
         return PreDSeq(h.dom, self.cod, terms)
 
     def rmul(self, k):

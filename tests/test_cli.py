@@ -646,3 +646,61 @@ def test_eval_refuses_a_point_coordinate_over_the_digit_limit(tmp_path,
                            "--point=" + point)
         assert time.perf_counter() - start < 3.0
         assert code == 0 and json.loads(out)["value"] == [value]
+
+
+@pytest.mark.parametrize("suite", ["ds", "all"])
+def test_check_ds_below_order_one_exits_two(tmp_path, capsys, suite):
+    """A DS battery on an order-0 tower has no instance to check, so it is
+    refused rather than passed, for a map file and a tower file alike."""
+    tower = str(tmp_path / "tower.json")
+    assert run(capsys, "derive", "--map", fx("map_square.json"),
+               "--order", "0", "--out", tower)[0] == 0
+    for argv in (["--input", fx("map_square.json"), "--order", "0"],
+                 ["--input", tower]):
+        code, out, err = run(capsys, "check", "--suite", suite, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: DS battery needs a tower of order >= 1\n"
+
+
+def poly_file(path, dom, cod):
+    return write_json(path, {"base": "poly", "dom": dom, "cod": cod,
+                             "components": ["x0"] * cod})
+
+
+def test_width_guard_refuses_a_wide_term(tmp_path, capsys):
+    """A file whose widest term (dom * 2^order inputs) or whose cod is over
+    the width guard is refused before a tower is built: the structural
+    maps the checks build take memory quadratic in the width."""
+    wide = poly_file(tmp_path / "wide.json", 16000, 1)
+    tall = poly_file(tmp_path / "tall.json", 1, 1025)
+    square = fx("map_square.json")
+    tower = write_json(tmp_path / "tower.json", {
+        "base": "poly", "dom": 1025, "cod": 1, "order": 0,
+        "terms": [{"base": "poly", "dom": 1025, "cod": 1,
+                   "components": ["x0"]}]})
+    for argv in (["check", "--input", wide, "--suite", "ds", "--order", "1"],
+                 ["check", "--input", tower, "--suite", "comonad"],
+                 ["derive", "--map", wide, "--order", "0"],
+                 ["derive", "--map", tall, "--order", "0"],
+                 ["compose", "--first", wide, "--second", square],
+                 ["compose", "--first", square, "--second", tall],
+                 ["faa", "--inner", wide, "--outer", square, "--n", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "over the width guard (1024); pass --allow-large" in err
+
+
+def test_width_guard_bounds_the_widest_term(tmp_path, capsys):
+    """The guard reads the widest term at the requested order, and
+    --allow-large lifts it."""
+    src = poly_file(tmp_path / "map.json", 512, 1)
+    assert run(capsys, "derive", "--map", src, "--order", "1")[0] == 0
+    code, out, err = run(capsys, "derive", "--map", src, "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: " + src + " has terms of 512 * 2^2 inputs and 1 "
+                   "outputs, over the width guard (1024); pass --allow-large\n")
+    assert run(capsys, "derive", "--map", src, "--order", "2",
+               "--allow-large")[0] == 0
+    assert run(capsys, "derive", "--map", poly_file(tmp_path / "tall.json",
+                                                    1, 1024),
+               "--order", "0")[0] == 0

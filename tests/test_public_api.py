@@ -3,6 +3,8 @@ name the package imports into its namespace is listed."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import dseq
 from dseq.maps import CoordMap
@@ -55,3 +57,17 @@ def test_structural_maps_have_one_spelling():
     for cls in (CoordMap, dseq.PolyMap, dseq.ElemMap):
         for name in ("identity", "zero_map", "coord_slice", "proj", "tile"):
             assert not hasattr(cls, name), (cls.__name__, name)
+
+
+def test_imports_only_the_standard_library():
+    """The package and its CLI load nothing from outside the standard
+    library: runtime dependencies stay at zero."""
+    src = os.path.dirname(os.path.dirname(dseq.__file__))
+    code = ("import sys; before = set(sys.modules); import dseq, dseq.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "dseq.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0]
+            not in (*sys.stdlib_module_names, "dseq")] == []

@@ -2,8 +2,10 @@
 random trees against plain recursive reference implementations."""
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +16,8 @@ from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
                        exp, mul, neg, pow_, sin, var)
 from dseq.errors import EngineError, ParseError, TagMismatch
-from dseq.maps import (canonical_map, coord_slice, identity, pfunctor_apply,
-                       proj, zero_map)
+from dseq.maps import (CoordMap, canonical_map, coord_slice, identity,
+                       pfunctor_apply, proj, zero_map)
 from dseq.parser import format_map, parse_component, parse_map
 from dseq.sequences import PreDSeq, seq_zero
 
@@ -592,7 +594,8 @@ def test_both_checkers_sample_each_map_once(monkeypatch):
 @pytest.mark.parametrize("base", ["poly", "elementary"])
 def test_unprimed_residuals_are_the_lmul_towers(base, monkeypatch):
     """The towers the unprimed checker compares, read off what the primed
-    run kept, are the `lmul` towers built afresh with no keep."""
+    run kept, are the `lmul` towers and their DS.2 sums built afresh with
+    no keep."""
     if base == "poly":
         tower = omega(parse_map(["x0^3*x1 - 2*x1^2", "x0*x1 + 3*x0^2"], 2, 2),
                       3)
@@ -611,10 +614,10 @@ def test_unprimed_residuals_are_the_lmul_towers(base, monkeypatch):
         second = first.differential() if first.order else None
         h = {kind: canonical_map(kind, tower.dom << n, base) for kind in KINDS}
 
-        def along(kind, m):
-            return PreDSeq(h[kind].dom, m.cod, tuple(
+        def along(m, *kinds):
+            return reduce(operator.add, (PreDSeq(h[kind].dom, m.cod, tuple(
                 pfunctor_apply(h[kind], j).then(t)
-                for j, t in enumerate(m.terms)))
+                for j, t in enumerate(m.terms))) for kind in kinds))
 
         zero = seq_zero(tower.dom << n, tower.cod, first.order, base)
         want += [(lhs, rhs) for _, _, lhs, rhs
@@ -628,6 +631,42 @@ def test_unprimed_residuals_are_the_lmul_towers(base, monkeypatch):
         for a, b in zip(got, ref):
             assert (a.dom, a.cod, a.order) == (b.dom, b.cod, b.order)
             assert all(map(same, a.terms, b.terms))
+
+
+@pytest.mark.parametrize("first", [check_ds_primed, check_ds_unprimed])
+def test_second_checker_adds_and_samples_nothing(first, monkeypatch):
+    """Run after the other, a DS checker builds no map sum and samples no
+    map: each term keeps its DS.2 sums, and a zero map is one object per
+    signature, sampled once."""
+    tower = elem_tower(4)
+    assert first(tower).passed
+    second = check_ds_unprimed if first is check_ds_primed else check_ds_primed
+    work = []
+    real_add, real_rows = CoordMap.__add__, expr._float_rows
+    monkeypatch.setattr(CoordMap, "__add__", lambda f, g: (
+        work.append("add") or real_add(f, g)))
+    monkeypatch.setattr(expr, "_float_rows", lambda tape, columns: (
+        work.append("rows") or real_rows(tape, columns)))
+    report = second(tower)
+    assert report.passed and report.entries
+    assert work == []
+
+
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_a_kept_sum_stays_with_its_term(base):
+    """Two terms of one signature, summed along the same structural maps,
+    each keep their own DS.2 sum, under a key that names both summands."""
+    texts = (["x0^3 - 2*x0"], ["3*x0^2 + x0"]) if base == "poly" else \
+        (["sin(x0)*exp(x0)"], ["cos(x0) + 2*exp(x0)"])
+    terms = [omega(parse_map(t, 1, 1, base), 2).terms[2] for t in texts]
+    h0, h1 = (canonical_map(kind, 1, base) for kind in ("sumproj0", "sumproj1"))
+    key = ("sum", ("sumproj0", 1, base, 1), ("sumproj1", 1, base, 1))
+    sums = [maps.precompose(h0, 1, m, h1) for m in terms]
+    for m, got in zip(terms, sums):
+        want = pfunctor_apply(h0, 1).then(m) + pfunctor_apply(h1, 1).then(m)
+        assert got == want if base == "poly" else got.tape[:2] == want.tape[:2]
+    for m, got in zip(terms, sums):
+        assert m._kept[key] is got is maps.precompose(h0, 1, m, h1)
 
 
 def test_kept_rows_give_the_same_witness_again():
