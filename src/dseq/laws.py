@@ -66,7 +66,9 @@ def base_category_laws(rng, trials, base="poly", tol=None):
 def tower_identity_laws(rng, trials, order=3, tol=None):
     """The structural identity battery for arbitrary towers: scalar actions,
     tangent and shift, composition, products, sums, and the structural-map
-    pairing identities."""
+    pairing identities.  The subterms several identities share (f o g,
+    f.lmul(h), f.rmul(k), <f, f2>, f + f2) are built once per trial, and
+    the two sides of each identity are still built apart."""
     report = LawReport("pre_d")
     base = "poly"
     for t in range(trials):
@@ -91,54 +93,57 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
         def E(axiom, k_, lhs, rhs):
             report.add(seq_entry(axiom, t, k_, lhs, rhs, tol))
 
-        E("scalar.assoc-l", 0, f.lmul(h).lmul(h2), f.lmul(h2.then(h)))
+        fg, fh, fk, ff2, fsum = (f.compose(g), f.lmul(h), f.rmul(k),
+                                 f.pair(f2), f + f2)
+        f2h = f2.lmul(h)
+
+        E("scalar.assoc-l", 0, fh.lmul(h2), f.lmul(h2.then(h)))
         E("scalar.unit-l", 0, f.lmul(identity(a)), f)
         E("scalar.unit-r", 0, f.rmul(identity(b)), f)
-        E("scalar.assoc-r", 0, f.rmul(k).rmul(k2), f.rmul(k.then(k2)))
-        E("scalar.middle", 0, f.lmul(h).rmul(k), f.rmul(k).lmul(h))
+        E("scalar.assoc-r", 0, fk.rmul(k2), f.rmul(k.then(k2)))
+        E("scalar.middle", 0, fh.rmul(k), fk.lmul(h))
 
         E("tangent.pi0", 0, f.lmul(proj(a, a, 0)),
           f.tangent().rmul(proj(b, b, 0)))
         E("tangent.pi1", 0, f.tangent().rmul(proj(b, b, 1)), f.differential())
-        E("tangent.lmul", 0, f.lmul(h).tangent(),
+        E("tangent.lmul", 0, fh.tangent(),
           f.tangent().lmul(pfunctor_apply(h, 1)))
-        E("tangent.rmul", 0, f.rmul(k).tangent(),
+        E("tangent.rmul", 0, fk.tangent(),
           f.tangent().rmul(pfunctor_apply(k, 1)))
-        E("diff.lmul", 0, f.lmul(h).differential(),
+        E("diff.lmul", 0, fh.differential(),
           f.differential().lmul(pfunctor_apply(h, 1)))
-        E("diff.rmul", 0, f.rmul(k).differential(), f.differential().rmul(k))
+        E("diff.rmul", 0, fk.differential(), f.differential().rmul(k))
 
         E("functor.id", 0, ident_a.tangent(), seq_identity(2 * a, order - 1))
-        E("functor.compose", 0, f.compose(g).tangent(),
+        E("functor.compose", 0, fg.tangent(),
           f.tangent().compose(g.tangent()))
         report.add(map_entry("compose.term0", t, 0, 0,
-                             f.compose(g).terms[0],
+                             fg.terms[0],
                              f.terms[0].then(g.terms[0]), tol))
-        E("category.assoc", 0, f.compose(g).compose(g2),
+        E("category.assoc", 0, fg.compose(g2),
           f.compose(g.compose(g2)))
         E("category.unit-l", 0, ident_a.compose(f), f)
         E("category.unit-r", 0, f.compose(seq_identity(b, order)), f)
 
-        E("mixed.lmul-compose", 0, f.lmul(h).compose(g), f.compose(g).lmul(h))
+        E("mixed.lmul-compose", 0, fh.compose(g), fg.lmul(h))
         E("mixed.rmul-compose", 0, f.compose(g.rmul(kc)),
-          f.compose(g).rmul(kc))
-        E("mixed.exchange", 0, f.rmul(k).compose(g), f.compose(g.lmul(k)))
-        E("mixed.scalar-ident-l", 0, ident_a.lmul(h).compose(f), f.lmul(h))
+          fg.rmul(kc))
+        E("mixed.exchange", 0, fk.compose(g), f.compose(g.lmul(k)))
+        E("mixed.scalar-ident-l", 0, ident_a.lmul(h).compose(f), fh)
         E("mixed.scalar-ident-r", 0,
-          f.compose(seq_identity(b, order).rmul(k)), f.rmul(k))
+          f.compose(seq_identity(b, order).rmul(k)), fk)
 
-        E("product.lmul-pair", 0, f.pair(f2).lmul(h),
-          f.lmul(h).pair(f2.lmul(h)))
+        E("product.lmul-pair", 0, ff2.lmul(h), fh.pair(f2h))
         E("product.rmul-pair", 0, f.rmul(k1p.pair(k2p)),
           f.rmul(k1p).pair(f.rmul(k2p)))
-        E("product.proj", 0, f.pair(f2).rmul(proj(b, b, 0)), f)
-        E("product.proj", 1, f.pair(f2).rmul(proj(b, b, 1)), f2)
+        E("product.proj", 0, ff2.rmul(proj(b, b, 0)), f)
+        E("product.proj", 1, ff2.rmul(proj(b, b, 1)), f2)
         E("product.universal", 0,
-          f.pair(f2).compose(seq_proj(b, b, 0, order)), f)
+          ff2.compose(seq_proj(b, b, 0, order)), f)
         E("product.universal", 1,
-          f.pair(f2).compose(seq_proj(b, b, 1, order)), f2)
+          ff2.compose(seq_proj(b, b, 1, order)), f2)
         E("product.flip-pair", 0,
-          f.pair(f2).pair(f3.pair(f4)).rmul(canonical_map("flip", b)),
+          ff2.pair(f3.pair(f4)).rmul(canonical_map("flip", b)),
           f.pair(f3).pair(f2.pair(f4)))
 
         E("dt.tangent-pair", 0, f.tangent(),
@@ -149,31 +154,31 @@ def tower_identity_laws(rng, trials, order=3, tol=None):
             back = proj(a + b, a + b, 1).then(proj(a, b, j))
             E("dt.diff-proj", j, seq_proj(a, b, j, order).differential(),
               seq_identity(2 * (a + b), order).rmul(back))
-        E("dt.chain", 0, f.compose(g).differential(),
+        E("dt.chain", 0, fg.differential(),
           f.tangent().compose(g.differential()))
-        E("dt.diff-pair", 0, f.pair(f2).differential(),
+        E("dt.diff-pair", 0, ff2.differential(),
           f.differential().pair(f2.differential()))
 
         E("add.lmul-zero", 0, zero_ab.lmul(h), seq_zero(a2, b, order))
         E("add.rmul-zero", 0, f.rmul(zero_map(b, c)), seq_zero(a, c, order))
-        E("add.rmul-sum", 0, f.rmul(k + k2), f.rmul(k) + f.rmul(k2))
-        E("add.lmul-sum", 0, (f + f2).lmul(h), f.lmul(h) + f2.lmul(h))
+        E("add.rmul-sum", 0, f.rmul(k + k2), fk + f.rmul(k2))
+        E("add.lmul-sum", 0, fsum.lmul(h), fh + f2h)
         E("add.zero-rmul-linear", 0, zero_ab.rmul(lin), seq_zero(a, c, order))
-        E("add.sum-rmul-linear", 0, (f + f2).rmul(lin),
+        E("add.sum-rmul-linear", 0, fsum.rmul(lin),
           f.rmul(lin) + f2.rmul(lin))
         E("add.zpair", 0, f.rmul(canonical_map("zpair", b)),
           f.pair(zero_ab))
         E("add.sumv", 0, f.pair(f2.pair(f3)).rmul(canonical_map("sumv", b)),
           f.pair(f2 + f3))
-        E("add.lift", 0, f.pair(f2).rmul(canonical_map("lift", b)),
+        E("add.lift", 0, ff2.rmul(canonical_map("lift", b)),
           f.pair(zero_ab).pair(zero_ab.pair(f2)))
         E("add.diff-zero", 0, zero_ab.differential(),
           seq_zero(2 * a, b, order - 1))
-        E("add.diff-sum", 0, (f + f2).differential(),
+        E("add.diff-sum", 0, fsum.differential(),
           f.differential() + f2.differential())
         E("add.tangent-zero", 0, zero_ab.tangent(),
           seq_zero(2 * a, 2 * b, order - 1))
-        E("add.tangent-sum", 0, (f + f2).tangent(),
+        E("add.tangent-sum", 0, fsum.tangent(),
           f.tangent() + f2.tangent())
 
         zero_aa = seq_zero(a, a, order)

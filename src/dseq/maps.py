@@ -78,8 +78,9 @@ class CoordMap:
     `_route(c)` is the index of the variable the component c is, -1 if c
     is zero, and None otherwise; `_routes` reads it off every component.
     `_kept` holds what was worked out once for the map: its doublings
-    under k, its routes under "routes", what `canonical_map` made it under
-    "structural", and its precompositions with such maps (`precompose`).
+    under k, its routes under "routes" (and a polynomial routing's shape
+    under "routing"), what `canonical_map` made it under "structural", and
+    its precompositions with such maps (`precompose`).
     """
 
     base = None

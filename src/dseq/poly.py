@@ -177,13 +177,23 @@ class _Sum:
                 acc[m] = k * c
 
     def add_product(self, k, p, q):
-        """self += k * p * q for an integer k."""
-        k *= self._fit(_width(p.degree() + q.degree()), p._den * q._den)
-        if len(p._mons) > len(q._mons):
-            p, q = q, p
+        """self += k * p * q for an integer k.  q may be a _Sum, whose dict
+        is read as it stands, zero entries skipped."""
+        if type(q) is _Sum:
+            qm = [m for m, c in q.acc.items() if c]
+            qn, qw, qden = [q.acc[m] for m in qm], q.w, q.den
+            qdeg = max(qm, default=0) >> (q.nvars * qw)
+        else:
+            qm, qn, qw, qden, qdeg = q._mons, q._nums, q._w, q._den, q.degree()
+        k *= self._fit(_width(p.degree() + qdeg), p._den * qden)
+        w = self.w
+        pm, pn = _mons_at(p, w), p._nums
+        if qw != w:
+            qm = _repack(qm, self.nvars, qw, w)
+        if len(pm) > len(qm):
+            pm, pn, qm, qn = qm, qn, pm, pn
         acc = self.acc
-        qm, qn = _mons_at(q, self.w), q._nums
-        for m1, c1 in zip(_mons_at(p, self.w), p._nums):
+        for m1, c1 in zip(pm, pn):
             c1 *= k
             for m2, c2 in zip(qm, qn):
                 m = m1 + m2
@@ -382,7 +392,9 @@ class Poly:
         the coefficient of s plus, over each factor f, f(maps) times the
         value at (f,) + s; the result is the value at ().  So the parts in
         x0, x1, ... (a tower term's base point) of all monomials that end
-        alike are summed before the factors they share multiply them."""
+        alike are summed before the factors they share multiply them.  A
+        merged value folds into its slot straight from its `_Sum`'s dict,
+        with no sort or reduction until the result."""
         assert len(maps) == self.nvars
         if powers is None:
             powers = {}
@@ -409,7 +421,7 @@ class Poly:
                 if first is None:
                     first = powers[j, e] = maps[j] ** e
                 if type(value) is _Sum:
-                    acc.add_product(1, first, value.result())
+                    acc.add_product(1, first, value)
                 else:
                     acc.add(value, first)
         total = slots.get(())
@@ -417,26 +429,55 @@ class Poly:
             total = _Sum(nvars_out, total)
         return total.result(self._den)
 
-    def _routed(self, routes, nvars_out):
+    def _routed(self, shape, nvars_out):
         """Substitution where variable j becomes variable routes[j], or
-        zero where routes[j] < 0: each monomial's nonzero fields move."""
+        zero where routes[j] < 0, given the routing's `_routing` shape:
+        each monomial's nonzero fields move, and a monomial with a zeroed
+        field is dropped.  The relabeled monomials are written straight
+        into a list: they merge in a dict only when two variables route to
+        one, and are sorted only when the live routes do not increase.
+        When no monomial is dropped, the numerators and the denominator
+        stand as they are."""
+        dests, how = shape
         n, w = self.nvars, self._w
         top, new_top = n * w, nvars_out * w
         low = (1 << top) - 1
-        # to[s // w] is where the field at shift s goes, -1 for nowhere
-        to = [(nvars_out - 1 - r) * w if r >= 0 else -1
-              for r in reversed(routes)]
-        acc = {}
+        mons, nums = [], []
         for m, c in zip(self._mons, self._nums):
             out = (m >> top) << new_top
             for shift, e in _factors(m & low, w):
-                dst = to[shift // w]
+                dst = dests[shift // w]
                 if dst < 0:
                     break
-                out += e << dst
+                out += e << dst * w
             else:
-                acc[out] = acc.get(out, 0) + c
-        return _normal(nvars_out, w, acc, self._den)
+                mons.append(out)
+                nums.append(c)
+        if how == "merge":
+            acc = {}
+            for m, c in zip(mons, nums):
+                acc[m] = acc.get(m, 0) + c
+            return _normal(nvars_out, w, acc, self._den)
+        if how == "sort":
+            pairs = sorted(zip(mons, nums), reverse=True)
+            mons, nums = [m for m, _ in pairs], [c for _, c in pairs]
+        if len(mons) < len(self._mons):
+            return _finish(nvars_out, w, mons, nums, self._den)
+        return _poly(nvars_out, w, tuple(mons),
+                     self._nums if how == "keep" else tuple(nums), self._den)
+
+
+def _routing(routes, nvars_out):
+    """The shape of a routing into nvars_out variables, for `_routed`:
+    (dests, how).  dests[i] is the field, counted from the least
+    significant, that field i moves to, -1 where its variable is zeroed.
+    how is "merge" when two variables route to one, "keep" when the live
+    routes increase, so relabeled monomials stay in descending order, and
+    "sort" otherwise."""
+    live = [r for r in routes if r >= 0]
+    how = ("merge" if len(set(live)) < len(live)
+           else "keep" if live == sorted(live) else "sort")
+    return [nvars_out - 1 - r if r >= 0 else -1 for r in reversed(routes)], how
 
 
 class PolyMap(CoordMap):
@@ -478,7 +519,11 @@ class PolyMap(CoordMap):
         self._require_composable(other)
         routes = self._routes()
         if routes is not None:
-            comps = [p._routed(routes, self.dom) for p in other.components]
+            kept = self._kept
+            if "routing" not in kept:
+                kept["routing"] = _routing(routes, self.dom)
+            comps = [p._routed(kept["routing"], self.dom)
+                     for p in other.components]
         else:
             maps, powers = self.components, {}
             comps = [p.subst(maps, self.dom, powers) for p in other.components]

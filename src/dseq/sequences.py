@@ -8,9 +8,15 @@ truncate to the smaller input order.  Tower operations are validated by
 their terms: the term operation each runs first, on f_0, raises any
 TagMismatch or DimensionMismatch before heavy work.  Only the constructor
 checks a tower's own terms.
+
+A tower keeps its tangent once built.  Term n of a composite runs the
+n-fold tangent of its left tower, so every `compose` with one left tower,
+and every repeated `tangent()`, reads one chain T f, T^2 f, ...  The keep is
+not a field: equality, hashing, printing and JSON see the terms alone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
@@ -68,7 +74,11 @@ class PreDSeq:
     def tangent(self):
         """The tangent tower T f = <f o pi0, D f>: f precomposed with the
         projection pi0 (a, b) |-> a by the left scalar action, paired with
-        its shift.  Costs one order."""
+        its shift.  Costs one order.  Built once, then kept on the tower."""
+        return self._tangent
+
+    @cached_property
+    def _tangent(self):
         if self.order < 1:
             raise InsufficientOrder("tangent needs order >= 1")
         pi0 = canonical_map("proj0", self.dom, self.base)

@@ -5,7 +5,9 @@ from dseq.fixtures import random_dim, random_nonlinear_map, rng_for
 from dseq.laws import (base_category_laws, omega_structure_laws,
                        tower_axiom_closure_laws, tower_identity_laws,
                        tower_naturality_laws)
+from dseq.poly import Poly, PolyMap
 from dseq.reports import LawReport, bool_entry
+from dseq.sequences import PreDSeq
 
 TRIALS = 10
 
@@ -56,6 +58,32 @@ def test_batteries_are_deterministic():
     a = tower_identity_laws(rng_for(9, "t-repeat"), 3)
     b = tower_identity_laws(rng_for(9, "t-repeat"), 3)
     assert report_ids(a) == report_ids(b)
+
+
+def test_a_broken_chain_rule_fails_the_same_identities(monkeypatch):
+    """A compose that adds 1 to the first component of every term n >= 1
+    fails exactly the identities that compose on one side only.  A
+    subterm built once per trial and read by both sides of an identity
+    would hide the break there."""
+    real = PreDSeq.compose
+
+    def broken(f, g):
+        out = real(f, g)
+        terms = [t if not n else PolyMap(t.dom, t.cod, (
+            t.components[0] + Poly.constant(t.dom, 1), *t.components[1:]))
+            for n, t in enumerate(out.terms)]
+        return PreDSeq(out.dom, out.cod, tuple(terms))
+
+    monkeypatch.setattr(PreDSeq, "compose", broken)
+    entries = [e for seed in range(5) for e in tower_identity_laws(
+        rng_for(seed, "t-broken-chain"), 2).entries]
+    assert len({(e.axiom, e.k) for e in entries}) == 52
+    assert {(e.axiom, e.k) for e in entries if not e.passed} == {
+        ("category.assoc", 0), ("category.unit-l", 0),
+        ("category.unit-r", 0), ("dt.chain", 0), ("functor.compose", 0),
+        ("mixed.rmul-compose", 0), ("mixed.scalar-ident-l", 0),
+        ("mixed.scalar-ident-r", 0), ("product.universal", 0),
+        ("product.universal", 1)}
 
 
 def test_nonlinear_fixture_keeps_a_nonlinear_monomial():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dseq import poly
 from dseq.errors import DimensionMismatch, TagMismatch
 from dseq.maps import (canonical_map, coord_slice, identity,
                        map_class, pfunctor_apply, proj, zero_map)
@@ -155,7 +156,8 @@ def test_table_builds_the_hand_built_structural_maps(kind, base):
 
 def test_routes_are_scanned_once_per_map(monkeypatch):
     """A map keeps its routes: repeated `then`s with one left operand scan
-    its components once, on both bases."""
+    its components once, on both bases, and a polynomial routing works out
+    its shape once."""
     found = {}
     for base in ("poly", "elementary"):
         cls = map_class(base)
@@ -171,6 +173,14 @@ def test_routes_are_scanned_once_per_map(monkeypatch):
         assert len(scanned) == h.cod
         found[base] = h._routes()
     assert found["poly"] == found["elementary"] is not None
+    shaped = []
+    monkeypatch.setattr(poly, "_routing", lambda *args, real=poly._routing:
+                        shaped.append(args) or real(*args))
+    h = pfunctor_apply(hand_built("flip", 1, "poly"), 1)
+    f = parse_map(["x0*x3 + x1", "x2^2"], h.cod, 2, "poly")
+    for _ in range(3):
+        h.then(f)
+    assert len(shaped) == 1
 
 
 def test_map_class_rejects_unknown_tag():

@@ -263,6 +263,27 @@ def substitutions(draw, general):
 @example((3, 2, {(1, 0, 2): Fraction(1), (0, 2, 1): Fraction(-1),
                  (2, 0, 0): Fraction(1, 2)},
           [{(1, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]))
+# routes (0, 2) increase and drop nothing: the parts come back as they stand
+@example((2, 3, {(2, 1): Fraction(1, 2), (0, 3): Fraction(-1),
+                 (1, 0): Fraction(3)},
+          [{(1, 0, 0): Fraction(1)}, {(0, 0, 1): Fraction(1)}]))
+# a permutation: the relabeled monomials need the sort
+@example((3, 3, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(2),
+                 (0, 0, 1): Fraction(3), (2, 1, 0): Fraction(1, 3)},
+          [{(0, 0, 1): Fraction(1)}, {(1, 0, 0): Fraction(1)},
+           {(0, 1, 0): Fraction(1)}]))
+# x1 zeroed drops the degree-17 monomial: the width narrows
+@example((2, 2, {(1, 16): Fraction(1), (2, 0): Fraction(1, 2),
+                 (0, 0): Fraction(1)},
+          [{(1, 0): Fraction(1)}, {}]))
+# x1 zeroed leaves 3/6 alone: the denominator reduces
+@example((2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3),
+                 (1, 1): Fraction(1, 6)},
+          [{(1, 0): Fraction(1)}, {}]))
+# x0 and x1 both become x0: monomials merge, and x0 - x0 cancels
+@example((2, 1, {(1, 0): Fraction(1), (0, 1): Fraction(-1),
+                 (2, 0): Fraction(1, 2), (1, 1): Fraction(1, 3)},
+          [{(1,): Fraction(1)}, {(1,): Fraction(1)}]))
 def test_subst_routing(case):
     """A `then` whose first map's components are variables and zeros moves
     the exponent fields of the second map's monomials."""
@@ -298,6 +319,22 @@ def test_subst_routing(case):
                  (1, 1): Fraction(-5, 4)},
           [{(1, 0): Fraction(1, 3), (0, 1): Fraction(1)},
            {(0, 1): Fraction(2, 5), (0, 0): Fraction(1, 7)}]))
+# the merged sums at x2 and at the empty suffix cancel to zero and to 5,
+# in fields widened by x1^16
+@example((3, 2, {(1, 0, 1): Fraction(1), (0, 1, 1): Fraction(-1),
+                 (1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1),
+                 (0, 0, 0): Fraction(5)},
+          [{(1, 0): Fraction(1), (0, 16): Fraction(1)},
+           {(1, 0): Fraction(1), (0, 16): Fraction(1)},
+           {(1, 1): Fraction(2)}]))
+# the merged sums at x2 (1/2 - x0) and at the empty suffix (-x0 plus the
+# fold) fall below the width that x1^16 gave them
+@example((3, 2, {(1, 0, 1): Fraction(1), (0, 1, 1): Fraction(-1),
+                 (0, 0, 1): Fraction(1, 2), (1, 0, 0): Fraction(1),
+                 (0, 1, 0): Fraction(-1)},
+          [{(1, 0): Fraction(1), (0, 16): Fraction(1, 3)},
+           {(1, 0): Fraction(2), (0, 16): Fraction(1, 3)},
+           {(1, 1): Fraction(2, 3)}]))
 def test_subst_general_and_then(case):
     nvars, nvars_out, p, maps = case
     qs = [packed(nvars_out, q) for q in maps]

@@ -8,6 +8,7 @@ import pytest
 from dseq.comonad import omega
 from dseq.errors import (DimensionMismatch, EngineError, InsufficientOrder,
                          TagMismatch)
+from dseq.jsonio import dump_seq, to_canonical_json
 from dseq.parser import format_map, parse_map
 from dseq.sequences import (PreDSeq, seq_identity, seq_product, seq_proj,
                             seq_zero)
@@ -81,6 +82,42 @@ def test_tangent_costs_one_order():
     assert f.tangent().order == 2
     with pytest.raises(InsufficientOrder):
         seq_identity(1, 0).tangent()
+
+
+def test_tangent_is_kept():
+    t = omega(pm(["x0^2*x1", "x1^3 - x0"], 2), 3)
+    assert t.tangent() is t.tangent()
+    assert t.tangent().tangent() is t.tangent().tangent()
+
+
+def test_compose_reuses_the_left_towers_tangents(monkeypatch):
+    """Term n of a composite runs T^n f of the left tower f alone, so a
+    second compose with the same left tower builds no tangent again."""
+    f = omega(pm(["x0^2*x1 + x1", "x0 - x1^2"], 2), 3)
+    g1 = omega(pm(["x0*x1", "x0^3"], 2), 3)
+    g2 = omega(pm(["x1^2 - x0", "2*x0*x1"], 2), 3)
+    calls = []
+    real = PreDSeq.lmul
+    monkeypatch.setattr(PreDSeq, "lmul",
+                        lambda self, *hs: calls.append(1) or real(self, *hs))
+    first = f.compose(g1)
+    assert calls
+    calls.clear()
+    second = f.compose(g2)
+    assert not calls
+    assert first == omega(f.terms[0].then(g1.terms[0]), 3)
+    assert second == omega(f.terms[0].then(g2.terms[0]), 3)
+
+
+def test_a_kept_tangent_is_invisible():
+    """A tower that keeps its tangent equals, hashes and serializes like a
+    fresh tower of the same terms."""
+    t = omega(pm(["x0^2*x1", "x1^3 - x0"], 2), 2)
+    t.tangent()
+    fresh = PreDSeq(t.dom, t.cod, t.terms)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert (to_canonical_json(dump_seq(t))
+            == to_canonical_json(dump_seq(fresh)))
 
 
 def test_lscalar_tiles_base_map():
