@@ -17,7 +17,8 @@ a JSON file; a JSON file nested too deeply or not UTF-8; a negative
 dimension, or a tower order below 0; a DSEQ_MAX_ORDER that is not a
 natural number; an eval point coordinate of more than 4,300 digits; a
 map or tower file whose widest term (dom * 2^order inputs) or whose cod is
-over the width guard, unless --allow-large is passed; check --suite ds|all
+over the width guard, unless --allow-large is passed; a declared dom or cod
+too large to pack, refused before parsing; check --suite ds|all
 on a tower below order 1; check --suite cd|all on a tower below order 3.
 All JSON output is canonical: two-space indent, stable key order, ASCII,
 trailing newline, no NaN or infinity.  Identical invocations produce
@@ -38,8 +39,9 @@ from .errors import (AxiomViolation, DimensionMismatch, EngineError,
                      InsufficientOrder)
 from .faa import faa_compose, faa_sequence
 from .fixtures import random_dim, random_map, rng_for
-from .jsonio import (dump_map, dump_seq, is_seq_object, load_map, load_seq,
-                     read_json, to_canonical_json, write_json)
+from .jsonio import (_seq_signature, _signature, dump_map, dump_seq,
+                     is_seq_object, load_map, load_seq, read_json,
+                     to_canonical_json, write_json)
 from .laws import tower_identity_laws
 from .maps import _CONSTANT_DIGITS_LIMIT as _LIMIT, _text
 from .reports import LawEntry, LawReport
@@ -76,13 +78,13 @@ def guard_order(order, allow_large):
     return order
 
 
-def guard_width(what, f, order, allow_large):
-    """Refuse the map or tower f if its widest term at `order`, of
-    f.dom << order inputs, or its cod is over WIDTH_LIMIT."""
-    if not allow_large and (f.dom > WIDTH_LIMIT >> order
-                            or f.cod > WIDTH_LIMIT):
+def guard_width(what, dom, cod, order, allow_large):
+    """Refuse a map or tower of dom inputs and cod outputs if its widest
+    term at `order`, of dom << order inputs, or its cod is over
+    WIDTH_LIMIT."""
+    if not allow_large and (dom > WIDTH_LIMIT >> order or cod > WIDTH_LIMIT):
         raise EngineError(
-            f"{what} has terms of {f.dom} * 2^{order} inputs and {f.cod} "
+            f"{what} has terms of {dom} * 2^{order} inputs and {cod} "
             f"outputs, over the width guard ({WIDTH_LIMIT}); "
             "pass --allow-large")
 
@@ -110,28 +112,33 @@ def _emit(payload, out):
         write_json(out, payload)
 
 
-def _load_map_file(path):
+def _guarded_map(obj, path, order, allow_large):
+    """The map in a map object, its width guarded at `order` before any
+    component is parsed."""
+    _, dom, cod = _signature(obj, path)
+    guard_width(path, dom, cod, order, allow_large)
+    return load_map(obj, what=path)
+
+
+def _load_map_file(path, order, allow_large):
     obj = read_json(path)
     if is_seq_object(obj):
         raise EngineError(
             f"{path} is a sequence file; a map file was expected")
-    return load_map(obj, what=path)
+    return _guarded_map(obj, path, order, allow_large)
 
 
 def cmd_derive(args):
-    f = _load_map_file(args.map)
     order = guard_order(args.order, args.allow_large)
-    guard_width(args.map, f, order, args.allow_large)
+    f = _load_map_file(args.map, order, args.allow_large)
     _emit(dump_seq(omega(f, order)), args.out)
     return 0
 
 
 def cmd_compose(args):
-    first = _load_map_file(args.first)
-    second = _load_map_file(args.second)
     order = guard_order(args.order, args.allow_large)
-    guard_width(args.first, first, order, args.allow_large)
-    guard_width(args.second, second, order, args.allow_large)
+    first = _load_map_file(args.first, order, args.allow_large)
+    second = _load_map_file(args.second, order, args.allow_large)
     if first.cod != second.dom:
         raise DimensionMismatch(
             f"cannot compose: first has cod {first.cod}, "
@@ -146,16 +153,15 @@ def cmd_compose(args):
 
 def _input_tower(path, order, allow_large):
     """A map file is lifted at the requested order; a sequence file is
-    taken as already built, at its own order."""
+    taken as already built, at its own order.  Either is width guarded
+    before any component is parsed."""
     obj = read_json(path)
     if is_seq_object(obj):
-        tower = load_seq(obj, what=path)
-        guard_width(path, tower, tower.order, allow_large)
-        return tower
-    f = load_map(obj, what=path)
+        dom, cod, order = _seq_signature(obj, path)
+        guard_width(path, dom, cod, order, allow_large)
+        return load_seq(obj, what=path)
     order = guard_order(order, allow_large)
-    guard_width(path, f, order, allow_large)
-    return omega(f, order)
+    return omega(_guarded_map(obj, path, order, allow_large), order)
 
 
 def _cd_reports(tower, seed, tol):
@@ -222,11 +228,9 @@ def cmd_check(args):
 
 
 def cmd_faa(args):
-    inner = _load_map_file(args.inner)
-    outer = _load_map_file(args.outer)
     n = guard_order(args.n, args.allow_large)
-    guard_width(args.inner, inner, n, args.allow_large)
-    guard_width(args.outer, outer, n, args.allow_large)
+    inner = _load_map_file(args.inner, n, args.allow_large)
+    outer = _load_map_file(args.outer, n, args.allow_large)
     faa_map = faa_compose(faa_sequence(omega(inner, n)),
                           faa_sequence(omega(outer, n)), n)
     iterated = faa_sequence(omega(inner.then(outer), n))[n]

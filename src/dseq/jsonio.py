@@ -9,8 +9,8 @@ with term n over 2^n blocks of the domain.
 
 import json
 
-from .errors import EngineError, OrderMismatch
-from .maps import map_class
+from .errors import DimensionMismatch, EngineError, OrderMismatch
+from .maps import _check_dom, map_class
 from .parser import format_map, parse_map
 from .sequences import PreDSeq
 
@@ -36,13 +36,15 @@ def _field(obj, key, types, what):
 
 
 def _signature(obj, what):
-    """The base, dom and cod fields that map and tower objects share."""
+    """The base, dom and cod fields that map and tower objects share,
+    checked before any component is parsed."""
     base = _field(obj, "base", str, what)
     map_class(base)     # an unknown base is a TagMismatch
     dom = _field(obj, "dom", int, what)
     cod = _field(obj, "cod", int, what)
     if dom < 0 or cod < 0:
         raise EngineError(f"{what} dimensions must be naturals")
+    _check_dom(dom, what)
     return base, dom, cod
 
 
@@ -65,7 +67,10 @@ def dump_seq(seq):
     }
 
 
-def load_seq(obj, what="tower"):
+def _seq_signature(obj, what):
+    """The dom, cod and order of a tower object, checked with every term's
+    signature (term n has dom << n inputs) before any component is
+    parsed."""
     base, dom, cod = _signature(obj, what)
     order = _field(obj, "order", int, what)
     terms = _field(obj, "terms", list, what)
@@ -74,11 +79,21 @@ def load_seq(obj, what="tower"):
     if order != len(terms) - 1:
         raise OrderMismatch(
             f"{what} declares order {order} but carries {len(terms)} terms")
-    loaded = [load_map(t, f"{what} term {n}") for n, t in enumerate(terms)]
-    for m in loaded:
-        if m.base != base:
+    for n, term in enumerate(terms):
+        term_base, term_dom, term_cod = _signature(term, f"{what} term {n}")
+        if term_base != base:
             raise EngineError(f"{what} mixes bases across terms")
-    return PreDSeq(dom, cod, tuple(loaded))
+        if (term_dom, term_cod) != (dom << n, cod):
+            raise DimensionMismatch(
+                f"{what} term {n} has signature {term_dom}->{term_cod}, "
+                f"expected {dom << n}->{cod}")
+    return dom, cod, order
+
+
+def load_seq(obj, what="tower"):
+    dom, cod, _ = _seq_signature(obj, what)
+    return PreDSeq(dom, cod, tuple(
+        load_map(t, f"{what} term {n}") for n, t in enumerate(obj["terms"])))
 
 
 def is_seq_object(obj):

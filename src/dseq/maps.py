@@ -35,6 +35,13 @@ _BASES = {}
 # composition grew past it.
 _CONSTANT_DIGITS_LIMIT = 4300
 
+# The most inputs a map may have.  A polynomial packs each monomial into an
+# int of at least 4 bits per input: Python cannot build one past about 2^66
+# bits ("too many digits in integer"), nor one that outgrows memory.  At
+# this limit a monomial takes 512 KB, ten times what the widest maps the
+# tests build (100,000 inputs) take.
+_DOM_LIMIT = 1 << 20
+
 
 class _DigitLimit(EngineError, OverflowError):
     """The refusal of a constant power over the digit limit: an EngineError,
@@ -59,6 +66,13 @@ def _check_constant_power(value, n):
         if part > 1 and n >= _CONSTANT_DIGITS_LIMIT / math.log10(part):
             raise _DigitLimit(f"constant power would have more than "
                               f"{_CONSTANT_DIGITS_LIMIT} digits")
+
+
+def _check_dom(dom, what):
+    """Refuse a map of more than _DOM_LIMIT inputs, before it is built."""
+    if dom > _DOM_LIMIT:
+        raise EngineError(f"{what} has {dom} inputs, over the limit of "
+                          f"{_DOM_LIMIT}")
 
 
 class CoordMap:

@@ -11,24 +11,25 @@
 addition of a (-1)-scaled operand.  Function atoms are rejected under the
 polynomial base.  There, a component that is a flat sum of plain products
 (rationals and variables, each with an optional power and at most one unary
-minus: what `format_poly` writes) is read by one compiled pattern, factor by
-factor, straight into packed monomials, in time linear in the text.  Any
-other text, and any that the scan finds at fault, is read again by the
-recursive-descent `_Parser`, which builds in the base's component algebra
-and reports every error.  Printing emits polynomial terms in the canonical
-(descending graded-lexicographic) order, so print-then-parse reproduces the
-map exactly; elementary trees print structurally.
+minus: what `format_poly` writes) is read by `_plain_sum` with string
+splits, each distinct factor parsed once, straight into packed monomials,
+in time linear in the text.  Any other text, and any that the scan finds
+at fault, is read again by the recursive-descent `_Parser`, which builds
+in the base's component algebra and reports every error.  Printing emits
+polynomial terms in the canonical (descending graded-lexicographic) order,
+so print-then-parse reproduces the map exactly; elementary trees print
+structurally.
 """
 
 import re
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd
+from math import gcd, lcm
 
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
-from .maps import _check_constant_power, _text, map_class
-from .poly import _summed
+from .maps import _check_constant_power, _check_dom, _text, map_class
+from .poly import _NARROW, _normal, _width
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -179,60 +180,116 @@ class _Parser:
                          ("number", "variable", "function", "'('"))
 
 
-# One factor of a flat sum of plain products per match: the operator before
-# it (none before the first), at most one unary minus, a variable or a
-# rational, and an optional power.  Every \s* but the first stands next to a
-# character its group requires, so no two of them can take the same run of
-# spaces, and a match, failed or not, costs time linear in what it reads.
-_FACTOR = re.compile(r"\s*(?:([-+*])\s*)?(?:(-)\s*)?"
-                     r"(?:x(\d+)|(\d+)(?:\s*/\s*(\d+))?)(?:\s*\^\s*(\d+))?")
+# One factor of a flat sum of plain products: a variable or a rational, and
+# an optional power.
+_PLAIN = re.compile(r"(?:x(\d+)|(\d+)(?:/(\d+))?)(?:\^(\d+))?")
+_OPERATORS = "+-*/^"
 
 
-def _plain_sum(text, dom):
-    """The ([(variable, exponent), ...], numerator, denominator) monomials of
-    a flat sum of plain products, read in one pass; None for any other text
-    and wherever `_Parser` could object (a number of more than 4,300 digits,
-    a variable out of range, a zero denominator, a constant power over the
-    digit limit), so that it reads the text again and reports."""
-    monomials, pos = [], 0
+class _Factors(dict):
+    """Factor text -> (packed monomial at field width w, numerator,
+    denominator), each text parsed on its first lookup.  A text that is no
+    plain factor, a variable out of range and a zero denominator raise
+    ValueError, and a constant power over the digit limit OverflowError."""
+
+    def __init__(self, dom, w):
+        self.dom, self.w = dom, w
+
+    def __missing__(self, text):
+        m = _PLAIN.fullmatch(text)
+        if m is None:
+            raise ValueError(text)
+        var, num, den, power = m.groups()
+        n = 1 if power is None else int(power)
+        if var is not None:
+            j = int(var)
+            if j >= self.dom:
+                raise ValueError(text)
+            top = self.dom * self.w
+            parts = (n << top) + (n << (top - (j + 1) * self.w)), 1, 1
+        else:
+            c, d = int(num), 1 if den is None else int(den)
+            if not d:
+                raise ValueError(text)
+            if n != 1:
+                _check_constant_power(Fraction(c, d), n)
+                c, d = (Fraction(c, d) ** n).as_integer_ratio()
+            parts = 0, c, d
+        self[text] = parts
+        return parts
+
+
+def _plain_sum(text, dom, w=_NARROW):
+    """The polynomial a flat sum of plain products spells, its monomials
+    packed at field width w or wider; None for any other text and wherever
+    `_Parser` could object (a number of more than 4,300 digits, a variable
+    out of range, a zero denominator, a constant power over the digit
+    limit), so that it reads the text again and reports.
+
+    Whitespace goes first, unless a gap has an atom character on both
+    sides.  Every "-" becomes "+-" and the text is split at "+": a piece
+    that is empty, a lone "-" or ends in "*" is joined to the next, which
+    must start with "-" (a unary minus).  Each product is split at "*" and
+    its factors are summed into one packed monomial."""
+    words = text.split()
+    for left, right in zip(words, words[1:]):
+        if left[-1] not in _OPERATORS and right[0] not in _OPERATORS:
+            return None
+    text = "".join(words)
+    # A factor takes one unary minus at most: two minus signs in a row are
+    # a binary or leading "-" and a factor's.
+    if "---" in text or "+--" in text or "*--" in text:
+        return None
+    top = dom * w
+    factors, mons, nums, dens = _Factors(dom, w), [], [], []
+    head = None
     try:
-        while m := _FACTOR.match(text, pos):
-            op, minus, var, num, den, power = m.groups()
-            if op is None if pos else op in ("+", "*"):
-                return None
-            if op != "*":
-                term = [[], -1 if op == "-" else 1, 1]
-                monomials.append(term)
-            n = 1 if power is None else int(power)
-            if var is not None:
-                j = int(var)
-                if j >= dom:
+        cap = 1 << (top + w)
+        for piece in text.replace("-", "+-").split("+"):
+            if head is not None:
+                if piece[:1] != "-":
                     return None
-                term[0].append((j, n))
-            else:
-                c, d = int(num), 1 if den is None else int(den)
-                if not d:
-                    return None
-                if n != 1:
-                    _check_constant_power(Fraction(c, d), n)
-                    c, d = (Fraction(c, d) ** n).as_integer_ratio()
-                term[1] *= c
-                term[2] *= d
+                piece = head + piece
+            if not piece or piece[-1] in "-*":
+                head = piece
+                continue
+            head = None
+            minus = piece.count("-")
             if minus:
-                term[1] = -term[1]
-            pos = m.end()
+                piece = piece.replace("-", "")
+            mon, num, den = 0, -1 if minus & 1 else 1, 1
+            for factor in piece.split("*"):
+                m, c, d = factors[factor]
+                mon += m
+                num *= c
+                den *= d
+            if mon >= cap:
+                # The degree reached 2^w, and fields may have carried, but
+                # only upwards: the degree field bounds the degree.  The
+                # text is read again at least twice as wide, so at most a
+                # dozen times: an exponent has fewer than 2^14 bits.
+                return _plain_sum(text, dom, max(2 * w, _width(mon >> top)))
+            mons.append(mon)
+            nums.append(num)
+            dens.append(den)
     except (ValueError, OverflowError):
         return None
-    return monomials if monomials and not text[pos:].strip() else None
+    if head is not None:
+        return None
+    den = lcm(*dens)
+    acc = {}
+    for mon, num, d in zip(mons, nums, dens):
+        acc[mon] = acc.get(mon, 0) + num * (den // d)
+    return _normal(dom, w, acc, den)
 
 
 def parse_component(text, dom, base="poly"):
     """Parse one component expression into a polynomial or a tree; a flat
     polynomial sum of plain products is read by `_plain_sum`."""
     cls = map_class(base)
-    monomials = _plain_sum(text, dom) if cls.base == "poly" else None
-    if monomials is not None:
-        return _summed(dom, monomials)
+    p = _plain_sum(text, dom) if cls.base == "poly" else None
+    if p is not None:
+        return p
     parser = _Parser(_tokenize(text), cls, dom)
     try:
         return parser.parse()
@@ -244,6 +301,7 @@ def parse_component(text, dom, base="poly"):
 
 
 def parse_map(components, dom, cod, base="poly"):
+    _check_dom(dom, "map")
     parsed = [parse_component(c, dom, base) for c in components]
     return map_class(base)(dom, cod, parsed)
 

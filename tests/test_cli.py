@@ -1,10 +1,15 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dseq.cli import build_parser, main
 from dseq.jsonio import to_canonical_json
@@ -704,3 +709,121 @@ def test_width_guard_bounds_the_widest_term(tmp_path, capsys):
     assert run(capsys, "derive", "--map", poly_file(tmp_path / "tall.json",
                                                     1, 1024),
                "--order", "0")[0] == 0
+
+
+HUGE = 10 ** 20     # past every width guard, and too wide to pack
+
+
+def test_huge_declared_dom_exits_two_before_parsing(tmp_path, capsys):
+    """A map or tower file that declares a dom too large to pack is refused
+    before any component is parsed, with or without --allow-large."""
+    huge = write_json(tmp_path / "huge.json", {
+        "base": "poly", "dom": HUGE, "cod": 1, "components": ["x0^2"]})
+    square = fx("map_square.json")
+    term = {"base": "poly", "dom": HUGE, "cod": 1, "components": ["x0^2"]}
+    wide_term = write_json(tmp_path / "tower1.json", {
+        "base": "poly", "dom": 1, "cod": 1, "order": 1,
+        "terms": [{"base": "poly", "dom": 1, "cod": 1,
+                   "components": ["x0^2"]}, term]})
+    wide = write_json(tmp_path / "tower0.json", {
+        "base": "poly", "dom": HUGE, "cod": 1, "order": 0, "terms": [term]})
+    for argv in (["derive", "--map", huge],
+                 ["compose", "--first", square, "--second", huge],
+                 ["check", "--input", huge],
+                 ["faa", "--inner", huge, "--outer", square, "--n", "1"],
+                 ["check", "--input", wide_term],
+                 ["check", "--input", wide],
+                 ["eval", "--seq", wide_term, "--term", "0", "--point", "1"],
+                 ["eval", "--seq", wide, "--term", "0", "--point", "1"]):
+        for large in ([], ["--allow-large"]):
+            if argv[0] == "eval" and large:
+                continue
+            code, out, err = run(capsys, *argv, *large)
+            assert (code, out) == (2, ""), argv + large
+            assert err.endswith(f" has {HUGE} inputs, over the limit of "
+                                "1048576\n"), err
+
+
+# Values a mutated fixture may carry in place of a field or a list item:
+# each JSON type, integers past every width limit, component texts that
+# no grammar reads, and the base names.
+POOL = [None, True, False, 1, -1, HUGE, 2 ** 60, 1e308, "", "x9", "1/0",
+        "x0^-1", [], {}, "poly", "elementary"]
+MAP_FILES = sorted(n for n in os.listdir(FIXTURES) if n.startswith("map_"))
+SEQ_FILES = sorted(n for n in os.listdir(FIXTURES)
+                   if n.endswith(".json") and not n.startswith("map_"))
+# Each subcommand's file flags, the fixtures they read, and cheap options.
+MUTATED_COMMANDS = {
+    "derive": (["--map"], MAP_FILES, ["--order", "1"]),
+    "compose": (["--first", "--second"], MAP_FILES, ["--order", "1"]),
+    "faa": (["--inner", "--outer"], MAP_FILES, ["--n", "1"]),
+    "check": (["--input"], MAP_FILES + SEQ_FILES,
+              ["--suite", "ds", "--order", "1"]),
+    "eval": (["--seq"], SEQ_FILES, ["--term", "0"]),
+}
+
+
+def containers(obj):
+    """Every non-empty dict and list inside obj, obj included."""
+    out = [obj] if obj else []
+    for child in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(child, (dict, list)):
+            out += containers(child)
+    return out
+
+
+@st.composite
+def mutated_fixture(draw, names):
+    """A fixture and its copy with one or two mutations: a field deleted, a
+    list item dropped or repeated, or a value set from POOL."""
+    name = draw(st.sampled_from(names))
+    with open(fx(name), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    for _ in range(draw(st.integers(1, 2))):
+        node = draw(st.sampled_from(containers(obj)))
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(sorted(node)))
+            action = draw(st.sampled_from(["drop", "set"]))
+        else:
+            key = draw(st.integers(0, len(node) - 1))
+            action = draw(st.sampled_from(["drop", "repeat", "set"]))
+        if action == "drop":
+            del node[key]
+        elif action == "repeat":
+            node.insert(key, node[key])
+        else:
+            node[key] = draw(st.sampled_from(POOL))
+    return name, obj
+
+
+@st.composite
+def mutated_invocations(draw):
+    command = draw(st.sampled_from(sorted(MUTATED_COMMANDS)))
+    flags, names, options = MUTATED_COMMANDS[command]
+    return command, [(flag, draw(mutated_fixture(names)))
+                     for flag in flags], options
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_invocations())
+def test_mutated_fixtures_keep_the_exit_code_contract(invocation):
+    """Every mutated input exits 0, 1 or 2 with no exception escaping, and
+    two runs write the same stdout."""
+    command, files, options = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *options]
+        for n, (flag, (name, obj)) in enumerate(files):
+            argv += [flag, write_json(pathlib.Path(tmp, f"{n}.json"), obj)]
+            if command == "eval":
+                with open(fx(name), encoding="utf-8") as fh:
+                    dom = json.load(fh)["dom"]
+                argv.append("--point=" + ",".join(["1"] * dom))
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            runs.append(out.getvalue())
+        assert runs[0] == runs[1], argv

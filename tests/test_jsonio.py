@@ -74,6 +74,41 @@ def test_load_seq_term_dimensions_validated():
         load_seq(obj)
 
 
+def test_load_seq_checks_every_term_signature_before_parsing():
+    obj = dump_seq(omega(pm(["x0^2"], 1), 1))
+    obj["terms"][0]["components"] = ["x0 +"]
+    obj["terms"][1]["cod"] = 2
+    with pytest.raises(DimensionMismatch) as info:
+        load_seq(obj, what="t.json")
+    assert str(info.value) == ("t.json term 1 has signature 2->2, "
+                               "expected 2->1")
+
+
+@pytest.mark.parametrize("dom", [2 ** 20 + 1, 2 ** 60, 10 ** 20])
+def test_a_dom_too_large_to_pack_is_refused(dom):
+    """parse_map, load_map and load_seq refuse a map of more inputs than a
+    packed monomial can hold, before any component is parsed."""
+    message = f"has {dom} inputs, over the limit of 1048576"
+    with pytest.raises(EngineError, match=message):
+        parse_map(["x0"], dom, 1)
+    with pytest.raises(EngineError, match=message):
+        load_map({"base": "poly", "dom": dom, "cod": 1,
+                  "components": ["x0"]})
+    obj = dump_seq(omega(pm(["x0^2"], 1), 1))
+    obj["terms"][1]["dom"] = dom
+    with pytest.raises(EngineError, match="tower term 1 " + message):
+        load_seq(obj)
+    obj = dump_seq(omega(pm(["x0^2"], 1), 0))
+    obj["dom"] = obj["terms"][0]["dom"] = dom
+    with pytest.raises(EngineError, match="tower " + message):
+        load_seq(obj)
+
+
+def test_a_dom_at_the_limit_is_read():
+    (p,) = parse_map(["x1048575"], 2 ** 20, 1).components
+    assert p.terms[0][0][-1] == 1
+
+
 def test_load_seq_refuses_negative_dimensions_as_load_map_does():
     obj = dump_seq(omega(pm(["x0^2"], 1), 1))
     obj["dom"] = -1

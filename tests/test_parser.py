@@ -409,7 +409,8 @@ def packed_or_error(text):
 
 
 def test_pinned_texts_are_read_by_the_scan():
-    for text in ["0^0", "-x0^0*x1", "2*x0*x0", "x0 - -x1", "-1/2", "3/2^2"]:
+    for text in ["0^0", "-x0^0*x1", "2*x0*x0", "x0 - -x1", "-1/2", "3/2^2",
+                 "x0^2+3/2*x1-x0*x1", "3 / 2 * x0 ^ 2 - - x1"]:
         assert parser._plain_sum(text, SCAN_DOM) is not None, text
     for text in ["+x0", "2x0", "x0 x1", "x0 +", "x2", "1/0", "x0^2^3", ""]:
         assert parser._plain_sum(text, SCAN_DOM) is None, text
@@ -428,17 +429,33 @@ def no_descent(*args):
 
 
 def test_printed_tower_components_are_read_by_the_scan():
-    """Every component `format_poly` writes for a dense order-3 tower is
-    read by the scan alone, and reads back to the same polynomial."""
+    """Every component `format_poly` writes for a dense order-3 tower, and
+    a polynomial of degree 17, whose fields are wider than 4 bits, is read
+    by the scan alone, and reads back to the same polynomial."""
     maps = []
     for name in ("map_dense3_first.json", "map_dense3_second.json"):
         with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
             maps.append(load_map(json.load(fh)))
     f, g = maps
     tower = omega(f, 3).compose(omega(g, 3))
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    wide = (x0 - Poly.constant(2, Fraction(3, 2)) * x1) ** 17 + x1
+    assert wide._w > 4
     with mock.patch.object(parser, "_Parser", no_descent):
         for term in tower.terms:
             assert parse_map(format_map(term), term.dom, term.cod) == term
+        assert parse_component(format_poly(wide), 2) == wide
+
+
+def test_scan_reads_degrees_that_double_term_by_term():
+    """A degree past the fields' range makes the scan read the text again
+    at least twice as wide, so a sum whose degrees double term by term is
+    read a few times, not once per term."""
+    text = " + ".join(f"x0^{2 ** i}" for i in range(1200))
+    with mock.patch.object(parser, "_Parser", no_descent):
+        p = parse_component(text, 1)
+    assert [e for (e,), _ in p.terms] == [2 ** i for i in range(1199, -1, -1)]
+    assert p._w == (2 ** 1199).bit_length()
 
 
 # Inputs on which a scan whose spaces can be split between two \s* takes
