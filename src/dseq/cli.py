@@ -392,6 +392,12 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" as an option, so a point
+    # whose first coordinate is negative is joined to its flag.
+    if "--point" in argv[:-1]:
+        i = argv.index("--point")
+        argv[i:i + 2] = ["--point=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,7 +12,9 @@ an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
 `_tape` tapes the trees of the parser or of hand-built maps; every
 operation builds its result's tape from its operands' tapes (`_Builder`).
 Sampled equality runs each tape once over columns of floats, one value per
-sample point, and a map keeps those rows (`ElemMap._rows`).
+sample point, and a map keeps those rows (`ElemMap._rows`).  The
+differential is one forward-mode run too: each value carries its tree and
+its partials, one per variable it reads.
 
 Every rebuild of a tape under a substitution (`then`, the shifted copies
 of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
@@ -304,7 +306,8 @@ def _tape(roots):
 _FLOATS = {"add": operator.add, "mul": operator.mul, "pow": operator.pow,
            "sin": math.sin, "cos": math.cos, "exp": math.exp}
 
-# (tree, partial derivative) pairs: forward mode along one direction.
+# (tree, partial derivative) pairs: the forward-mode rule along one variable,
+# which `ElemMap.differential` applies once per partial a value carries.
 _PAIRS = {
     "add": lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
     "mul": lambda p, q: (mul(p[0], q[0]),
@@ -437,17 +440,31 @@ class ElemMap(CoordMap):
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction),
-        one forward-mode run per variable the components read."""
+        in one forward-mode run.  Each value is its tree and its partials
+        {j: d tree / d x_j}, one per variable it reads; an instruction
+        applies its `_PAIRS` rule once per partial either operand carries,
+        reading `zero` where the other has none.  Each component is then
+        the sum of partial_j * x_(d+j) in ascending j."""
         d, b = self.dom, _Builder()
         zero, one = b.intern(const(0)), b.intern(const(1))
-        pairs = {tag: (lambda *a, f=f: tuple(map(b.intern, f(*a))))
+
+        def forward(f, *args):      # values, and pow's integer exponent
+            def pair(j):
+                return f(*[(a[0], a[1].get(j, zero)) if type(a) is tuple
+                           else a for a in args])
+            js = set().union(*(a[1] for a in args if type(a) is tuple))
+            return (b.intern(pair(None)[0]),      # j None: the tree alone
+                    {j: b.intern(pair(j)[1]) for j in js})
+
+        rules = {tag: functools.partial(forward, f)
                  for tag, f in _PAIRS.items()}
-        comps = [zero] * self.cod
-        for j in sorted({ins[1] for ins in self.tape[0] if ins[0] == "var"}):
-            partials = _run(self.tape, pairs, lambda ins: (
-                b.intern(ins), one if ins == ("var", j) else zero))
-            comps = [b.intern(add(total, mul(dt, var(d + j))))
-                     for total, (_, dt) in zip(comps, partials)]
+        comps = []
+        for _, partials in _run(self.tape, rules, lambda ins: (
+                b.intern(ins), {ins[1]: one} if ins[0] == "var" else {})):
+            total = zero
+            for j in sorted(partials):
+                total = b.intern(add(total, mul(partials[j], var(d + j))))
+            comps.append(total)
         return b.map(2 * d, comps)
 
     def eval(self, point):

@@ -141,7 +141,10 @@ class _Sum:
     """Running sum, from an optional integer constant, of integer multiples
     of polynomials and of their products: one dict keyed by packed
     monomial, over one common denominator, both widened as the summands
-    need."""
+    need.  Every term product of `Poly.__mul__`, powers and `subst`'s
+    folds merges here, with one lookup and one store: acc[m] = get(m, 0)
+    + c1 * c2, the shorter operand outside.  Cancelled entries stay in the
+    dict as zeros until `result`."""
 
     __slots__ = ("nvars", "w", "den", "acc")
 
@@ -170,37 +173,38 @@ class _Sum:
         """self += k * p for an integer k."""
         k *= self._fit(p._w, p._den)
         acc = self.acc
+        get = acc.get
         for m, c in zip(_mons_at(p, self.w), p._nums):
-            if m in acc:
-                acc[m] += k * c
-            else:
-                acc[m] = k * c
+            acc[m] = get(m, 0) + k * c
 
     def add_product(self, k, p, q):
         """self += k * p * q for an integer k.  q may be a _Sum, whose dict
-        is read as it stands, zero entries skipped."""
+        is read once as its live (monomial, numerator) pairs, cancelled
+        entries skipped."""
         if type(q) is _Sum:
-            qm = [m for m, c in q.acc.items() if c]
-            qn, qw, qden = [q.acc[m] for m in qm], q.w, q.den
-            qdeg = max(qm, default=0) >> (q.nvars * qw)
+            qpairs = [mc for mc in q.acc.items() if mc[1]]
+            if not qpairs:
+                return
+            qw, qden = q.w, q.den
+            qdeg = max(qpairs)[0] >> (q.nvars * qw)
         else:
-            qm, qn, qw, qden, qdeg = q._mons, q._nums, q._w, q._den, q.degree()
+            qpairs = list(zip(q._mons, q._nums))
+            qw, qden, qdeg = q._w, q._den, q.degree()
         k *= self._fit(_width(p.degree() + qdeg), p._den * qden)
         w = self.w
-        pm, pn = _mons_at(p, w), p._nums
+        pairs = list(zip(_mons_at(p, w), p._nums))
         if qw != w:
-            qm = _repack(qm, self.nvars, qw, w)
-        if len(pm) > len(qm):
-            pm, pn, qm, qn = qm, qn, pm, pn
+            qpairs = list(zip(_repack([m for m, _ in qpairs], self.nvars,
+                                      qw, w), [c for _, c in qpairs]))
+        if len(pairs) > len(qpairs):
+            pairs, qpairs = qpairs, pairs
         acc = self.acc
-        for m1, c1 in zip(pm, pn):
+        get = acc.get
+        for m1, c1 in pairs:
             c1 *= k
-            for m2, c2 in zip(qm, qn):
+            for m2, c2 in qpairs:
                 m = m1 + m2
-                if m in acc:
-                    acc[m] += c1 * c2
-                else:
-                    acc[m] = c1 * c2
+                acc[m] = get(m, 0) + c1 * c2
 
     def result(self, den=1):
         """The sum divided by `den`."""

@@ -253,6 +253,32 @@ def test_eval_subcommand(capsys):
     assert json.loads(out)["value"] == ["3"]
 
 
+@pytest.mark.parametrize("point, value", [("-1,2", "-4"),
+                                          ("-3/2,1/3", "-1"),
+                                          ("-0,5", "0")])
+def test_eval_reads_a_point_with_a_negative_first_coordinate(point, value,
+                                                             capsys):
+    argv = ["eval", "--seq", fx("seq_square.json"), "--term", "1"]
+    code, out, err = run(capsys, *argv, "--point", point)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == [value]
+    assert run(capsys, *argv, "--point=" + point) == (code, out, err)
+
+
+def test_eval_reports_a_parse_error_in_a_term_it_does_not_evaluate(
+        tmp_path, capsys):
+    """Every term of the tower is parsed, not only the one evaluated: a
+    file with a bad term is bad input whichever term is asked for."""
+    with open(fx("seq_square.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["terms"][1]["components"] = ["2*x0*+x1"]
+    path = tmp_path / "bad_term.json"
+    path.write_text(to_canonical_json(obj), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--seq", str(path), "--term", "0",
+                         "--point", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_eval_wrong_point_length(capsys):
     code, _, err = run(capsys, "eval", "--seq", fx("seq_square.json"),
                        "--term", "1", "--point", "3")

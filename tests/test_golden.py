@@ -65,6 +65,13 @@ CASES = {
     # `eval --seq` reads back.
     "compose_dense3": (0, ["compose", "--first", fx("map_dense3_first.json"),
                            "--second", fx("map_dense3_second.json")]),
+    # Dense cubic 2->2 maps (every monomial of degree <= 3, coefficients in
+    # +-3/2..+-9/2), written by perfbench.workloads.dense_map at seed 22:
+    # the term products of the order-3 tower all merge in poly._Sum.
+    "compose_dense22_order3": (0, ["compose", "--first",
+                                   fx("map_dense22_first.json"), "--second",
+                                   fx("map_dense22_second.json"),
+                                   "--order", "3"]),
     "eval_seq_dense3": (0, ["eval", "--seq", fx("seq_dense3.json"),
                             "--term", "3", "--point",
                             "1,-2,1/3,5,-3/2,2,0,1,-1,3,2/3,-1/2,1,1,-3,1/4"]),

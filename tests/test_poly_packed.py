@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from dseq.parser import parse_map
-from dseq.poly import Poly, PolyMap
+from dseq.poly import Poly, PolyMap, _Sum
 
 
 # Reference implementations: a polynomial is a dict exponent tuple -> Fraction.
@@ -137,6 +137,52 @@ def test_add_and_sub(case):
 def test_mul(case):
     nvars, p, q = case
     same(packed(nvars, p) * packed(nvars, q), nvars, ref_mul(p, q))
+
+
+@st.composite
+def cancelled_sums(draw):
+    """(nvars, p, a, b): b cancels a's top-degree monomial, and perhaps
+    more of a, and adds only monomials of lower degree.  So the `_Sum` of a
+    and b holds zero entries, its widest key among them, and its live
+    degree may sit below the 16 or 256 boundary that its width is for."""
+    nvars = draw(st.integers(1, 3))
+    p = draw(dicts(nvars))
+    a = draw(dicts(nvars).filter(bool))
+    top = max(a, key=lambda e: (sum(e), e))
+    cancel = {top, *draw(st.lists(st.sampled_from(sorted(a)), unique=True))}
+    extra = {e: c for e, c in draw(dicts(nvars)).items()
+             if sum(e) < sum(top)}
+    return nvars, p, a, ref_add(extra, {e: -a[e] for e in cancel})
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelled_sums(), st.integers(-3, 3))
+@example((1, {(1,): Fraction(1), (0,): Fraction(2)},
+          {(256,): Fraction(1), (15,): Fraction(1, 2)},
+          {(256,): Fraction(-1)}), 1)
+@example((1, {(241,): Fraction(1, 3), (3,): Fraction(1)},
+          {(256,): Fraction(1), (15,): Fraction(1, 2)},
+          {(256,): Fraction(-1)}), -2)
+@example((2, {(1, 0): Fraction(1), (0, 1): Fraction(-1, 2)},
+          {(16, 0): Fraction(3, 4), (2, 1): Fraction(1)},
+          {(16, 0): Fraction(-3, 4), (0, 3): Fraction(1, 6)}), 3)
+def test_add_product_reads_a_sum_with_cancelled_entries(case, k):
+    """A summand's zero entries, its top key among them, neither reach
+    the product nor widen its fields: the result, merged into a sum that
+    already holds a constant and p, has the canonical width."""
+    nvars, p, a, b = case
+    q = _Sum(nvars)
+    q.add(1, packed(nvars, a))
+    q.add(1, packed(nvars, b))
+    assert q.acc[max(q.acc)] == 0
+    total = _Sum(nvars, 5)
+    total.add(1, packed(nvars, p))
+    total.add_product(k, packed(nvars, p), q)
+    want = ref_add(ref_add({(0,) * nvars: Fraction(5)}, p),
+                   ref_scale(ref_mul(p, ref_add(a, b)), k))
+    got = total.result()
+    same(got, nvars, want)
+    assert got._w == max(4, max(map(sum, want), default=0).bit_length())
 
 
 @settings(max_examples=80, deadline=None)

@@ -332,7 +332,55 @@ def test_witness_is_a_fresh_list():
     assert expr._cloud(DOM) is expr._cloud(DOM)
 
 
-def test_differential_runs_one_direction_per_variable_read(monkeypatch):
+def ref_partials(m, j):
+    """d/dx_j of each component of m: one pass over its tape per variable,
+    with a zero at every leaf but x_j.  Both each subtree and its partial
+    are rebuilt through the smart constructors, so hand-built nodes fold."""
+    code, roots, _ = m.tape
+    ts, ds = [], []
+    for ins in code:
+        tag = ins[0]
+        if tag == "const" or tag == "var":
+            ts.append(ins)
+            ds.append(const(1 if ins == ("var", j) else 0))
+            continue
+        a, da = ts[ins[1]], ds[ins[1]]
+        if tag == "add" or tag == "mul":
+            b, db = ts[ins[2]], ds[ins[2]]
+            ts.append(BUILD[tag](a, b))
+            ds.append(add(da, db) if tag == "add"
+                      else add(mul(da, b), mul(a, db)))
+        elif tag == "pow":
+            n = ins[2]
+            ts.append(pow_(a, n))
+            ds.append(mul(mul(const(n), pow_(a, n - 1)), da) if n
+                      else const(0))
+        else:
+            ts.append(BUILD[tag](a))
+            ds.append(mul({"sin": cos(a), "cos": neg(sin(a)),
+                           "exp": exp(a)}[tag], da))
+    return [ds[r] for r in roots]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 2))
+def test_differential_matches_a_per_variable_reference(seed, order):
+    """Hand-built trees (unfolded constants, powers 0 and 1) and the terms
+    of a composite tower, whose tapes share subtrees across components."""
+    rng = random.Random(seed)
+    f = ElemMap(DOM, 2, [wild_tree(rng, 4), wild_tree(rng, 4)])
+    g = ElemMap(2, 2, [wild_tree(rng, 3, 2), wild_tree(rng, 3, 2)])
+    for m in (f, g, *omega(f, order).compose(omega(g, order)).terms):
+        want = [const(0)] * m.cod
+        for j in range(m.dom):
+            want = [add(total, mul(dt, var(m.dom + j)))
+                    for total, dt in zip(want, ref_partials(m, j))]
+        df = m.differential()
+        assert list(df.components) == want
+        assert format_map(df) == [ref_format(t) for t in want]
+
+
+def test_differential_is_one_forward_mode_run(monkeypatch):
     runs = []
     real = expr._run
     monkeypatch.setattr(expr, "_run",
@@ -343,7 +391,7 @@ def test_differential_runs_one_direction_per_variable_read(monkeypatch):
     assert df.components == (var(dom),)
     runs.clear()
     df = ElemMap(DOM, 2, [sin(var(2)), mul(var(0), var(2))]).differential()
-    assert len(runs) == 2
+    assert len(runs) == 1
 
 
 def test_operations_build_tapes_without_walking_trees(monkeypatch):
