@@ -7,9 +7,8 @@ equalities of residual towers under left scalar actions.  The primed
 instance at (n + k, k) coincides with the unprimed instance at (n, k), so
 the two checkers must agree in aggregate on every input, and they build the
 same precompositions: both go through `maps.precompose` (the unprimed one
-by `lmul`), so a term keeps each one and DS.2's sum of two of them, and
-the second checker run on a tower reads what the first built; DS.1's zero
-map is the cached `zero_map`.  Both run the one
+by `lmul`), which keeps them on the term (see `maps`), so the second
+checker run on a tower reads what the first built.  Both run the one
 statement of the four laws, `_ds_laws`, which the CD battery also runs
 (`comonad._cd_laws`: CD.2, CD.6 and CD.7 are these laws read on a
 morphism's first and second shift).

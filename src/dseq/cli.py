@@ -14,12 +14,12 @@ where evaluation leaves the float range; a component nested too deeply; a
 polynomial product or power over the expansion budget; a constant power
 over 4,300 digits; an integer of more than 4,300 digits in a component or
 a JSON file; a JSON file nested too deeply or not UTF-8; a negative
-dimension, or a tower order below 0; a DSEQ_MAX_ORDER that is not a
-natural number; an eval point coordinate of more than 4,300 digits; a
-map or tower file whose widest term (dom * 2^order inputs) or whose cod is
-over the width guard, unless --allow-large is passed; a declared dom or cod
-too large to pack, refused before parsing; check --suite ds|all
-on a tower below order 1; check --suite cd|all on a tower below order 3.
+dimension, or a tower order below 0; an eval point coordinate of more
+than 4,300 digits; a map or tower file whose widest term (dom * 2^order
+inputs) or whose cod is over the width guard, unless --allow-large is
+passed; a declared dom or cod too large to pack, refused before parsing;
+check --suite ds|all on a tower below order 1; check --suite cd|all on a
+tower below order 3.
 All JSON output is canonical: two-space indent, stable key order, ASCII,
 trailing newline, no NaN or infinity.  Identical invocations produce
 byte-identical output.
@@ -28,7 +28,6 @@ byte-identical output.
 import argparse
 import functools
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -57,24 +56,12 @@ ORDER_LIMIT = 4  # f_4 over dim 2 already takes 32 inputs
 WIDTH_LIMIT = 1024
 
 
-def _order_limit():
-    raw = os.environ.get("DSEQ_MAX_ORDER")
-    if raw is None:
-        return ORDER_LIMIT
-    if not raw.isdecimal():
-        raise EngineError(
-            f"DSEQ_MAX_ORDER must be a natural number, got {raw!r}")
-    return int(raw)
-
-
 def guard_order(order, allow_large):
     if order < 0:
         raise EngineError("order must be >= 0")
-    limit = _order_limit()
-    if order > limit and not allow_large:
-        raise EngineError(
-            f"order {order} exceeds the guard ({limit}); "
-            "pass --allow-large or set DSEQ_MAX_ORDER")
+    if order > ORDER_LIMIT and not allow_large:
+        raise EngineError(f"order {order} exceeds the guard ({ORDER_LIMIT}); "
+                          "pass --allow-large")
     return order
 
 
@@ -394,10 +381,12 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with "-" as an option, so a point
-    # whose first coordinate is negative is joined to its flag.
-    if "--point" in argv[:-1]:
-        i = argv.index("--point")
-        argv[i:i + 2] = ["--point=" + argv[i + 1]]
+    # whose first coordinate is negative is joined to its flag, or to any
+    # abbreviation of it that argparse accepts.
+    for i, arg in enumerate(argv[:-1]):
+        if len(arg) > 2 and "--point".startswith(arg):
+            argv[i:i + 2] = ["--point=" + argv[i + 1]]
+            break
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,9 +12,9 @@ an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
 `_tape` tapes the trees of the parser or of hand-built maps; every
 operation builds its result's tape from its operands' tapes (`_Builder`).
 Sampled equality runs each tape once over columns of floats, one value per
-sample point, and a map keeps those rows (`ElemMap._rows`).  The
-differential is one forward-mode run too: each value carries its tree and
-its partials, one per variable it reads.
+sample point, and a map keeps those rows (kept state is listed in `maps`).
+The differential is one forward-mode run too: each value carries its tree
+and its partials, one per variable it reads.
 
 Every rebuild of a tape under a substitution (`then`, the shifted copies
 of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
@@ -33,7 +33,7 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EngineError
-from .maps import CoordMap, _check_constant_power
+from .maps import CoordMap, _check_constant_power, keep
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
 ELEM_EQ_SAMPLES = 20
@@ -281,10 +281,10 @@ def _pruned(code, roots, nodes):
         if k in live and code[k][0] not in ("const", "var"):
             live.update(code[k][1:3 if code[k][0] in ("add", "mul") else 2])
     if len(live) < len(code):
-        keep = sorted(live)
-        new = dict(zip(keep, range(len(keep))))
-        code = [_renumbered(code[k], new) for k in keep]
-        nodes = [nodes[k] for k in keep]
+        old = sorted(live)
+        new = dict(zip(old, range(len(old))))
+        code = [_renumbered(code[k], new) for k in old]
+        nodes = [nodes[k] for k in old]
         roots = [new[r] for r in roots]
     return code, roots, nodes
 
@@ -476,10 +476,8 @@ class ElemMap(CoordMap):
 
     def _rows(self):
         """`_float_rows` of the tape over the domain's cloud, run once."""
-        kept = self._kept
-        if "rows" not in kept:
-            kept["rows"] = _float_rows(self.tape, _cloud(self.dom)[1])
-        return kept["rows"]
+        return keep(self, "rows", lambda: _float_rows(self.tape,
+                                                      _cloud(self.dom)[1]))
 
     def equal_witness(self, other, tol=None):
         """(equal?, first failing sample point or None)."""

@@ -10,14 +10,41 @@ structural block maps of the axioms from one table.  The doubling functor
 power acts on 2^n stacked blocks, indexed so that bit 0 of a block index
 is the innermost doubling.
 
-A map keeps its doublings and its routes (`_routes`) once asked for them.
-The axiom checkers and the tangent precompose terms with a few dozen
-structural maps pushed through k doublings, each many times over, so the
-cached `canonical_map` builds each doubling once per process, and a term
-keeps its precompositions with them, and the sums of two of them that
-DS.2 compares with (`precompose`): the termwise and the tower-level DS
-checkers build the same ones.  `zero_map` is cached too, so a zero map
-is sampled once per signature.
+Kept state.  The tangent and the axiom checkers precompose tower terms
+with a few dozen structural maps pushed through k doublings, each many
+times over, so what is worked out for an object is kept in its `_kept`
+table by `keep(owner, key, build, *args)`, the one memo.  The keys:
+
+- on a map (`CoordMap`):
+  - k, an int: its k-fold doubling (`pfunctor_apply`);
+  - "routes": the variable or zero each component is, or None if some
+    component is neither (`CoordMap._routes`, read by both bases' `then`);
+  - "routing": a polynomial routing's `_routing` shape (`PolyMap.then`);
+  - "rows": an elementary map's float rows over its domain's sample cloud
+    (`ElemMap._rows`, read by `equal_witness`);
+  - ((kind, dim, base, k), ...): the sum of the map precomposed with each
+    summand `canonical_map(kind, dim, base)` pushed through k doublings
+    (`precompose`, which the termwise DS checker and `PreDSeq.lmul` call,
+    so the tower-level checker and the tangent read it too).  One summand
+    is a precomposition; two are DS.2's right side, whose summands are not
+    kept, since only the sum is compared.
+- on a tower (`PreDSeq`): "tangent", its tangent tower (`PreDSeq.tangent`),
+  so every `compose` with one left tower reads one chain T f, T^2 f, ...
+  The table is not a dataclass field: equality, hashing, printing and JSON
+  see the terms alone.
+
+"structural" marks a map and memoizes nothing: the stamp (kind, dim,
+base) that `canonical_map` writes on what it built and `precompose` reads
+to decide whether to keep.
+
+Four caches live as long as the process:
+- `canonical_map`: one object per structural map, so that each doubling
+  of it is built once and its stamp names it;
+- `zero_map`: one per signature and base, so DS.1's zero map is sampled once;
+- `expr._cloud`: a domain's seeded sample points and their columns, for
+  the last 64 domains, shared by every map on that domain;
+- `cli.build_parser`: the argument parser, which parsing reads and does
+  not change, built once for every in-process `main`.
 """
 
 import math
@@ -75,6 +102,21 @@ def _check_dom(dom, what):
                           f"{_DOM_LIMIT}")
 
 
+def keep(owner, key, build, *args):
+    """owner's kept value under key, build(*args) the first time it is
+    asked for: the one memo of the package (see the module docstring)."""
+    try:
+        return owner._kept[key]
+    except KeyError:
+        value = owner._kept[key] = build(*args)
+        return value
+
+
+def _read_routes(m):
+    routes = tuple(map(m._route, m.components))
+    return None if None in routes else routes
+
+
 class CoordMap:
     """Map between coordinate spaces with one component per output coordinate.
 
@@ -91,10 +133,7 @@ class CoordMap:
 
     `_route(c)` is the index of the variable the component c is, -1 if c
     is zero, and None otherwise; `_routes` reads it off every component.
-    `_kept` holds what was worked out once for the map: its doublings
-    under k, its routes under "routes" (and a polynomial routing's shape
-    under "routing"), what `canonical_map` made it under "structural", and
-    its precompositions with such maps (`precompose`).
+    `_kept` is the map's table of kept state (see the module docstring).
     """
 
     base = None
@@ -140,11 +179,7 @@ class CoordMap:
         with a map whose components are all variables and zeros (every
         structural map but the sum, pushed through any number of
         doublings) only moves and drops the other map's variables."""
-        kept = self._kept
-        if "routes" not in kept:
-            routes = tuple(map(self._route, self.components))
-            kept["routes"] = None if None in routes else routes
-        return kept["routes"]
+        return keep(self, "routes", _read_routes, self)
 
     def pair(self, other):
         """Pairing into the product of the codomains."""
@@ -215,38 +250,28 @@ def coord_slice(total, start, size, base="poly"):
 
 
 def pfunctor_apply(h, k):
-    """k-fold doubling: 2^k block-diagonal copies of h, built once and
-    kept on h."""
+    """k-fold doubling: 2^k block-diagonal copies of h, kept on h."""
     assert k >= 0
-    kept = h._kept
-    if k not in kept:
-        kept[k] = h._combine(h.dom << k,
-                             [(h, c * h.dom) for c in range(1 << k)],
-                             chain.from_iterable)
-    return kept[k]
+    return keep(h, k, lambda: h._combine(
+        h.dom << k, [(h, c * h.dom) for c in range(1 << k)],
+        chain.from_iterable))
 
 
 def precompose(h, k, m, *more):
     """pfunctor_apply(h, k).then(m); with `more` maps of h's signature, the
     sum of m precomposed so with h and with each of them (DS.2's right
-    side).  Kept on m when every map came from `canonical_map`: a
-    precomposition under its stamp (kind, dim, base) and k, a sum under
-    ("sum", key, key, ...) of its summands' keys, with the summands not
-    kept, since only the sum is compared."""
-    if more:
-        stamps = [g._kept.get("structural") for g in (h, *more)]
-        key = None if None in stamps else ("sum", *((*s, k) for s in stamps))
-    else:
-        stamp = h._kept.get("structural")
-        key = None if stamp is None else (*stamp, k)
-    kept = m._kept
-    if key not in kept:
-        value = reduce(operator.add,
-                       (pfunctor_apply(g, k).then(m) for g in (h, *more)))
-        if key is None:
-            return value
-        kept[key] = value
-    return kept[key]
+    side).  Kept on m when every summand came from `canonical_map`."""
+    summands = (h, *more)
+    try:
+        key = tuple([(*g._kept["structural"], k) for g in summands])
+    except KeyError:
+        return _precomposed(k, m, summands)
+    return keep(m, key, _precomposed, k, m, summands)
+
+
+def _precomposed(k, m, summands):
+    return reduce(operator.add,
+                  (pfunctor_apply(g, k).then(m) for g in summands))
 
 
 # kind: (input blocks, source of each output block), a source being an

@@ -24,12 +24,12 @@ structurally.
 import re
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd, lcm
+from math import gcd
 
 from . import expr as et
 from .errors import FunctionNotAllowed, ParseError, UnknownVariable
 from .maps import _check_constant_power, _check_dom, _text, map_class
-from .poly import _NARROW, _normal, _width
+from .poly import _NARROW, _merged, _width
 
 _FUNCTIONS = ("sin", "cos", "exp")
 
@@ -276,11 +276,7 @@ def _plain_sum(text, dom, w=_NARROW):
         return None
     if head is not None:
         return None
-    den = lcm(*dens)
-    acc = {}
-    for mon, num, d in zip(mons, nums, dens):
-        acc[mon] = acc.get(mon, 0) + num * (den // d)
-    return _normal(dom, w, acc, den)
+    return _merged(dom, w, mons, nums, dens)
 
 
 def parse_component(text, dom, base="poly"):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch
-from .maps import CoordMap, _check_constant_power
+from .maps import CoordMap, _check_constant_power, keep
 
 # Term products one parsed product or power may cost before it is refused,
 # as an OverflowError that the parser reports as a ParseError.  (x0+1)^499
@@ -218,33 +218,33 @@ def _sum(ps):
     return total.result()
 
 
-def _summed(nvars, monomials):
-    """Sum of monomials given as ([(j, e), ...], numerator, denominator)."""
-    degrees = [sum(e for _, e in m[0]) for m in monomials]
-    w = _width(max(degrees, default=0))
-    top = nvars * w
-    den = lcm(*(m[2] for m in monomials))
+def _merged(nvars, w, mons, nums, dens):
+    """Polynomial of packed monomials at width w, each numerator over its
+    own denominator: merged over their least common denominator."""
+    den = lcm(*dens)
     acc = {}
-    for deg, (exps, num, d) in zip(degrees, monomials):
-        mon = deg << top
-        for j, e in exps:
-            mon += e << (top - (j + 1) * w)
-        acc[mon] = acc.get(mon, 0) + num * (den // d)
+    for m, c, d in zip(mons, nums, dens):
+        acc[m] = acc.get(m, 0) + c * (den // d)
     return _normal(nvars, w, acc, den)
 
 
 def _canonical(nvars, items):
     """Packed parts (width, monomials, numerators, denominator) of a
     collection of (exponents, coefficient) pairs."""
-    monomials = []
+    terms = []
     for exps, coeff in items:
         if len(exps) != nvars:
             raise DimensionMismatch(
                 f"term has {len(exps)} exponents, expected {nvars}")
-        coeff = Fraction(coeff)
-        monomials.append(([(j, e) for j, e in enumerate(exps) if e],
-                          coeff.numerator, coeff.denominator))
-    p = _summed(nvars, monomials)
+        terms.append(([(j, e) for j, e in enumerate(exps) if e],
+                      Fraction(coeff)))
+    degrees = [sum(e for _, e in exps) for exps, _ in terms]
+    w = _width(max(degrees, default=0))
+    top = nvars * w
+    mons = [sum((e << (top - (j + 1) * w) for j, e in exps), deg << top)
+            for deg, (exps, _) in zip(degrees, terms)]
+    p = _merged(nvars, w, mons, [c.numerator for _, c in terms],
+                [c.denominator for _, c in terms])
     return p._w, p._mons, p._nums, p._den
 
 
@@ -523,11 +523,8 @@ class PolyMap(CoordMap):
         self._require_composable(other)
         routes = self._routes()
         if routes is not None:
-            kept = self._kept
-            if "routing" not in kept:
-                kept["routing"] = _routing(routes, self.dom)
-            comps = [p._routed(kept["routing"], self.dom)
-                     for p in other.components]
+            shape = keep(self, "routing", _routing, routes, self.dom)
+            comps = [p._routed(shape, self.dom) for p in other.components]
         else:
             maps, powers = self.components, {}
             comps = [p.subst(maps, self.dom, powers) for p in other.components]

@@ -9,18 +9,15 @@ their terms: the term operation each runs first, on f_0, raises any
 TagMismatch or DimensionMismatch before heavy work.  Only the constructor
 checks a tower's own terms.
 
-A tower keeps its tangent once built.  Term n of a composite runs the
-n-fold tangent of its left tower, so every `compose` with one left tower,
-and every repeated `tangent()`, reads one chain T f, T^2 f, ...  The keep is
-not a field: equality, hashing, printing and JSON see the terms alone.
+A tower keeps its tangent once built (see the list of kept state in `maps`).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import canonical_map, coord_slice, precompose, proj, zero_map
+from .maps import (canonical_map, coord_slice, keep, precompose, proj,
+                   zero_map)
 
 
 @dataclass(frozen=True)
@@ -41,6 +38,7 @@ class PreDSeq:
                     f"expected {self.dom * (1 << n)}->{self.cod}")
             if f.base != self.terms[0].base:
                 raise TagMismatch("all terms of a tower share one base")
+        object.__setattr__(self, "_kept", {})
 
     @property
     def order(self):
@@ -75,15 +73,11 @@ class PreDSeq:
         """The tangent tower T f = <f o pi0, D f>: f precomposed with the
         projection pi0 (a, b) |-> a by the left scalar action, paired with
         its shift.  Costs one order.  Built once, then kept on the tower."""
-        return self._tangent
-
-    @cached_property
-    def _tangent(self):
         if self.order < 1:
             raise InsufficientOrder("tangent needs order >= 1")
-        pi0 = canonical_map("proj0", self.dom, self.base)
-        return self.truncate(self.order - 1).lmul(pi0).pair(
-            self.differential())
+        return keep(self, "tangent", lambda: self.truncate(self.order - 1)
+                    .lmul(canonical_map("proj0", self.dom, self.base))
+                    .pair(self.differential()))
 
     def lmul(self, h, *more):
         """Left scalar action: reparameterize by h through every doubling.

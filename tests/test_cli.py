@@ -61,24 +61,17 @@ def test_derive_to_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["order"] == 3
 
 
-def test_order_guard(capsys):
+def test_order_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "derive", "--map", fx("map_square.json"),
                        "--order", "5")
     assert code == 2 and "guard" in err
+    monkeypatch.setenv("DSEQ_MAX_ORDER", "5")
+    assert run(capsys, "derive", "--map", fx("map_square.json"),
+               "--order", "5") == (code, "", err)
     code, out, _ = run(capsys, "derive", "--map", fx("map_square.json"),
                        "--order", "5", "--allow-large")
     assert code == 0
     assert json.loads(out)["order"] == 5
-
-
-def test_order_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DSEQ_MAX_ORDER", "5")
-    code, _, _ = run(capsys, "derive", "--map", fx("map_square.json"),
-                     "--order", "5")
-    assert code == 0
-    monkeypatch.setenv("DSEQ_MAX_ORDER", "walnut")
-    code, _, err = run(capsys, "derive", "--map", fx("map_square.json"))
-    assert code == 2 and "DSEQ_MAX_ORDER" in err
 
 
 def test_compose_term(capsys):
@@ -263,6 +256,7 @@ def test_eval_reads_a_point_with_a_negative_first_coordinate(point, value,
     assert (code, err) == (0, "")
     assert json.loads(out)["value"] == [value]
     assert run(capsys, *argv, "--point=" + point) == (code, out, err)
+    assert run(capsys, *argv, "--poi", point) == (code, out, err)
 
 
 def test_eval_reports_a_parse_error_in_a_term_it_does_not_evaluate(
@@ -481,14 +475,6 @@ def test_derive_long_flat_sum(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", "--map", src, "--order", "1")
     assert code == 0
     assert json.loads(out)["terms"][1]["components"][0].count("cos(x0)") == 2000
-
-
-def test_negative_order_guard_env_is_a_bad_setting(capsys, monkeypatch):
-    monkeypatch.setenv("DSEQ_MAX_ORDER", "-1")
-    code, out, err = run(capsys, "derive", "--map", fx("map_square.json"),
-                         "--order", "0")
-    assert code == 2 and out == ""
-    assert "DSEQ_MAX_ORDER must be" in err and "exceeds" not in err
 
 
 def derive_poly(tmp_path, capsys, component):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from dseq import poly
+from dseq import maps, poly
+from dseq.axioms import check_ds_primed, check_ds_unprimed
+from dseq.comonad import omega
 from dseq.errors import DimensionMismatch, TagMismatch
-from dseq.maps import (canonical_map, coord_slice, identity,
+from dseq.maps import (CoordMap, canonical_map, coord_slice, identity,
                        map_class, pfunctor_apply, proj, zero_map)
 from dseq.parser import format_map, parse_map
 from dseq.poly import Poly
+from dseq.sequences import PreDSeq
 
 
 def ev(m, *xs):
@@ -181,6 +184,60 @@ def test_routes_are_scanned_once_per_map(monkeypatch):
     for _ in range(3):
         h.then(f)
     assert len(shaped) == 1
+
+
+def kept_shape(owner, key):
+    """The entry of the list of kept state in `maps` that a key of owner's
+    `_kept` table is, or None."""
+    if isinstance(owner, PreDSeq):
+        return "tangent" if key == "tangent" else None
+    named = {"poly": ("routes", "routing", "structural"),
+             "elementary": ("routes", "rows", "structural")}[owner.base]
+    if type(key) is str:
+        return key if key in named else None
+    if type(key) is int:
+        return "doubling" if key >= 0 else None
+    if type(key) is tuple and len(key) in (1, 2) and all(
+            type(s) is tuple and len(s) == 4 and s[0] in maps._STRUCTURAL
+            and type(s[1]) is int and s[1] > 0 and s[2] == owner.base
+            and type(s[3]) is int and s[3] >= 0 for s in key):
+        return "precomposition" if len(key) == 1 else "sum"
+    return None
+
+
+@pytest.mark.parametrize("base", ["poly", "elementary"])
+def test_every_kept_key_has_a_documented_shape(base):
+    """Composing towers and running both DS checkers on them keeps state
+    only under the keys the module docstring of `maps` lists, on the tower
+    terms, the tangents and the pushed structural maps alike."""
+    dom, order = (2, 3) if base == "poly" else (1, 3)
+    texts = ((["x0^2*x1 + x1", "x0 - x1^2"], ["x0*x1", "x0^3 - x1"])
+             if base == "poly" else (["sin(x0)*exp(x0)"], ["cos(x0) + x0^2"]))
+    f, g = (omega(parse_map(t, dom, dom, base), order) for t in texts)
+    composite = f.compose(g)
+    for tower in (f, composite):
+        assert check_ds_primed(tower).passed
+        assert check_ds_unprimed(tower).passed
+    stack = [f, g, composite] + [canonical_map(kind, dom << j, base)
+                                 for kind in maps._STRUCTURAL
+                                 for j in range(order + 1)]
+    seen, shapes = set(), set()
+    while stack:
+        owner = stack.pop()
+        if id(owner) in seen:
+            continue
+        seen.add(id(owner))
+        if isinstance(owner, PreDSeq):
+            stack.extend(owner.terms)
+        for key, value in owner._kept.items():
+            shape = kept_shape(owner, key)
+            assert shape is not None, (owner, key)
+            shapes.add(shape)
+            if isinstance(value, (CoordMap, PreDSeq)):
+                stack.append(value)
+    assert shapes == {"tangent", "doubling", "precomposition", "sum",
+                      "routes", "structural",
+                      "routing" if base == "poly" else "rows"}
 
 
 def test_map_class_rejects_unknown_tag():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from dseq import axioms, expr, maps
 from dseq.axioms import check_ds_primed, check_ds_unprimed
@@ -370,7 +370,13 @@ def test_differential_matches_a_per_variable_reference(seed, order):
     rng = random.Random(seed)
     f = ElemMap(DOM, 2, [wild_tree(rng, 4), wild_tree(rng, 4)])
     g = ElemMap(2, 2, [wild_tree(rng, 3, 2), wild_tree(rng, 3, 2)])
-    for m in (f, g, *omega(f, order).compose(omega(g, order)).terms):
+    try:
+        composite = omega(f, order).compose(omega(g, order))
+    except maps._DigitLimit:
+        # g's power 400 of a variable whose f component is a large
+        # constant folds past the digit guard, which refuses it.
+        reject()
+    for m in (f, g, *composite.terms):
         want = [const(0)] * m.cod
         for j in range(m.dom):
             want = [add(total, mul(dt, var(m.dom + j)))
@@ -708,7 +714,7 @@ def test_a_kept_sum_stays_with_its_term(base):
         (["sin(x0)*exp(x0)"], ["cos(x0) + 2*exp(x0)"])
     terms = [omega(parse_map(t, 1, 1, base), 2).terms[2] for t in texts]
     h0, h1 = (canonical_map(kind, 1, base) for kind in ("sumproj0", "sumproj1"))
-    key = ("sum", ("sumproj0", 1, base, 1), ("sumproj1", 1, base, 1))
+    key = (("sumproj0", 1, base, 1), ("sumproj1", 1, base, 1))
     sums = [maps.precompose(h0, 1, m, h1) for m in terms]
     for m, got in zip(terms, sums):
         want = pfunctor_apply(h0, 1).then(m) + pfunctor_apply(h1, 1).then(m)
