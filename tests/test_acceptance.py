@@ -7,6 +7,7 @@ stated sampled tolerance of 1e-9.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from dseq.parser import parse_map
 from dseq.poly import PolyMap
 
 SEED = 42
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def verdict(num, ok, label):
@@ -178,10 +180,11 @@ def test_criterion_10_cli_contract(tmp_path):
     ok = first.returncode == 0 and second.returncode == 0
     ok = ok and first.stdout == second.stdout
     ok = ok and json.loads(first.stdout)["pass"] is True
+    with open(os.path.join(FIXTURES, "golden", "selftest_42_trials25.out"),
+              "rb") as fh:
+        ok = ok and first.stdout == fh.read()
 
-    import os
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures",
-                           "corrupt_ds3.json")
+    fixture = os.path.join(FIXTURES, "corrupt_ds3.json")
     corrupted = cli("check", "--input", fixture, "--suite", "ds")
     ok = ok and corrupted.returncode == 1
 
@@ -189,5 +192,5 @@ def test_criterion_10_cli_contract(tmp_path):
     bad.write_text("{\"dom\": 1}", encoding="utf-8")
     malformed = cli("check", "--input", str(bad))
     ok = ok and malformed.returncode == 2
-    verdict(10, ok, "selftest(42, 25) exits 0 byte-identically; corrupted "
-                    "fixture exits 1; malformed input exits 2")
+    verdict(10, ok, "selftest(42, 25) exits 0 with its recorded bytes; "
+                    "corrupted fixture exits 1; malformed input exits 2")

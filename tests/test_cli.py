@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -150,11 +151,33 @@ def test_check_cd_below_order_three_exits_two(capsys, suite):
 
 def test_check_all_suites_on_seq_input(capsys):
     code, out, _ = run(capsys, "check", "--input", fx("seq_square.json"),
-                       "--suite", "all", "--trials", "2")
+                       "--suite", "all")
     assert code == 0
     names = [s["suite"] for s in json.loads(out)["suites"]]
-    assert names == ["ds_primed", "ds_unprimed", "comonad", "coalgebra",
-                     "cd", "pre_d"]
+    assert names == ["ds_primed", "ds_unprimed", "cd"]
+
+
+def check_suites():
+    """The `check --suite` choices other than `all`, read from the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["check"]._actions
+                 if a.dest == "suite")
+    return [name for name in suite.choices if name != "all"]
+
+
+@pytest.mark.parametrize("suite", check_suites())
+def test_every_check_suite_reads_its_input(tmp_path, capsys, suite):
+    """A suite's verdict on a tower must depend on the tower: the order-3
+    tower of x0^2 and a copy whose top term breaks DS give different
+    reports."""
+    tower = json.loads(pathlib.Path(fx("seq_square.json")).read_text())
+    tower["terms"][3]["components"][0] += " + x7"
+    broken = write_json(tmp_path / "broken.json", tower)
+    outputs = [run(capsys, "check", "--input", path, "--suite", suite,
+                   "--format", "json")[:2]
+               for path in (fx("seq_square.json"), broken)]
+    assert outputs[0] != outputs[1]
 
 
 def test_check_text_format(capsys):
@@ -176,7 +199,7 @@ def test_check_elementary_map_on_or_into_no_coordinates(tmp_path, capsys,
                      {"base": "elementary", "dom": dom, "cod": cod,
                       "components": components})
     code, out, err = run(capsys, "check", "--input", src, "--suite", suite,
-                         "--format", "text", "--trials", "2")
+                         "--format", "text")
     assert code == 0 and out.rstrip().endswith("PASS")
     assert "Traceback" not in err
 
@@ -399,11 +422,14 @@ def test_bad_tolerance_exits_two(tmp_path, capsys):
     assert code == 1
 
 
-def test_trials_below_one_exits_two():
+def test_trials_below_one_exits_two(capsys):
     for bad in ("0", "-3"):
         assert usage_exit_code("selftest", "--trials", bad) == 2
-        assert usage_exit_code("check", "--input", fx("map_square.json"),
-                               "--trials", bad) == 2
+    # only selftest takes trials; check reads no seeded battery
+    capsys.readouterr()
+    assert usage_exit_code("check", "--input", fx("map_square.json"),
+                           "--trials", "2") == 2
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 def test_eval_rejects_non_finite_point(tmp_path, capsys):
@@ -696,7 +722,7 @@ def test_width_guard_refuses_a_wide_term(tmp_path, capsys):
         "terms": [{"base": "poly", "dom": 1025, "cod": 1,
                    "components": ["x0"]}]})
     for argv in (["check", "--input", wide, "--suite", "ds", "--order", "1"],
-                 ["check", "--input", tower, "--suite", "comonad"],
+                 ["check", "--input", tower, "--suite", "ds"],
                  ["derive", "--map", wide, "--order", "0"],
                  ["derive", "--map", tall, "--order", "0"],
                  ["compose", "--first", wide, "--second", square],

@@ -33,20 +33,20 @@ CASES = {
                                   "--second", fx("map_pow200.json"),
                                   "--order", "1"]),
     "check_square_json": (0, ["check", "--input", fx("map_square.json"),
-                              "--format", "json", "--trials", "2"]),
+                              "--format", "json"]),
     "check_square_text": (0, ["check", "--input", fx("map_square.json"),
-                              "--format", "text", "--trials", "2"]),
+                              "--format", "text"]),
     "check_sin_json": (0, ["check", "--input", fx("map_sin.json"),
-                           "--format", "json", "--trials", "2"]),
+                           "--format", "json"]),
     # Both DS checkers on one order-4 elementary tower: the unprimed run
     # reads the precompositions and sampled rows the primed run kept.
     "check_sin_ds_order4_json": (0, ["check", "--input", fx("map_sin.json"),
                                      "--suite", "ds", "--order", "4",
                                      "--format", "json"]),
     "check_corrupt_ds2_json": (1, ["check", "--input", fx("corrupt_ds2.json"),
-                                   "--format", "json", "--trials", "2"]),
+                                   "--format", "json"]),
     "check_corrupt_ds2_text": (1, ["check", "--input", fx("corrupt_ds2.json"),
-                                   "--format", "text", "--trials", "2"]),
+                                   "--format", "text"]),
     "check_corrupt_ds3_ds_json": (1, ["check", "--input",
                                       fx("corrupt_ds3.json"), "--suite", "ds",
                                       "--format", "json"]),
