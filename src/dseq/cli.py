@@ -16,10 +16,10 @@ over 4,300 digits; an integer of more than 4,300 digits in a component or
 a JSON file; a JSON file nested too deeply or not UTF-8; a negative
 dimension, or a tower order below 0; an eval point coordinate of more
 than 4,300 digits; a map or tower file whose widest term (dom * 2^order
-inputs) or whose cod is over the width guard, unless --allow-large is
-passed; a declared dom or cod too large to pack, refused before parsing;
-check --suite ds|all on a tower below order 1; check --suite cd|all on a
-tower below order 3.
+inputs) or whose cod is over the width guard, in every subcommand that
+reads one, unless --allow-large is passed; a declared dom or cod too
+large to pack, refused before parsing; check --suite ds|all on a tower
+below order 1; check --suite cd|all on a tower below order 3.
 All JSON output is canonical: two-space indent, stable key order, ASCII,
 trailing newline, no NaN or infinity.  Identical invocations produce
 byte-identical output.
@@ -106,6 +106,14 @@ def _guarded_map(obj, path, order, allow_large):
     return load_map(obj, what=path)
 
 
+def _guarded_seq(obj, path, allow_large):
+    """The tower in a sequence object, its width guarded at its own order
+    before any component is parsed."""
+    dom, cod, order = _seq_signature(obj, path)
+    guard_width(path, dom, cod, order, allow_large)
+    return load_seq(obj, what=path)
+
+
 def _load_map_file(path, order, allow_large):
     obj = read_json(path)
     if is_seq_object(obj):
@@ -143,9 +151,7 @@ def _input_tower(path, order, allow_large):
     before any component is parsed."""
     obj = read_json(path)
     if is_seq_object(obj):
-        dom, cod, order = _seq_signature(obj, path)
-        guard_width(path, dom, cod, order, allow_large)
-        return load_seq(obj, what=path)
+        return _guarded_seq(obj, path, allow_large)
     order = guard_order(order, allow_large)
     return omega(_guarded_map(obj, path, order, allow_large), order)
 
@@ -199,8 +205,11 @@ def cmd_check(args):
     reports = _check_reports(tower, args)
     ok = all(rep.passed for rep in reports)
     if args.format == "json":
+        run = {"base": tower.base, "dom": tower.dom, "cod": tower.cod,
+               "order": tower.order, "seed": args.seed,
+               "tolerance": args.tolerance}
         sys.stdout.write(to_canonical_json(
-            {"suites": [rep.to_json() for rep in reports]}))
+            {"run": run, "suites": [rep.to_json() for rep in reports]}))
     else:
         sys.stdout.write(_render_text(reports, ok))
     return 0 if ok else 1
@@ -262,7 +271,7 @@ def cmd_eval(args):
     obj = read_json(args.seq)
     if not is_seq_object(obj):
         raise EngineError("eval expects a sequence file; derive one first")
-    tower = load_seq(obj, what=args.seq)
+    tower = _guarded_seq(obj, args.seq, args.allow_large)
     term = tower.term(args.term)
     point = _parse_point(args.point, tower.base, term.dom)
     try:
@@ -357,6 +366,8 @@ def build_parser():
     p.add_argument("--term", type=int, required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated coordinates, dom * 2^term of them")
+    p.add_argument("--allow-large", action="store_true",
+                   help="bypass the width guard")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selftest", help="run every law suite on seeded input")

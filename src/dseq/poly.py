@@ -22,6 +22,10 @@ is a function of the degree, so two polynomials are mathematically equal iff
 their packed monomials, numerators and denominators compare equal.  `terms`
 presents the same polynomial as (exponent tuple, Fraction) pairs in that
 order.
+
+Products merge term by term in a dict (`_Sum`), but a dense substitution,
+dense in x0 and x1 as a tower term's base point is, multiplies Kronecker
+integers (`_Kron`), by one rule picked once per `PolyMap.then`.
 """
 
 import operator
@@ -36,6 +40,13 @@ from .maps import CoordMap, _check_constant_power, keep
 # is the largest power of a binomial that fits; `derive --order 1` on it
 # takes about 1 s on a 2-vCPU Xeon, and on (x0+1)^3000 more than 8 s.
 _PARSE_WORK_LIMIT = 250_000
+
+# `PolyMap.then` substitutes through `_Kron` into maps of 2 or more
+# variables when no degree reaches 16, an outer component has
+# _KRON_MIN_TERMS monomials and the maps _KRON_MIN_FILL monomials per
+# direction part: there one int product replaces a block of term products.
+_KRON_MIN_TERMS = 8
+_KRON_MIN_FILL = 3
 
 
 def _budgeted(work, what):
@@ -209,6 +220,114 @@ class _Sum:
     def result(self, den=1):
         """The sum divided by `den`."""
         return _normal(self.nvars, self.w, self.acc, self.den * den)
+
+
+class _Kron:
+    """Dense substitution, made for one `PolyMap.then` into maps of degree
+    below 16 in n >= 2 variables.  A polynomial is a `_KronSum`, a dict
+    from direction parts (monomials with the x0 and x1 fields cleared and
+    the degree lowered to match) to ints whose B-bit digit at slot
+    a << 4 | b is the coefficient of x0^a*x1^b.
+
+    B is fixed before any work.  Over the maps' common denominator d, map
+    j is N_j / d, and a component of degree deg is sum_mu w_mu prod_j
+    N_j^e_j over den * d^deg, with integer weights w_mu = c_mu *
+    d^(deg - |mu|).  No coefficient exceeds G = sum_mu |w_mu| prod_j
+    L1(N_j)^e_j, and packing commutes with sums and products, so
+    B = bitlen(G) + 2 in whole bytes, the most over the components, gives
+    every digit of every result room."""
+
+    __slots__ = ("n", "den", "bits", "maps", "powers")
+
+    def __init__(self, maps, comps, n):
+        self.n, self.den, self.powers = n, lcm(*(q._den for q in maps)), {}
+        point = [Fraction(sum(map(abs, q._nums)), q._den) for q in maps]
+        size = max((_poly(p.nvars, p._w, p._mons, [abs(c) for c in p._nums],
+                          p._den).eval(point) * p._den * self.den ** p.degree()
+                    for p in comps if p._mons), default=0)
+        self.bits = bits = -(-(int(size).bit_length() + 2) // 8) * 8
+        low, top = (n - 2) * _NARROW, n * _NARROW
+        self.maps = [_KronSum(None) for _ in maps]
+        for q, enc in zip(maps, self.maps):
+            f = self.den // q._den
+            for m, c in zip(q._mons, q._nums):
+                s = m >> low & 255
+                key = m - (s << low) - ((s >> 4) + (s & 15) << top)
+                enc[key] = enc.get(key, 0) + (c * f << bits * s)
+
+    @classmethod
+    def rule(cls, maps, comps, n):
+        """The context for substituting maps into comps, or None.  Sparse
+        maps fail the fill test after a few of them are counted."""
+        if n < 2 or all(len(p._mons) < _KRON_MIN_TERMS for p in comps):
+            return None
+        low = (1 << (n - 2) * _NARROW) - 1
+        room = sum(len(q._mons) for q in maps)
+        for q in maps:
+            room -= _KRON_MIN_FILL * len({m & low for m in q._mons})
+            if room < 0:
+                return None
+        top = max(q.degree() for q in maps)
+        if top < 16 and top * max(p.degree() for p in comps) < 16:
+            return cls(maps, comps, n)
+
+
+class _KronSum(dict):
+    """A `_Kron` polynomial with the methods of `_Sum`, the walk's running
+    sum on that path: a product is one int product per pair of direction
+    parts.  The maps and their powers refer to no `_Kron`, so that no
+    cycle outlives the `then`."""
+
+    __slots__ = ("kron",)
+
+    def __init__(self, kron, constant=None):
+        super().__init__({0: constant} if constant else ())
+        self.kron = kron
+
+    def add(self, k, p):
+        get = self.get
+        for key, v in p.items():
+            self[key] = get(key, 0) + k * v
+
+    def add_product(self, k, p, q):
+        get = self.get
+        for k1, v1 in p.items():
+            v1 *= k
+            for k2, v2 in q.items():
+                self[k1 + k2] = get(k1 + k2, 0) + v1 * v2
+
+    def __pow__(self, e):
+        out = self
+        for _ in range(e - 1):
+            out, prev = _KronSum(None), out
+            out.add_product(1, prev, self)
+        return out
+
+    def result(self, den):
+        """The sum over den as a `Poly`.  Adding 2^(B-1) to every slot and
+        flipping that bit back leaves the digits in two's complement, so one
+        `to_bytes` cuts a value into them; each row of 16 slots (one power
+        of x0) is read up to its last nonzero digit."""
+        n, bits = self.kron.n, self.kron.bits
+        width, low, top = bits // 8, (n - 2) * _NARROW, n * _NARROW
+        rows = max(map(int.bit_length, self.values()),
+                   default=0) // (16 * bits) + 1
+        size, zero = 16 * width, bytes(width)
+        bias = int.from_bytes((1 << bits - 1).to_bytes(width, "little")
+                              * (16 * rows), "little")
+        step = (1 << low) + (1 << top)
+        out = {}
+        for key, v in self.items():
+            raw = ((v + bias) ^ bias).to_bytes(rows * size, "little")
+            for a in range(rows):
+                row = raw[a * size:(a + 1) * size]
+                m = key + (a << low + 4) + (a << top)
+                for i in range(0, len(row.rstrip(b"\0")), width):
+                    digit = row[i:i + width]
+                    if digit != zero:
+                        out[m + i // width * step] = int.from_bytes(
+                            digit, "little", signed=True)
+        return _normal(n, _NARROW, out, den)
 
 
 def _sum(ps):
@@ -385,7 +504,7 @@ class Poly:
             return Fraction(total, self._den * q ** top)
         return total / self._den
 
-    def subst(self, maps, nvars_out, powers=None):
+    def subst(self, maps, nvars_out, powers=None, kron=None):
         """Substitute variable j := maps[j]; all maps live in nvars_out
         variables.  `powers`, a dict of maps[j] ** e under the key (j, e),
         may be shared by calls with the same maps.  A map whose components
@@ -398,16 +517,25 @@ class Poly:
         x0, x1, ... (a tower term's base point) of all monomials that end
         alike are summed before the factors they share multiply them.  A
         merged value folds into its slot straight from its `_Sum`'s dict,
-        with no sort or reduction until the result."""
+        with no sort or reduction until the result.  With `kron`, a `_Kron`
+        made for these maps, the walk folds its packed values instead."""
         assert len(maps) == self.nvars
-        if powers is None:
-            powers = {}
         n, w = self.nvars, self._w
+        if kron is None:
+            kind, arg, nums, den = _Sum, nvars_out, self._nums, self._den
+            if powers is None:
+                powers = {}
+        else:
+            kind, arg, maps, powers = _KronSum, kron, kron.maps, kron.powers
+            d, deg = kron.den, max(self.degree(), 0)
+            nums = [c * d ** (deg - (m >> n * w))
+                    for m, c in zip(self._mons, self._nums)]
+            den = self._den * d ** deg
         low = (1 << (n * w)) - 1
         # slots[s]: the value at s, a numerator until a longer tuple folds
-        # into it, then a _Sum; by_len[k]: the tuples of length k.
+        # into it, then a sum of `kind`; by_len[k]: the tuples of length k.
         slots, by_len = {}, {}
-        for m, c in zip(self._mons, self._nums):
+        for m, c in zip(self._mons, nums):
             key = tuple(_factors(m & low, w))
             slots[key] = c
             by_len.setdefault(len(key), []).append(key)
@@ -415,23 +543,23 @@ class Poly:
             for key in by_len.get(size, ()):
                 value, suffix = slots.pop(key), key[1:]
                 acc = slots.get(suffix)
-                if type(acc) is not _Sum:
+                if type(acc) is not kind:
                     if acc is None:
                         by_len.setdefault(size - 1, []).append(suffix)
-                    acc = slots[suffix] = _Sum(nvars_out, acc)
+                    acc = slots[suffix] = kind(arg, acc)
                 shift, e = key[0]
                 j = n - 1 - shift // w
                 first = powers.get((j, e))
                 if first is None:
                     first = powers[j, e] = maps[j] ** e
-                if type(value) is _Sum:
+                if type(value) is kind:
                     acc.add_product(1, first, value)
                 else:
                     acc.add(value, first)
         total = slots.get(())
-        if type(total) is not _Sum:
-            total = _Sum(nvars_out, total)
-        return total.result(self._den)
+        if type(total) is not kind:
+            total = kind(arg, total)
+        return total.result(den)
 
     def _routed(self, shape, nvars_out):
         """Substitution where variable j becomes variable routes[j], or
@@ -519,7 +647,8 @@ class PolyMap(CoordMap):
         return PolyMap(dom, len(comps), comps)
 
     def then(self, other):
-        """Diagrammatic composite: self first, then other."""
+        """Diagrammatic composite: self first, then other.  Each component
+        is substituted by `Poly.subst`, densely where `_Kron.rule` says."""
         self._require_composable(other)
         routes = self._routes()
         if routes is not None:
@@ -527,7 +656,9 @@ class PolyMap(CoordMap):
             comps = [p._routed(shape, self.dom) for p in other.components]
         else:
             maps, powers = self.components, {}
-            comps = [p.subst(maps, self.dom, powers) for p in other.components]
+            kron = _Kron.rule(maps, other.components, self.dom)
+            comps = [p.subst(maps, self.dom, powers, kron)
+                     for p in other.components]
         return PolyMap(self.dom, other.cod, comps)
 
     def __neg__(self):

@@ -749,6 +749,43 @@ def test_width_guard_bounds_the_widest_term(tmp_path, capsys):
                "--order", "0")[0] == 0
 
 
+def test_check_json_run_object(capsys):
+    """The run object names the checked tower, lifted at --order, and the
+    --seed and --tolerance given; text output has no such line."""
+    code, out, _ = run(capsys, "check", "--input", fx("map_sin.json"),
+                       "--suite", "ds", "--order", "2", "--seed", "7",
+                       "--tolerance", "1e-6")
+    assert code == 0
+    assert json.loads(out)["run"] == {"base": "elementary", "dom": 1,
+                                      "cod": 1, "order": 2, "seed": 7,
+                                      "tolerance": 1e-6}
+    code, out, _ = run(capsys, "check", "--input", fx("map_sin.json"),
+                       "--suite", "ds", "--order", "2", "--format", "text")
+    assert (code, out) == (0, "ds_primed: PASS (8/8)\n"
+                              "ds_unprimed: PASS (6/6)\nPASS\n")
+
+
+def test_width_guard_covers_eval(tmp_path, capsys):
+    """eval reads a tower only if its widest term is within the guard, as
+    check does, and --allow-large lifts it: term 11 of this order-11
+    tower has 2,048 inputs."""
+    tower = write_json(tmp_path / "tower.json", {
+        "base": "poly", "dom": 1, "cod": 1, "order": 11,
+        "terms": [{"base": "poly", "dom": 1 << n, "cod": 1,
+                   "components": ["0"]} for n in range(12)]})
+    for argv in (["eval", "--seq", tower, "--term", "0", "--point", "1"],
+                 ["check", "--input", tower, "--suite", "ds"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: " + tower + " has terms of 1 * 2^11 inputs "
+                       "and 1 outputs, over the width guard (1024); "
+                       "pass --allow-large\n")
+    code, out, _ = run(capsys, "eval", "--seq", tower, "--term", "0",
+                       "--point", "1", "--allow-large")
+    assert code == 0
+    assert json.loads(out) == {"term": 0, "point": ["1"], "value": ["0"]}
+
+
 HUGE = 10 ** 20     # past every width guard, and too wide to pack
 
 
@@ -774,8 +811,6 @@ def test_huge_declared_dom_exits_two_before_parsing(tmp_path, capsys):
                  ["eval", "--seq", wide_term, "--term", "0", "--point", "1"],
                  ["eval", "--seq", wide, "--term", "0", "--point", "1"]):
         for large in ([], ["--allow-large"]):
-            if argv[0] == "eval" and large:
-                continue
             code, out, err = run(capsys, *argv, *large)
             assert (code, out) == (2, ""), argv + large
             assert err.endswith(f" has {HUGE} inputs, over the limit of "

@@ -5,6 +5,7 @@ byte for byte, and the expected exit code is listed with it.  A change that
 alters any of them changes user-visible output and must say so.
 """
 
+import json
 import os
 
 import pytest
@@ -67,7 +68,8 @@ CASES = {
                            "--second", fx("map_dense3_second.json")]),
     # Dense cubic 2->2 maps (every monomial of degree <= 3, coefficients in
     # +-3/2..+-9/2), written by perfbench.workloads.dense_map at seed 22:
-    # the term products of the order-3 tower all merge in poly._Sum.
+    # every term substitutes on Kronecker integers (poly._Kron), and must
+    # print what the term-by-term walk (poly._Sum) printed.
     "compose_dense22_order3": (0, ["compose", "--first",
                                    fx("map_dense22_first.json"), "--second",
                                    fx("map_dense22_second.json"),
@@ -87,3 +89,19 @@ def test_golden_stdout(name, capsys):
     with open(os.path.join(GOLDEN, name + ".out"), "rb") as fh:
         expected = fh.read()
     assert capsys.readouterr().out.encode("ascii") == expected
+
+
+def test_check_json_names_its_input():
+    """A check report opens with the run it reports on, so two inputs that
+    pass alike, the poly x0^2 and the elementary sin(x0), print apart."""
+    runs = {}
+    for name in ("check_square_json", "check_sin_json"):
+        with open(os.path.join(GOLDEN, name + ".out"), "rb") as fh:
+            runs[name] = fh.read()
+    square, sin = runs.values()
+    assert square != sin
+    assert list(json.loads(square)) == ["run", "suites"]
+    assert json.loads(square)["run"] == {
+        "base": "poly", "dom": 1, "cod": 1, "order": 3, "seed": 42,
+        "tolerance": None}
+    assert json.loads(sin)["run"]["base"] == "elementary"

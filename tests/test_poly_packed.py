@@ -8,14 +8,19 @@ Exponents are drawn around field-width boundaries, coefficients with mixed
 denominators, and sums are drawn to cancel.
 """
 
+import json
+import os
 import random
 import time
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from dseq import load_map, omega
 from dseq.parser import parse_map
-from dseq.poly import Poly, PolyMap, _Sum
+from dseq.poly import Poly, PolyMap, _Kron, _KronSum, _Sum
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 # Reference implementations: a polynomial is a dict exponent tuple -> Fraction.
@@ -469,3 +474,120 @@ def test_constructor_in_many_variables():
     assert Poly(n, [((3,) + (0,) * (n - 2) + (2,), Fraction(1, 2))]) == (
         Poly.variable(n, 0) ** 3 * Poly.variable(n, n - 1) ** 2
         * Poly.constant(n, Fraction(1, 2)))
+
+
+# Dense substitution: `_Kron` packs the coefficients in x0 and x1 into one
+# int per direction part.
+
+kron_coeffs = st.builds(Fraction, st.integers(-9, 9),
+                        st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+def bounded_dicts(nvars, degree, max_terms):
+    """Polynomials of total degree at most `degree`: each exponent tuple
+    counts the variables of a word of that length at most."""
+    exps = st.lists(st.integers(0, nvars - 1), max_size=degree).map(
+        lambda word: tuple(word.count(i) for i in range(nvars)))
+    return st.lists(st.tuples(exps, kron_coeffs),
+                    max_size=max_terms).map(ref_dict)
+
+
+@st.composite
+def dense_substitutions(draw):
+    """(nvars_out, p, maps) with 2-4 output variables, the maps' degree
+    times p's at most 15, zero and constant maps among the others, and a p
+    that may vanish on them: x1 := x0's map, p(x0, x1) - p(x1, x0)."""
+    nvars_out = draw(st.integers(2, 4))
+    nvars = draw(st.integers(1, 3))
+    top = draw(st.integers(0, 15))
+    maps = draw(st.lists(st.one_of(
+        st.just({}), bounded_dicts(nvars_out, 0, 1),
+        bounded_dicts(nvars_out, top, 6)), min_size=nvars, max_size=nvars))
+    p = draw(bounded_dicts(nvars, 15 // max(top, 1), 8))
+    if nvars > 1 and draw(st.booleans()):
+        maps[1] = maps[0]
+        p = ref_add(p, {(e[1], e[0]) + e[2:]: -c for e, c in p.items()})
+    return nvars_out, p, maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_substitutions())
+# G = 7 * 9 = 63 = 2^(B-2) - 1 at B = 8: the largest digit the bound allows
+@example((2, {(1,): Fraction(7, 3)}, [{(0, 1): Fraction(9, 2)}]))
+@example((3, {(1,): Fraction(-7)}, [{(1, 0, 0): Fraction(9)}]))
+# x1^15, x0^7*x1^8 and x0^15: the first row's last slot, a middle row, and
+# the last row
+@example((2, {(1, 0): Fraction(1), (0, 1): Fraction(-1, 2)},
+          [{(15, 0): Fraction(1, 3), (0, 0): Fraction(-1)},
+           {(0, 15): Fraction(2), (7, 8): Fraction(-1, 9)}]))
+def test_kron_subst(case):
+    """The dense walk gives the canonical form of the reference."""
+    nvars_out, p, maps = case
+    qs = [packed(nvars_out, q) for q in maps]
+    P = packed(len(maps), p)
+    got = P.subst(qs, nvars_out, None, _Kron(qs, [P], nvars_out))
+    same(got, nvars_out, ref_subst(p, maps, nvars_out))
+
+
+def test_kron_decode_reads_digits_at_the_edge_of_their_range():
+    """Digits of +-(2^(B-1) - 1), next to each other so that their borrows
+    chain, come back exact in every row and direction part."""
+    q = Poly(3, [((1, 0, 0), 1), ((0, 0, 1), 3)])
+    kron = _Kron([q], [Poly(1, [((1,), 1)])], 3)
+    bits = kron.bits
+    edge = (1 << bits - 1) - 1
+    digits = {0: {(0, 0): edge, (0, 1): -edge, (0, 2): -edge, (1, 2): edge,
+                  (15, 0): -edge, (0, 15): edge},
+              1: {(0, 0): -edge, (3, 11): -edge, (14, 0): edge}}
+    key = {0: 0, 1: (1 << 12) | 1}
+    acc = _KronSum(kron)
+    acc.update({key[k]: sum(c << bits * (a << 4 | b)
+                            for (a, b), c in ds.items())
+                for k, ds in digits.items()})
+    want = {(a, b, k): Fraction(c) for k, ds in digits.items()
+            for (a, b), c in ds.items()}
+    same(acc.result(1), 3, want)
+
+
+def dense_calls(monkeypatch):
+    """The list that each dense substitution appends its output to."""
+    calls = []
+    result = _KronSum.result
+    monkeypatch.setattr(_KronSum, "result", lambda acc, den: calls.append(
+        result(acc, den)) or calls[-1])
+    return calls
+
+
+def fixture_map(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return load_map(json.load(fh))
+
+
+def test_then_takes_the_dense_path_on_dense_towers_only(monkeypatch):
+    """A dense cubic pair substitutes densely at orders 2 and 3, to the
+    same towers as the `_Sum` walk; the sparse ladder pair, degree-200
+    maps and 1-variable outputs never do."""
+    calls = dense_calls(monkeypatch)
+    f, g = (fixture_map(f"map_dense22_{side}.json")
+            for side in ("first", "second"))
+    dense = [omega(f, n).compose(omega(g, n)) for n in (2, 3)]
+    assert len(calls) == 2 * (3 + 4)
+    monkeypatch.setattr(_Kron, "rule", classmethod(lambda *args: None))
+    assert dense == [omega(f, n).compose(omega(g, n)) for n in (2, 3)]
+    monkeypatch.undo()
+
+    calls = dense_calls(monkeypatch)
+    ladder = parse_map(["x0^3 + x0*x1^2 - 2*x1 + 1",
+                        "x1^3 - x0^2*x1 + 1/2*x0"], 2, 2)
+    second = parse_map(["x0^2*x1 + x1^2 - x0 + 2",
+                        "x0^3 - 3/2*x0*x1^2 + x1"], 2, 2)
+    for n in range(1, 6):
+        omega(ladder, n).compose(omega(second, n))
+    pow200 = fixture_map("map_pow200.json")
+    omega(pow200, 1).compose(omega(pow200, 1))
+    # dense in every other respect: 3 monomials in one part, 8 outer
+    # monomials, degree 2 * 7
+    quadratic = parse_map(["x0^2 - x0 + 1/2"], 1, 1)
+    septic = parse_map([" + ".join(f"{k + 1}*x0^{k}" for k in range(8))], 1, 1)
+    quadratic.then(septic)
+    assert calls == []
