@@ -5,8 +5,9 @@ the DS and CD axioms of a given input, cross-check Faa di Bruno composition
 against the iterated derivative, evaluate tower terms at points, and run
 the seeded selftest.
 
-Exit codes: 0 all checks passed, 1 at least one law entry failed, 2 bad
-input, which is any of these: an unreadable file; a sequence file where
+Exit codes: 0 all checks passed, 1 at least one law entry failed, or an
+engine error inside a selftest suite (named on stderr), 2 bad input,
+which is any of these: an unreadable file; a sequence file where
 a map file is expected, or the reverse; a parse error; a dimension
 mismatch; an order over the guard; a --tolerance that is not a
 finite number >= 0; selftest --trials below 1; a non-finite eval point, or
@@ -292,6 +293,10 @@ def cmd_eval(args):
 
 def cmd_selftest(args):
     result = run_selftest(args.seed, args.trials, tol=args.tolerance)
+    for suite in result["suites"]:
+        if "error" in suite:
+            print(f"error in suite {suite['suite']}: {suite['error']}",
+                  file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(to_canonical_json(result))
     else:

@@ -23,9 +23,12 @@ their packed monomials, numerators and denominators compare equal.  `terms`
 presents the same polynomial as (exponent tuple, Fraction) pairs in that
 order.
 
-Products merge term by term in a dict (`_Sum`), but a dense substitution,
-dense in x0 and x1 as a tower term's base point is, multiplies Kronecker
-integers (`_Kron`), by one rule picked once per `PolyMap.then`.
+Products, sums and substitutions merge in one loop over dicts from int
+keys to ints (`add`, `add_product`, `power`).  A substitution has two
+encodings, one context per `PolyMap.then`: a key is a packed monomial
+(`_Sparse`), or, where x0 and x1 are dense, as in a tower term's base
+point, a direction part whose int packs the coefficients in x0 and x1
+(`_Kron`, Kronecker substitution).
 """
 
 import operator
@@ -45,6 +48,10 @@ _PARSE_WORK_LIMIT = 250_000
 # variables when no degree reaches 16, an outer component has
 # _KRON_MIN_TERMS monomials and the maps _KRON_MIN_FILL monomials per
 # direction part: there one int product replaces a block of term products.
+# Substitutions per benchmark cycle that take it: poly_compose 26 of 26,
+# tower_roundtrip 4 of 16, law_check 0 of 1,827, selftest 0 of about 9,500
+# (9,704 at seed 42, 9,402 at seed 43, 25 trials), and none on the ladder
+# pair (perfbench LADDER_*) at orders 1-7.
 _KRON_MIN_TERMS = 8
 _KRON_MIN_FILL = 3
 
@@ -148,96 +155,88 @@ def _mons_at(p, w):
     return p._mons if p._w == w else _repack(p._mons, p.nvars, p._w, w)
 
 
-class _Sum:
-    """Running sum, from an optional integer constant, of integer multiples
-    of polynomials and of their products: one dict keyed by packed
-    monomial, over one common denominator, both widened as the summands
-    need.  Every term product of `Poly.__mul__`, powers and `subst`'s
-    folds merges here, with one lookup and one store: acc[m] = get(m, 0)
-    + c1 * c2, the shorter operand outside.  Cancelled entries stay in the
-    dict as zeros until `result`."""
+def add(acc, k, pairs):
+    """acc += k * p, for a dict from keys to ints and p given by its
+    (key, int) pairs."""
+    get = acc.get
+    for m, c in pairs:
+        acc[m] = get(m, 0) + k * c
 
-    __slots__ = ("nvars", "w", "den", "acc")
 
-    def __init__(self, nvars, constant=None):
-        self.nvars = nvars
-        self.w = _NARROW
-        self.den = 1
-        self.acc = {0: constant} if constant else {}
-
-    def _fit(self, w, den):
-        """Widen the fields to at least w and the denominator to a multiple
-        of den; returns the factor that moves numerators over den onto it."""
-        acc = self.acc
-        if w > self.w:
-            self.acc = dict(zip(_repack(acc, self.nvars, self.w, w),
-                                acc.values()))
-            self.w = w
-        if self.den % den:
-            grown = lcm(self.den, den)
-            f = grown // self.den
-            self.acc = {m: c * f for m, c in self.acc.items()}
-            self.den = grown
-        return self.den // den
-
-    def add(self, k, p):
-        """self += k * p for an integer k."""
-        k *= self._fit(p._w, p._den)
-        acc = self.acc
-        get = acc.get
-        for m, c in zip(_mons_at(p, self.w), p._nums):
-            acc[m] = get(m, 0) + k * c
-
-    def add_product(self, k, p, q):
-        """self += k * p * q for an integer k.  q may be a _Sum, whose dict
-        is read once as its live (monomial, numerator) pairs, cancelled
-        entries skipped."""
-        if type(q) is _Sum:
-            qpairs = [mc for mc in q.acc.items() if mc[1]]
-            if not qpairs:
-                return
-            qw, qden = q.w, q.den
-            qdeg = max(qpairs)[0] >> (q.nvars * qw)
-        else:
-            qpairs = list(zip(q._mons, q._nums))
-            qw, qden, qdeg = q._w, q._den, q.degree()
-        k *= self._fit(_width(p.degree() + qdeg), p._den * qden)
-        w = self.w
-        pairs = list(zip(_mons_at(p, w), p._nums))
-        if qw != w:
-            qpairs = list(zip(_repack([m for m, _ in qpairs], self.nvars,
-                                      qw, w), [c for _, c in qpairs]))
-        if len(pairs) > len(qpairs):
-            pairs, qpairs = qpairs, pairs
-        acc = self.acc
-        get = acc.get
-        for m1, c1 in pairs:
-            c1 *= k
-            for m2, c2 in qpairs:
+def add_product(acc, p, q):
+    """acc += p * q, for dicts from keys to ints, the key of a term product
+    being the sum of its factors' keys: each merges with one lookup and one
+    store, the shorter operand outside, and entries that cancelled to zero
+    are skipped."""
+    if len(p) > len(q):
+        p, q = q, p
+    get = acc.get
+    q = [mc for mc in q.items() if mc[1]]
+    for m1, c1 in p.items():
+        if c1:
+            for m2, c2 in q:
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
 
-    def result(self, den=1):
-        """The sum divided by `den`."""
-        return _normal(self.nvars, self.w, self.acc, self.den * den)
+
+def power(p, e):
+    """p ** e for e >= 1, by products from p itself; p ** 1 is p."""
+    out = p
+    for _ in range(e - 1):
+        out, prev = {}, out
+        add_product(out, prev, p)
+    return out
+
+
+def _at(p, w, f=1):
+    """p's numerators times f, keyed by its monomials at width w."""
+    return dict(zip(_mons_at(p, w), p._nums if f == 1 else
+                    [c * f for c in p._nums]))
+
+
+def _sum(ps):
+    w, den = max([p._w for p in ps]), lcm(*[p._den for p in ps])
+    acc = {}
+    for p in ps:
+        add(acc, den // p._den, zip(_mons_at(p, w), p._nums))
+    return _normal(ps[0].nvars, w, acc, den)
+
+
+class _Sparse:
+    """Term-by-term substitution into n variables, made for one
+    `PolyMap.then`: a polynomial is a dict from packed monomials, at the
+    one width that the result's degree bound needs, to numerators over the
+    maps' common denominator."""
+
+    __slots__ = ("n", "w", "den", "powers")
+
+    def __init__(self, maps, comps, n):
+        self.n, self.den, self.powers = n, lcm(*[q._den for q in maps]), {}
+        top = (max([q.degree() for q in maps], default=0)
+               * max([p.degree() for p in comps], default=0))
+        self.w = _width(max(top, 0))
+
+    def encode(self, q):
+        return _at(q, self.w, self.den // q._den)
+
+    def decode(self, acc, den):
+        return _normal(self.n, self.w, acc, den)
 
 
 class _Kron:
-    """Dense substitution, made for one `PolyMap.then` into maps of degree
-    below 16 in n >= 2 variables.  A polynomial is a `_KronSum`, a dict
+    """Dense substitution into n >= 2 variables, made for one
+    `PolyMap.then` into maps of degree below 16.  A polynomial is a dict
     from direction parts (monomials with the x0 and x1 fields cleared and
     the degree lowered to match) to ints whose B-bit digit at slot
     a << 4 | b is the coefficient of x0^a*x1^b.
 
-    B is fixed before any work.  Over the maps' common denominator d, map
-    j is N_j / d, and a component of degree deg is sum_mu w_mu prod_j
-    N_j^e_j over den * d^deg, with integer weights w_mu = c_mu *
-    d^(deg - |mu|).  No coefficient exceeds G = sum_mu |w_mu| prod_j
-    L1(N_j)^e_j, and packing commutes with sums and products, so
-    B = bitlen(G) + 2 in whole bytes, the most over the components, gives
-    every digit of every result room."""
+    B is fixed before any work.  With the maps over their common
+    denominator d, as `subst` weights them, no coefficient exceeds G =
+    sum_mu |w_mu| prod_j L1(N_j)^e_j, and packing commutes with sums and
+    products, so B = bitlen(G) + 2 in whole bytes, the most over the
+    components, gives every digit of every result room."""
 
-    __slots__ = ("n", "den", "bits", "maps", "powers")
+    __slots__ = ("n", "den", "bits", "powers")
 
     def __init__(self, maps, comps, n):
         self.n, self.den, self.powers = n, lcm(*(q._den for q in maps)), {}
@@ -245,15 +244,7 @@ class _Kron:
         size = max((_poly(p.nvars, p._w, p._mons, [abs(c) for c in p._nums],
                           p._den).eval(point) * p._den * self.den ** p.degree()
                     for p in comps if p._mons), default=0)
-        self.bits = bits = -(-(int(size).bit_length() + 2) // 8) * 8
-        low, top = (n - 2) * _NARROW, n * _NARROW
-        self.maps = [_KronSum(None) for _ in maps]
-        for q, enc in zip(maps, self.maps):
-            f = self.den // q._den
-            for m, c in zip(q._mons, q._nums):
-                s = m >> low & 255
-                key = m - (s << low) - ((s >> 4) + (s & 15) << top)
-                enc[key] = enc.get(key, 0) + (c * f << bits * s)
+        self.bits = -(-(int(size).bit_length() + 2) // 8) * 8
 
     @classmethod
     def rule(cls, maps, comps, n):
@@ -271,53 +262,31 @@ class _Kron:
         if top < 16 and top * max(p.degree() for p in comps) < 16:
             return cls(maps, comps, n)
 
+    def encode(self, q):
+        bits, f = self.bits, self.den // q._den
+        low, top = (self.n - 2) * _NARROW, self.n * _NARROW
+        enc = {}
+        for m, c in zip(q._mons, q._nums):
+            s = m >> low & 255
+            key = m - (s << low) - ((s >> 4) + (s & 15) << top)
+            enc[key] = enc.get(key, 0) + (c * f << bits * s)
+        return enc
 
-class _KronSum(dict):
-    """A `_Kron` polynomial with the methods of `_Sum`, the walk's running
-    sum on that path: a product is one int product per pair of direction
-    parts.  The maps and their powers refer to no `_Kron`, so that no
-    cycle outlives the `then`."""
-
-    __slots__ = ("kron",)
-
-    def __init__(self, kron, constant=None):
-        super().__init__({0: constant} if constant else ())
-        self.kron = kron
-
-    def add(self, k, p):
-        get = self.get
-        for key, v in p.items():
-            self[key] = get(key, 0) + k * v
-
-    def add_product(self, k, p, q):
-        get = self.get
-        for k1, v1 in p.items():
-            v1 *= k
-            for k2, v2 in q.items():
-                self[k1 + k2] = get(k1 + k2, 0) + v1 * v2
-
-    def __pow__(self, e):
-        out = self
-        for _ in range(e - 1):
-            out, prev = _KronSum(None), out
-            out.add_product(1, prev, self)
-        return out
-
-    def result(self, den):
-        """The sum over den as a `Poly`.  Adding 2^(B-1) to every slot and
+    def decode(self, acc, den):
+        """acc over den as a `Poly`.  Adding 2^(B-1) to every slot and
         flipping that bit back leaves the digits in two's complement, so one
         `to_bytes` cuts a value into them; each row of 16 slots (one power
         of x0) is read up to its last nonzero digit."""
-        n, bits = self.kron.n, self.kron.bits
+        n, bits = self.n, self.bits
         width, low, top = bits // 8, (n - 2) * _NARROW, n * _NARROW
-        rows = max(map(int.bit_length, self.values()),
+        rows = max(map(int.bit_length, acc.values()),
                    default=0) // (16 * bits) + 1
         size, zero = 16 * width, bytes(width)
         bias = int.from_bytes((1 << bits - 1).to_bytes(width, "little")
                               * (16 * rows), "little")
         step = (1 << low) + (1 << top)
         out = {}
-        for key, v in self.items():
+        for key, v in acc.items():
             raw = ((v + bias) ^ bias).to_bytes(rows * size, "little")
             for a in range(rows):
                 row = raw[a * size:(a + 1) * size]
@@ -330,20 +299,11 @@ class _KronSum(dict):
         return _normal(n, _NARROW, out, den)
 
 
-def _sum(ps):
-    total = _Sum(ps[0].nvars)
-    for p in ps:
-        total.add(1, p)
-    return total.result()
-
-
 def _merged(nvars, w, mons, nums, dens):
     """Polynomial of packed monomials at width w, each numerator over its
     own denominator: merged over their least common denominator."""
-    den = lcm(*dens)
-    acc = {}
-    for m, c, d in zip(mons, nums, dens):
-        acc[m] = acc.get(m, 0) + c * (den // d)
+    den, acc = lcm(*dens), {}
+    add(acc, 1, zip(mons, [c * (den // d) for c, d in zip(nums, dens)]))
     return _normal(nvars, w, acc, den)
 
 
@@ -449,9 +409,9 @@ class Poly:
         if not self._mons or not other._mons:
             return Poly.zero(self.nvars)
         if len(self._mons) > 1 and len(other._mons) > 1:
-            total = _Sum(self.nvars)
-            total.add_product(1, self, other)
-            return total.result()
+            w, acc = _width(self.degree() + other.degree()), {}
+            add_product(acc, _at(self, w), _at(other, w))
+            return _normal(self.nvars, w, acc, self._den * other._den)
         # A monomial factor, as in most products the parser builds, shifts
         # every term alike: order and distinctness survive.
         mono, p = (self, other) if len(self._mons) == 1 else (other, self)
@@ -504,36 +464,34 @@ class Poly:
             return Fraction(total, self._den * q ** top)
         return total / self._den
 
-    def subst(self, maps, nvars_out, powers=None, kron=None):
+    def subst(self, maps, nvars_out, context=None):
         """Substitute variable j := maps[j]; all maps live in nvars_out
-        variables.  `powers`, a dict of maps[j] ** e under the key (j, e),
-        may be shared by calls with the same maps.  A map whose components
-        are variables and zeros composes by `_routed` instead.
+        variables.  `context`, a `_Sparse` or `_Kron` made for these maps,
+        encodes them, decodes the result and keeps the maps' powers for
+        every call that shares it.  (`PolyMap.then` routes a map whose
+        components are variables and zeros by `_routed` instead.)
 
-        Horner over shared suffixes: read each monomial as its tuple of
-        factors x_j^e, most significant first.  The value at a suffix s is
-        the coefficient of s plus, over each factor f, f(maps) times the
-        value at (f,) + s; the result is the value at ().  So the parts in
-        x0, x1, ... (a tower term's base point) of all monomials that end
-        alike are summed before the factors they share multiply them.  A
-        merged value folds into its slot straight from its `_Sum`'s dict,
-        with no sort or reduction until the result.  With `kron`, a `_Kron`
-        made for these maps, the walk folds its packed values instead."""
+        Over the maps' common denominator d, map j is N_j / d, and a
+        polynomial of degree deg is sum_mu w_mu prod_j N_j^mu_j over
+        den * d^deg, with integer weights w_mu = c_mu * d^(deg - |mu|).
+        That sum is taken by Horner over shared suffixes: read each
+        monomial as its tuple of factors x_j^e, most significant first.
+        The value at a suffix s is the weight of s plus, over each factor
+        f, f(maps) times the value at (f,) + s; the result is the value at
+        ().  So the parts in x0, x1, ... (a tower term's base point) of all
+        monomials that end alike are summed before the factors they share
+        multiply them."""
         assert len(maps) == self.nvars
-        n, w = self.nvars, self._w
-        if kron is None:
-            kind, arg, nums, den = _Sum, nvars_out, self._nums, self._den
-            if powers is None:
-                powers = {}
-        else:
-            kind, arg, maps, powers = _KronSum, kron, kron.maps, kron.powers
-            d, deg = kron.den, max(self.degree(), 0)
+        if context is None:
+            context = _Sparse(maps, [self], nvars_out)
+        n, w, nums = self.nvars, self._w, self._nums
+        d, deg, powers = context.den, max(self.degree(), 0), context.powers
+        if d != 1:
             nums = [c * d ** (deg - (m >> n * w))
-                    for m, c in zip(self._mons, self._nums)]
-            den = self._den * d ** deg
+                    for m, c in zip(self._mons, nums)]
         low = (1 << (n * w)) - 1
-        # slots[s]: the value at s, a numerator until a longer tuple folds
-        # into it, then a sum of `kind`; by_len[k]: the tuples of length k.
+        # slots[s]: the value at s, an int until a longer tuple folds into
+        # it, then a dict; by_len[k]: the tuples of length k.
         slots, by_len = {}, {}
         for m, c in zip(self._mons, nums):
             key = tuple(_factors(m & low, w))
@@ -543,23 +501,23 @@ class Poly:
             for key in by_len.get(size, ()):
                 value, suffix = slots.pop(key), key[1:]
                 acc = slots.get(suffix)
-                if type(acc) is not kind:
+                if type(acc) is not dict:
                     if acc is None:
                         by_len.setdefault(size - 1, []).append(suffix)
-                    acc = slots[suffix] = kind(arg, acc)
+                    acc = slots[suffix] = {0: acc} if acc else {}
                 shift, e = key[0]
                 j = n - 1 - shift // w
                 first = powers.get((j, e))
                 if first is None:
-                    first = powers[j, e] = maps[j] ** e
-                if type(value) is kind:
-                    acc.add_product(1, first, value)
+                    first = powers[j, e] = power(context.encode(maps[j]), e)
+                if type(value) is dict:
+                    add_product(acc, first, value)
                 else:
-                    acc.add(value, first)
+                    add(acc, value, first.items())
         total = slots.get(())
-        if type(total) is not kind:
-            total = kind(arg, total)
-        return total.result(den)
+        if type(total) is not dict:
+            total = {0: total} if total else {}
+        return context.decode(total, self._den * d ** deg)
 
     def _routed(self, shape, nvars_out):
         """Substitution where variable j becomes variable routes[j], or
@@ -587,8 +545,7 @@ class Poly:
                 nums.append(c)
         if how == "merge":
             acc = {}
-            for m, c in zip(mons, nums):
-                acc[m] = acc.get(m, 0) + c
+            add(acc, 1, zip(mons, nums))
             return _normal(nvars_out, w, acc, self._den)
         if how == "sort":
             pairs = sorted(zip(mons, nums), reverse=True)
@@ -655,10 +612,10 @@ class PolyMap(CoordMap):
             shape = keep(self, "routing", _routing, routes, self.dom)
             comps = [p._routed(shape, self.dom) for p in other.components]
         else:
-            maps, powers = self.components, {}
-            kron = _Kron.rule(maps, other.components, self.dom)
-            comps = [p.subst(maps, self.dom, powers, kron)
-                     for p in other.components]
+            maps, comps = self.components, other.components
+            context = (_Kron.rule(maps, comps, self.dom)
+                       or _Sparse(maps, comps, self.dom))
+            comps = [p.subst(maps, self.dom, context) for p in comps]
         return PolyMap(self.dom, other.cod, comps)
 
     def __neg__(self):

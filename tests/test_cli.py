@@ -348,6 +348,33 @@ def test_selftest_text_format(capsys):
     assert out.rstrip().endswith("PASS")
 
 
+def test_selftest_fails_the_suite_that_raises_an_engine_error(
+        capsys, monkeypatch):
+    """A suite reads no input, so an engine error inside it is a fault of
+    the engine: that suite fails (exit 1), named on stderr with the
+    message, and the suites after it still run."""
+    from dseq import selftest
+    from dseq.errors import EngineError
+
+    def broken(rng, trials, order, tol):
+        raise EngineError("term 3 has signature 4->1, expected 8->1")
+
+    monkeypatch.setattr(selftest, "SUITE_BUILDERS", (
+        ("omega", broken),) + selftest.SUITE_BUILDERS[:1])
+    code, out, err = run(capsys, "selftest", "--seed", "7", "--trials", "1",
+                         "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "omega: FAIL (1 checked, 1 failed)"
+    assert lines[1].startswith("base: PASS") and lines[2] == "FAIL"
+    assert err == ("error in suite omega: "
+                   "term 3 has signature 4->1, expected 8->1\n")
+    code, out, _ = run(capsys, "selftest", "--seed", "7", "--trials", "1")
+    assert code == 1
+    assert json.loads(out)["suites"][0]["error"] == (
+        "term 3 has signature 4->1, expected 8->1")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["check", "--suite", "bogus", "--input", "x.json"])

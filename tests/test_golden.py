@@ -69,7 +69,7 @@ CASES = {
     # Dense cubic 2->2 maps (every monomial of degree <= 3, coefficients in
     # +-3/2..+-9/2), written by perfbench.workloads.dense_map at seed 22:
     # every term substitutes on Kronecker integers (poly._Kron), and must
-    # print what the term-by-term walk (poly._Sum) printed.
+    # print what the term-by-term walk (poly._Sparse) prints.
     "compose_dense22_order3": (0, ["compose", "--first",
                                    fx("map_dense22_first.json"), "--second",
                                    fx("map_dense22_second.json"),

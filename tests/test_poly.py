@@ -99,6 +99,27 @@ def test_subst_general():
     assert q == x ** 2 + x.scale(Fraction(2)) + Poly.constant(1, Fraction(1))
 
 
+def test_subst_into_no_variables_and_from_constant_maps():
+    """A polynomial in no variables substitutes to itself as a constant in
+    any number of variables, and maps of degree 0 (constants and zeros) to
+    the constant value at their point, by `subst` and by `then`."""
+    three = P(0, ((), 3))
+    for n in (0, 1, 2):
+        assert three.subst([], n) == Poly.constant(n, 3)
+        assert P(0).subst([], n) == Poly.zero(n)
+        assert PolyMap(n, 0, []).then(PolyMap(0, 1, [three])).components == (
+            Poly.constant(n, 3),)
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    p = x0 ** 2 * x1 - x1.scale(3) + Poly.constant(2, Fraction(1, 2))
+    for point in ([Fraction(3, 2), Fraction(-2, 3)], [Fraction(3, 2), 0],
+                  [0, 0]):
+        maps = [Poly.constant(3, c) for c in point]
+        want = Poly.constant(3, p.eval([Fraction(c) for c in point]))
+        assert p.subst(maps, 3) == want
+        assert PolyMap(3, 2, maps).then(PolyMap(2, 1, [p])).components == (
+            want,)
+
+
 def test_map_identity_and_proj():
     i = identity(2)
     assert i.eval([Fraction(3), Fraction(4)]) == (Fraction(3), Fraction(4))

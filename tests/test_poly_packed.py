@@ -14,11 +14,12 @@ import random
 import time
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dseq import load_map, omega
+from dseq import load_map, omega, poly
 from dseq.parser import parse_map
-from dseq.poly import Poly, PolyMap, _Kron, _KronSum, _Sum
+from dseq.poly import Poly, PolyMap, _Kron, _Sparse, add, add_product
+from dseq.selftest import run_selftest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -147,7 +148,7 @@ def test_mul(case):
 @st.composite
 def cancelled_sums(draw):
     """(nvars, p, a, b): b cancels a's top-degree monomial, and perhaps
-    more of a, and adds only monomials of lower degree.  So the `_Sum` of a
+    more of a, and adds only monomials of lower degree.  So the sum of a
     and b holds zero entries, its widest key among them, and its live
     degree may sit below the 16 or 256 boundary that its width is for."""
     nvars = draw(st.integers(1, 3))
@@ -172,20 +173,23 @@ def cancelled_sums(draw):
           {(16, 0): Fraction(3, 4), (2, 1): Fraction(1)},
           {(16, 0): Fraction(-3, 4), (0, 3): Fraction(1, 6)}), 3)
 def test_add_product_reads_a_sum_with_cancelled_entries(case, k):
-    """A summand's zero entries, its top key among them, neither reach
-    the product nor widen its fields: the result, merged into a sum that
-    already holds a constant and p, has the canonical width."""
+    """A summand's zero entries, its top key among them, leave no monomial
+    in the product: the result, merged into a sum that already holds a
+    constant and p, decodes to the canonical form and width."""
     nvars, p, a, b = case
-    q = _Sum(nvars)
-    q.add(1, packed(nvars, a))
-    q.add(1, packed(nvars, b))
-    assert q.acc[max(q.acc)] == 0
-    total = _Sum(nvars, 5)
-    total.add(1, packed(nvars, p))
-    total.add_product(k, packed(nvars, p), q)
+    P, A, B = packed(nvars, p), packed(nvars, a), packed(nvars, b)
+    context = _Sparse([P, A, B], [Poly.variable(3, 0) ** 2], nvars)
+    d = context.den
+    q = {}
+    add(q, 1, context.encode(A).items())
+    add(q, 1, context.encode(B).items())
+    assert q[max(q)] == 0
+    total = {0: 5 * d * d}
+    add(total, d, context.encode(P).items())
+    add_product(total, context.encode(P.scale(k)), q)
     want = ref_add(ref_add({(0,) * nvars: Fraction(5)}, p),
                    ref_scale(ref_mul(p, ref_add(a, b)), k))
-    got = total.result()
+    got = context.decode(total, d * d)
     same(got, nvars, want)
     assert got._w == max(4, max(map(sum, want), default=0).bit_length())
 
@@ -400,15 +404,22 @@ def test_subst_general_and_then(case):
 @settings(max_examples=60, deadline=None)
 @given(substitutions(general=True), st.data())
 def test_subst_of_two_components_shares_one_power_cache(case, data):
+    """The second substitution reads the powers the first one kept, and
+    every kept power decodes to the map's power."""
     nvars, nvars_out, p, maps = case
     q = data.draw(dicts(nvars, 6, [0, 1, 2, 3]))
     qs = [packed(nvars_out, m) for m in maps]
-    powers = {}
-    for r in (p, q):
-        same(packed(nvars, r).subst(qs, nvars_out, powers), nvars_out,
-             ref_subst(r, maps, nvars_out))
-    for (j, e), got in powers.items():
-        same(got, nvars_out, ref_pow(maps[j], e, nvars_out))
+    P, Q = packed(nvars, p), packed(nvars, q)
+    context = _Sparse(qs, [P, Q], nvars_out)
+    same(P.subst(qs, nvars_out, context), nvars_out,
+         ref_subst(p, maps, nvars_out))
+    kept = dict(context.powers)
+    same(Q.subst(qs, nvars_out, context), nvars_out,
+         ref_subst(q, maps, nvars_out))
+    assert all(context.powers[key] is got for key, got in kept.items())
+    for (j, e), got in context.powers.items():
+        same(context.decode(got, context.den ** e), nvars_out,
+             ref_pow(maps[j], e, nvars_out))
 
 
 @st.composite
@@ -525,7 +536,7 @@ def test_kron_subst(case):
     nvars_out, p, maps = case
     qs = [packed(nvars_out, q) for q in maps]
     P = packed(len(maps), p)
-    got = P.subst(qs, nvars_out, None, _Kron(qs, [P], nvars_out))
+    got = P.subst(qs, nvars_out, _Kron(qs, [P], nvars_out))
     same(got, nvars_out, ref_subst(p, maps, nvars_out))
 
 
@@ -540,21 +551,19 @@ def test_kron_decode_reads_digits_at_the_edge_of_their_range():
                   (15, 0): -edge, (0, 15): edge},
               1: {(0, 0): -edge, (3, 11): -edge, (14, 0): edge}}
     key = {0: 0, 1: (1 << 12) | 1}
-    acc = _KronSum(kron)
-    acc.update({key[k]: sum(c << bits * (a << 4 | b)
-                            for (a, b), c in ds.items())
-                for k, ds in digits.items()})
+    acc = {key[k]: sum(c << bits * (a << 4 | b) for (a, b), c in ds.items())
+           for k, ds in digits.items()}
     want = {(a, b, k): Fraction(c) for k, ds in digits.items()
             for (a, b), c in ds.items()}
-    same(acc.result(1), 3, want)
+    same(kron.decode(acc, 1), 3, want)
 
 
 def dense_calls(monkeypatch):
     """The list that each dense substitution appends its output to."""
     calls = []
-    result = _KronSum.result
-    monkeypatch.setattr(_KronSum, "result", lambda acc, den: calls.append(
-        result(acc, den)) or calls[-1])
+    decode = _Kron.decode
+    monkeypatch.setattr(_Kron, "decode", lambda kron, acc, den: calls.append(
+        decode(kron, acc, den)) or calls[-1])
     return calls
 
 
@@ -565,7 +574,7 @@ def fixture_map(name):
 
 def test_then_takes_the_dense_path_on_dense_towers_only(monkeypatch):
     """A dense cubic pair substitutes densely at orders 2 and 3, to the
-    same towers as the `_Sum` walk; the sparse ladder pair, degree-200
+    same towers as the `_Sparse` walk; the sparse ladder pair, degree-200
     maps and 1-variable outputs never do."""
     calls = dense_calls(monkeypatch)
     f, g = (fixture_map(f"map_dense22_{side}.json")
@@ -591,3 +600,64 @@ def test_then_takes_the_dense_path_on_dense_towers_only(monkeypatch):
     septic = parse_map([" + ".join(f"{k + 1}*x0^{k}" for k in range(8))], 1, 1)
     quadratic.then(septic)
     assert calls == []
+
+
+nonzero_coeffs = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1),
+                           st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+def dense_part(top):
+    """3 to 8 distinct monomials in x0 and x1 of degree at most top, with
+    nonzero coefficients."""
+    exps = st.tuples(st.integers(0, top), st.integers(0, top)).filter(
+        lambda e: sum(e) <= top)
+    return st.dictionaries(exps, nonzero_coeffs, min_size=3, max_size=8)
+
+
+@st.composite
+def kron_inputs(draw):
+    """(n, maps, comps): maps dense in x0 and x1, some with a second
+    direction part in x2, and an outer component of 8 or more monomials."""
+    n = draw(st.integers(2, 4))
+    nvars = draw(st.integers(2, 3))
+    top = draw(st.integers(2, 3))
+    maps = []
+    for _ in range(nvars):
+        terms = {e + (0,) * (n - 2): c
+                 for e, c in draw(dense_part(top)).items()}
+        if n > 2 and draw(st.booleans()):
+            terms.update({e + (1,) + (0,) * (n - 3): c
+                          for e, c in draw(dense_part(top)).items()})
+        maps.append(Poly(n, list(terms.items())))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(
+        lambda e: sum(e) <= 3)
+    comps = [draw(st.dictionaries(exps, nonzero_coeffs,
+                                  min_size=8, max_size=12))]
+    comps += draw(st.lists(st.dictionaries(exps, kron_coeffs, max_size=12),
+                           max_size=2))
+    return n, maps, [Poly(nvars, list(c.items())) for c in comps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kron_inputs())
+def test_dense_and_sparse_contexts_give_the_same_parts(case):
+    """On every input that `_Kron.rule` accepts, the two encodings of one
+    substitution give identical packed parts."""
+    n, maps, comps = case
+    kron = _Kron.rule(maps, comps, n)
+    assume(kron is not None)
+    sparse = _Sparse(maps, comps, n)
+    for p in comps:
+        dense, plain = p.subst(maps, n, kron), p.subst(maps, n, sparse)
+        assert (dense._w, dense._mons, dense._nums, dense._den) == (
+            plain._w, plain._mons, plain._nums, plain._den)
+
+
+def test_selftest_reaches_the_shared_accumulator(monkeypatch):
+    """Products, sums and both encodings of a substitution all merge
+    through `add`, so `selftest`, which meets no dense input, still fails
+    when `add` drops its multiplier."""
+    real = poly.add
+    monkeypatch.setattr(poly, "add",
+                        lambda acc, k, pairs: real(acc, 1, pairs))
+    assert not run_selftest(42, 1)["pass"]
