@@ -8,6 +8,7 @@ suites are reproducible from a (seed, label) pair.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import expr as et
 from .parser import parse_map
@@ -49,6 +50,14 @@ def random_poly(rng, nvars, max_degree=3, max_terms=3):
 
 def random_poly_map(rng, dom, cod, max_degree=3, max_terms=3):
     return PolyMap(dom, cod, [random_poly(rng, dom, max_degree, max_terms)
+                              for _ in range(cod)])
+
+
+def random_dense_map(rng, dom, cod):
+    """Every monomial of degree <= 3 in every component, none zero."""
+    support = [e for e in product(range(4), repeat=dom) if sum(e) <= 3]
+    return PolyMap(dom, cod, [Poly(dom, [(e, random_fraction(rng, True))
+                                         for e in support])
                               for _ in range(cod)])
 
 

@@ -27,12 +27,15 @@ Products, sums and substitutions merge in one loop over dicts from int
 keys to ints (`add`, `add_product`, `power`).  A substitution has two
 encodings, one context per `PolyMap.then`: a key is a packed monomial
 (`_Sparse`), or, where x0 and x1 are dense, as in a tower term's base
-point, a direction part whose int packs the coefficients in x0 and x1
-(`_Kron`, Kronecker substitution).
+point, a direction part whose int packs the coefficients in x0 and x1 as
+8- to 64-bit digits on a grid as wide as the degree bound (`_Kron`,
+Kronecker substitution).
 """
 
 import operator
+import struct
 from fractions import Fraction
+from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch
@@ -45,15 +48,19 @@ from .maps import CoordMap, _check_constant_power, keep
 _PARSE_WORK_LIMIT = 250_000
 
 # `PolyMap.then` substitutes through `_Kron` into maps of 2 or more
-# variables when no degree reaches 16, an outer component has
-# _KRON_MIN_TERMS monomials and the maps _KRON_MIN_FILL monomials per
-# direction part: there one int product replaces a block of term products.
-# Substitutions per benchmark cycle that take it: poly_compose 26 of 26,
-# tower_roundtrip 4 of 16, law_check 0 of 1,827, selftest 0 of about 9,500
-# (9,704 at seed 42, 9,402 at seed 43, 25 trials), and none on the ladder
-# pair (perfbench LADDER_*) at orders 1-7.
+# variables when the degree bound is below 16, an outer component has
+# _KRON_MIN_TERMS monomials, the maps _KRON_MIN_FILL monomials per
+# direction part, and the digits fit 64 bits: there one int product
+# replaces a block of term products.  Substitutions per benchmark cycle
+# that take it, with their digit widths: poly_compose 26 of 26 (24 or 25
+# at 32 bits, the rest at 64), tower_roundtrip 4 of 16 (32 bits),
+# law_check 0 of 1,827; and selftest (25 trials) 100 of 9,804 at seed 42
+# and 100 of 9,502 at seed 43, all in its dense chain family, at 32 bits.
+# None on the ladder pair (perfbench LADDER_*) at orders 1-7.
 _KRON_MIN_TERMS = 8
 _KRON_MIN_FILL = 3
+# `struct` codes of the signed digits that `_Kron` packs, by width.
+_DIGIT = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 def _budgeted(work, what):
@@ -188,6 +195,24 @@ def power(p, e):
     return out
 
 
+def _homogeneous(p, nums, point, q):
+    """sum_mu c_mu point^mu q^(deg - |mu|) over p's monomials mu, the c_mu
+    read from `nums`: q^deg times p's numerator at point / q."""
+    n, w, top = p.nvars, p._w, max(p.degree(), 0)
+    low = (1 << (n * w)) - 1
+    powers = {}
+    total = 0
+    for m, c in zip(p._mons, nums):
+        for key in _factors(m & low, w):
+            x = powers.get(key)
+            if x is None:
+                shift, e = key
+                x = powers[key] = point[n - 1 - shift // w] ** e
+            c = c * x
+        total += c * q ** (top - (m >> (n * w)))
+    return total
+
+
 def _at(p, w, f=1):
     """p's numerators times f, keyed by its monomials at width w."""
     return dict(zip(_mons_at(p, w), p._nums if f == 1 else
@@ -202,6 +227,13 @@ def _sum(ps):
     return _normal(ps[0].nvars, w, acc, den)
 
 
+def _bound(maps, comps):
+    """Degree bound of substituting maps into comps; a zero polynomial,
+    of degree -1, counts as degree 0."""
+    return (max([q.degree() for q in maps] + [0])
+            * max([p.degree() for p in comps] + [0]))
+
+
 class _Sparse:
     """Term-by-term substitution into n variables, made for one
     `PolyMap.then`: a polynomial is a dict from packed monomials, at the
@@ -212,9 +244,7 @@ class _Sparse:
 
     def __init__(self, maps, comps, n):
         self.n, self.den, self.powers = n, lcm(*[q._den for q in maps]), {}
-        top = (max([q.degree() for q in maps], default=0)
-               * max([p.degree() for p in comps], default=0))
-        self.w = _width(max(top, 0))
+        self.w = _width(_bound(maps, comps))
 
     def encode(self, q):
         return _at(q, self.w, self.den // q._den)
@@ -225,26 +255,28 @@ class _Sparse:
 
 class _Kron:
     """Dense substitution into n >= 2 variables, made for one
-    `PolyMap.then` into maps of degree below 16.  A polynomial is a dict
-    from direction parts (monomials with the x0 and x1 fields cleared and
-    the degree lowered to match) to ints whose B-bit digit at slot
-    a << 4 | b is the coefficient of x0^a*x1^b.
+    `PolyMap.then` whose degree bound D is below 16.  A polynomial is a
+    dict from direction parts (monomials with the x0 and x1 fields cleared
+    and the degree lowered to match) to ints whose B-bit digit at slot
+    a*S + b is the coefficient of x0^a*x1^b, on a grid of S = D + 1 slots
+    per row: no product carries out of a row.
 
     B is fixed before any work.  With the maps over their common
     denominator d, as `subst` weights them, no coefficient exceeds G =
     sum_mu |w_mu| prod_j L1(N_j)^e_j, and packing commutes with sums and
-    products, so B = bitlen(G) + 2 in whole bytes, the most over the
-    components, gives every digit of every result room."""
+    products, so B = bitlen(G) + 2, rounded up to 8, 16, 32 or 64 bits
+    (or beyond, which `rule` refuses), the most over the components,
+    gives every digit of every result room."""
 
-    __slots__ = ("n", "den", "bits", "powers")
+    __slots__ = ("n", "den", "grid", "bits", "powers")
 
     def __init__(self, maps, comps, n):
         self.n, self.den, self.powers = n, lcm(*(q._den for q in maps)), {}
-        point = [Fraction(sum(map(abs, q._nums)), q._den) for q in maps]
-        size = max((_poly(p.nvars, p._w, p._mons, [abs(c) for c in p._nums],
-                          p._den).eval(point) * p._den * self.den ** p.degree()
-                    for p in comps if p._mons), default=0)
-        self.bits = -(-(int(size).bit_length() + 2) // 8) * 8
+        self.grid = _bound(maps, comps) + 1
+        norms = [sum(map(abs, q._nums)) * (self.den // q._den) for q in maps]
+        size = max((_homogeneous(p, map(abs, p._nums), norms, self.den)
+                    for p in comps), default=0)
+        self.bits = max(8, 1 << (size.bit_length() + 1).bit_length())
 
     @classmethod
     def rule(cls, maps, comps, n):
@@ -258,44 +290,43 @@ class _Kron:
             room -= _KRON_MIN_FILL * len({m & low for m in q._mons})
             if room < 0:
                 return None
-        top = max(q.degree() for q in maps)
-        if top < 16 and top * max(p.degree() for p in comps) < 16:
-            return cls(maps, comps, n)
+        if _bound(maps, comps) < 16:
+            kron = cls(maps, comps, n)
+            return kron if kron.bits <= 64 else None
 
     def encode(self, q):
-        bits, f = self.bits, self.den // q._den
+        bits, grid, f = self.bits, self.grid, self.den // q._den
         low, top = (self.n - 2) * _NARROW, self.n * _NARROW
         enc = {}
         for m, c in zip(q._mons, q._nums):
             s = m >> low & 255
-            key = m - (s << low) - ((s >> 4) + (s & 15) << top)
-            enc[key] = enc.get(key, 0) + (c * f << bits * s)
+            a, b = s >> 4, s & 15
+            key = m - (s << low) - (a + b << top)
+            enc[key] = enc.get(key, 0) + (c * f << bits * (a * grid + b))
         return enc
 
     def decode(self, acc, den):
         """acc over den as a `Poly`.  Adding 2^(B-1) to every slot and
         flipping that bit back leaves the digits in two's complement, so one
-        `to_bytes` cuts a value into them; each row of 16 slots (one power
-        of x0) is read up to its last nonzero digit."""
-        n, bits = self.n, self.bits
+        `to_bytes` and one little-endian `struct` unpack cut a value into
+        them; `compress` pairs each nonzero digit with its slot's offset."""
+        n, bits, grid = self.n, self.bits, self.grid
         width, low, top = bits // 8, (n - 2) * _NARROW, n * _NARROW
         rows = max(map(int.bit_length, acc.values()),
-                   default=0) // (16 * bits) + 1
-        size, zero = 16 * width, bytes(width)
+                   default=0) // (grid * bits) + 1
+        slots = rows * grid
         bias = int.from_bytes((1 << bits - 1).to_bytes(width, "little")
-                              * (16 * rows), "little")
-        step = (1 << low) + (1 << top)
+                              * slots, "little")
+        x0, x1 = (1 << low + 4) + (1 << top), (1 << low) + (1 << top)
+        offsets = [a + b for a in range(0, rows * x0, x0)
+                   for b in range(0, grid * x1, x1)]
+        unpack = struct.Struct(f"<{slots}{_DIGIT[bits]}").unpack
         out = {}
         for key, v in acc.items():
-            raw = ((v + bias) ^ bias).to_bytes(rows * size, "little")
-            for a in range(rows):
-                row = raw[a * size:(a + 1) * size]
-                m = key + (a << low + 4) + (a << top)
-                for i in range(0, len(row.rstrip(b"\0")), width):
-                    digit = row[i:i + width]
-                    if digit != zero:
-                        out[m + i // width * step] = int.from_bytes(
-                            digit, "little", signed=True)
+            digits = unpack(((v + bias) ^ bias).to_bytes(slots * width,
+                                                         "little"))
+            out.update(zip(map(key.__add__, compress(offsets, digits)),
+                           filter(None, digits)))
         return _normal(n, _NARROW, out, den)
 
 
@@ -444,24 +475,13 @@ class Poly:
         """Evaluate at a point; exact when the point is rational, scaled to
         integers over a common denominator q (a float point is taken as is)."""
         assert len(point) == self.nvars
-        n, w, top = self.nvars, self._w, max(self.degree(), 0)
-        low = (1 << (n * w)) - 1
         q = 1
         if not any(isinstance(x, float) for x in point):
             q = lcm(*(x.denominator for x in point))
             point = [x.numerator * (q // x.denominator) for x in point]
-        powers = {}
-        total = 0
-        for m, c in zip(self._mons, self._nums):
-            for key in _factors(m & low, w):
-                x = powers.get(key)
-                if x is None:
-                    shift, e = key
-                    x = powers[key] = point[n - 1 - shift // w] ** e
-                c = c * x
-            total += c * q ** (top - (m >> (n * w)))
+        total = _homogeneous(self, self._nums, point, q)
         if isinstance(total, int):
-            return Fraction(total, self._den * q ** top)
+            return Fraction(total, self._den * q ** max(self.degree(), 0))
         return total / self._den
 
     def subst(self, maps, nvars_out, context=None):

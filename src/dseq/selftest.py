@@ -11,8 +11,8 @@ from .axioms import DSeq, check_ds_primed, check_ds_unprimed
 from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
 from .errors import EngineError
 from .faa import chain_equivalence_check
-from .fixtures import (CORRUPT_BUILDERS, random_dim, random_poly_map,
-                       random_tower, rng_for)
+from .fixtures import (CORRUPT_BUILDERS, random_dense_map, random_dim,
+                       random_poly_map, random_tower, rng_for)
 from .laws import (base_category_laws, omega_structure_laws,
                    tower_axiom_closure_laws, tower_identity_laws,
                    tower_naturality_laws)
@@ -80,6 +80,8 @@ def cd_suite(rng, trials, order, tol):
 
 
 def chain_suite(rng, trials, order, tol):
+    """Three-route chain rule on 1->1 pairs; then, drawn after them, dense
+    cubic 2->2 pairs, whose towers compose on `poly._Kron`."""
     report = LawReport("chain")
     for t in range(trials):
         inner = random_poly_map(rng, 1, 1)
@@ -87,6 +89,10 @@ def chain_suite(rng, trials, order, tol):
         n = 1 + t % order
         _collapse(report, chain_equivalence_check(inner, outer, n, order, tol),
                   t, n)
+    for t in range(trials):
+        f, g = random_dense_map(rng, 2, 2), random_dense_map(rng, 2, 2)
+        report.add(bool_entry("chain.dense", t, 0, omega(f, 2).compose(
+            omega(g, 2)) == omega(f.then(g), 2), 2))
     return report
 
 

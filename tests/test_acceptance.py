@@ -175,14 +175,18 @@ def test_criterion_10_cli_contract(tmp_path):
         return subprocess.run([sys.executable, "-m", "dseq", *argv],
                               capture_output=True, timeout=300)
 
-    first = cli("selftest", "--seed", "42", "--trials", "25")
-    second = cli("selftest", "--seed", "42", "--trials", "25")
-    ok = first.returncode == 0 and second.returncode == 0
-    ok = ok and first.stdout == second.stdout
-    ok = ok and json.loads(first.stdout)["pass"] is True
+    # the two selftest runs go side by side, and are then waited for
+    runs = [subprocess.Popen([sys.executable, "-m", "dseq", "selftest",
+                              "--seed", "42", "--trials", "25"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for _ in range(2)]
+    first, second = (run.communicate(timeout=300)[0] for run in runs)
+    ok = all(run.returncode == 0 for run in runs)
+    ok = ok and first == second
+    ok = ok and json.loads(first)["pass"] is True
     with open(os.path.join(FIXTURES, "golden", "selftest_42_trials25.out"),
               "rb") as fh:
-        ok = ok and first.stdout == fh.read()
+        ok = ok and first == fh.read()
 
     fixture = os.path.join(FIXTURES, "corrupt_ds3.json")
     corrupted = cli("check", "--input", fixture, "--suite", "ds")

@@ -11,8 +11,10 @@ denominators, and sums are drawn to cancel.
 import json
 import os
 import random
+import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -521,6 +523,20 @@ def dense_substitutions(draw):
     return nvars_out, p, maps
 
 
+def ref_bits(maps, comps):
+    """The digit width B from the bound in Fractions: G is |p| at the maps'
+    L1 norms times p's denominator and d^deg, the most over comps, and B
+    the least of 8, 16, 32, 64, 128, ... bits that holds bitlen(G) + 2."""
+    d = lcm(*[q._den for q in maps])
+    point = [sum(abs(c) for _, c in q.terms) for q in maps]
+    size = max(int(ref_eval({e: abs(c) for e, c in p.terms}, point)
+                   * p._den * d ** max(p.degree(), 0)) for p in comps)
+    bits = 8
+    while bits < size.bit_length() + 2:
+        bits *= 2
+    return bits
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_substitutions())
 # G = 7 * 9 = 63 = 2^(B-2) - 1 at B = 8: the largest digit the bound allows
@@ -531,31 +547,79 @@ def dense_substitutions(draw):
 @example((2, {(1, 0): Fraction(1), (0, 1): Fraction(-1, 2)},
           [{(15, 0): Fraction(1, 3), (0, 0): Fraction(-1)},
            {(0, 15): Fraction(2), (7, 8): Fraction(-1, 9)}]))
+# G = 9 * 27^15, about 2^74: wider than 64 bits
+@example((2, {(15,): Fraction(9)},
+          [{(1, 0): Fraction(9), (0, 1): Fraction(-9), (0, 0): Fraction(9)}]))
 def test_kron_subst(case):
-    """The dense walk gives the canonical form of the reference."""
+    """The dense walk gives the canonical form of the reference wherever
+    its digits fit 64 bits; where they would not, `_Kron.rule` refuses the
+    input and the `_Sparse` walk gives it."""
     nvars_out, p, maps = case
     qs = [packed(nvars_out, q) for q in maps]
     P = packed(len(maps), p)
-    got = P.subst(qs, nvars_out, _Kron(qs, [P], nvars_out))
+    kron = _Kron(qs, [P], nvars_out)
+    assert kron.bits == ref_bits(qs, [P])
+    if kron.bits <= 64:
+        got = P.subst(qs, nvars_out, kron)
+    else:
+        assert _Kron.rule(qs, [P], nvars_out) is None
+        got = P.subst(qs, nvars_out, _Sparse(qs, [P], nvars_out))
     same(got, nvars_out, ref_subst(p, maps, nvars_out))
 
 
-def test_kron_decode_reads_digits_at_the_edge_of_their_range():
-    """Digits of +-(2^(B-1) - 1), next to each other so that their borrows
-    chain, come back exact in every row and direction part."""
-    q = Poly(3, [((1, 0, 0), 1), ((0, 0, 1), 3)])
-    kron = _Kron([q], [Poly(1, [((1,), 1)])], 3)
-    bits = kron.bits
+def test_kron_rule_refuses_digits_wider_than_64_bits():
+    """Of two inputs dense enough for `_Kron`, the one whose bound needs
+    digits wider than 64 bits is refused, so that it takes `_Sparse`."""
+    comp = Poly(2, [((a, b), 1) for a in range(4) for b in range(4 - a)])
+
+    def maps(c):
+        return [Poly(2, [((1, 0), c), ((0, 1), 1), ((0, 0), 1)])] * 2
+
+    # G = 1 + 2*L + 3*L^2 + 4*L^3 at L = 3, and near 2^62 at L = 2^20 + 2
+    assert _Kron.rule(maps(1), [comp], 2).bits == 16
+    assert _Kron.rule(maps(1 << 20), [comp], 2) is None
+
+
+# (scale, B): x0^7 scaled by these, with x0 := x0 in 3 variables, packs
+# on a grid of 8 slots per row at each digit width B.
+EDGE_WIDTHS = [(1, 8), (100, 16), (1 << 20, 32), (1 << 40, 64)]
+
+
+def edge_digits(scale, bits):
+    """(context, acc, want): digits of +-(2^(B-1) - 1), next to each other
+    so that their borrows chain, in every row and in two direction parts,
+    up to the last slot of the last row."""
+    q = Poly(3, [((1, 0, 0), 1)])
+    kron = _Kron([q], [Poly(1, [((7,), scale)])], 3)
+    assert (kron.bits, kron.grid) == (bits, 8)
     edge = (1 << bits - 1) - 1
     digits = {0: {(0, 0): edge, (0, 1): -edge, (0, 2): -edge, (1, 2): edge,
-                  (15, 0): -edge, (0, 15): edge},
-              1: {(0, 0): -edge, (3, 11): -edge, (14, 0): edge}}
+                  (7, 0): -edge, (0, 7): edge, (7, 7): -edge},
+              1: {(0, 0): -edge, (3, 4): -edge, (6, 0): edge, (7, 7): edge}}
     key = {0: 0, 1: (1 << 12) | 1}
-    acc = {key[k]: sum(c << bits * (a << 4 | b) for (a, b), c in ds.items())
+    acc = {key[k]: sum(c << bits * (a * 8 + b) for (a, b), c in ds.items())
            for k, ds in digits.items()}
     want = {(a, b, k): Fraction(c) for k, ds in digits.items()
             for (a, b), c in ds.items()}
-    same(kron.decode(acc, 1), 3, want)
+    return kron, acc, want
+
+
+def test_kron_decode_reads_digits_at_the_edge_of_their_range():
+    """Edge digits come back exact at each digit width: 8, 16, 32 and 64
+    bits."""
+    for scale, bits in EDGE_WIDTHS:
+        kron, acc, want = edge_digits(scale, bits)
+        same(kron.decode(acc, 1), 3, want)
+
+
+def test_kron_decode_does_not_depend_on_the_byte_order(monkeypatch):
+    """The digits are read as little-endian whatever `sys.byteorder` names:
+    under the other value, the same inputs decode to the same `Poly`."""
+    other = {"little": "big", "big": "little"}[sys.byteorder]
+    monkeypatch.setattr(sys, "byteorder", other)
+    for scale, bits in EDGE_WIDTHS:
+        kron, acc, want = edge_digits(scale, bits)
+        same(kron.decode(acc, 1), 3, want)
 
 
 def dense_calls(monkeypatch):
@@ -576,11 +640,17 @@ def test_then_takes_the_dense_path_on_dense_towers_only(monkeypatch):
     """A dense cubic pair substitutes densely at orders 2 and 3, to the
     same towers as the `_Sparse` walk; the sparse ladder pair, degree-200
     maps and 1-variable outputs never do."""
-    calls = dense_calls(monkeypatch)
+    calls, made = dense_calls(monkeypatch), []
+    init = _Kron.__init__
+    monkeypatch.setattr(_Kron, "__init__", lambda kron, maps, comps, n: (
+        made.append((kron, maps, comps)) or init(kron, maps, comps, n)))
     f, g = (fixture_map(f"map_dense22_{side}.json")
             for side in ("first", "second"))
     dense = [omega(f, n).compose(omega(g, n)) for n in (2, 3)]
     assert len(calls) == 2 * (3 + 4)
+    # the integer bound gives every context the width the rational one does
+    assert [kron.bits for kron, _, _ in made] == [
+        ref_bits(maps, comps) for _, maps, comps in made]
     monkeypatch.setattr(_Kron, "rule", classmethod(lambda *args: None))
     assert dense == [omega(f, n).compose(omega(g, n)) for n in (2, 3)]
     monkeypatch.undo()
@@ -646,6 +716,7 @@ def test_dense_and_sparse_contexts_give_the_same_parts(case):
     n, maps, comps = case
     kron = _Kron.rule(maps, comps, n)
     assume(kron is not None)
+    assert kron.bits == ref_bits(maps, comps)
     sparse = _Sparse(maps, comps, n)
     for p in comps:
         dense, plain = p.subst(maps, n, kron), p.subst(maps, n, sparse)
@@ -653,10 +724,19 @@ def test_dense_and_sparse_contexts_give_the_same_parts(case):
             plain._w, plain._mons, plain._nums, plain._den)
 
 
+def test_selftest_reaches_the_dense_decode(monkeypatch):
+    """`selftest`'s dense chain family substitutes on `_Kron`, so suite
+    chain, and no other, fails when `_Kron.decode` drops one digit."""
+    decode = _Kron.decode
+    monkeypatch.setattr(_Kron, "decode", lambda kron, acc, den: Poly(
+        kron.n, decode(kron, acc, den).terms[:-1]))
+    assert [s["suite"] for s in run_selftest(42, 1)["suites"]
+            if not s["pass"]] == ["chain"]
+
+
 def test_selftest_reaches_the_shared_accumulator(monkeypatch):
     """Products, sums and both encodings of a substitution all merge
-    through `add`, so `selftest`, which meets no dense input, still fails
-    when `add` drops its multiplier."""
+    through `add`, so `selftest` fails when `add` drops its multiplier."""
     real = poly.add
     monkeypatch.setattr(poly, "add",
                         lambda acc, k, pairs: real(acc, 1, pairs))
