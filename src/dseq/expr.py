@@ -24,6 +24,10 @@ and zeros: every structural map of the axioms but the sum, pushed through
 any number of doublings) opens that loop by relabelling the other tape's
 instructions as they stand, with no lookup, until one folds or a var
 reads a zero or a repeated variable.
+Where that loop would only relabel (the tape fold-free, and no summand
+with a constant component: every kind but zpair and lift), a precomposition
+is sampled without a tape: `_sampled` runs the built tape's float
+operations on the same columns, so its rows are the same bits.
 """
 
 import functools
@@ -33,7 +37,8 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EngineError
-from .maps import CoordMap, _check_constant_power, keep
+from .maps import (CoordMap, _check_constant_power, _precomposed, keep,
+                   pfunctor_apply)
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
 ELEM_EQ_SAMPLES = 20
@@ -326,44 +331,71 @@ def _float_values(tape, point):
                 lambda ins: float(point[ins[1]] if ins[0] == "var" else ins[1]))
 
 
-def _float_rows(tape, columns):
-    """Per sample point, the tuple of root values, or None where a run at
-    that point would have raised (nested exp chains leave float range on
-    parts of the sample box) or a root is not finite: such points carry no
-    information.  One run over columns of floats, one per coordinate."""
-    n = ELEM_EQ_SAMPLES
-    marked = set()
-
-    def each(f, *cols):
-        try:
-            return list(map(f, *cols))
-        except (OverflowError, ValueError):
-            return [one(f, p, args) for p, args in enumerate(zip(*cols))]
-
-    def one(f, p, args):
+def _columns(tape, columns, marked):
+    """The tape's root columns over columns of floats, one per coordinate;
+    NaN, and the point `marked`, where a run at that point alone would have
+    raised (nested exp chains leave float range on parts of the box)."""
+    def at(f, p, args):
         try:
             return f(*args)
         except (OverflowError, ValueError):
             marked.add(p)
             return math.nan
 
-    def leaf(ins):
-        if ins[0] == "var":
-            return columns[ins[1]]
-        try:
-            return [float(ins[1])] * n
-        except OverflowError:       # a constant beyond float range
-            marked.update(range(n))
-            return [math.nan] * n
+    n, vals = ELEM_EQ_SAMPLES, []
+    push = vals.append
+    for ins in tape[0]:
+        tag = ins[0]
+        if tag == "var":
+            push(columns[ins[1]])
+        elif tag == "add" or tag == "mul":
+            push(list(map(_FLOATS[tag], vals[ins[1]], vals[ins[2]])))
+        elif tag == "const":
+            try:
+                push([float(ins[1])] * n)
+            except OverflowError:       # a constant beyond float range
+                push([at(float, p, ins[1:]) for p in range(n)])
+        else:
+            f, args = _FLOATS[tag], (vals[ins[1]],)
+            if tag == "pow":
+                args += ([ins[2]] * n,)
+            try:
+                push(list(map(f, *args)))
+            except (OverflowError, ValueError):
+                push([at(f, p, a) for p, a in enumerate(zip(*args))])
+    return [vals[r] for r in tape[1]]
 
-    ops = {"add": lambda x, y: list(map(operator.add, x, y)),
-           "mul": lambda x, y: list(map(operator.mul, x, y)),
-           "pow": lambda x, k: each(operator.pow, x, [k] * n),
-           **{tag: functools.partial(each, getattr(math, tag))
-              for tag in ("sin", "cos", "exp")}}
-    cols = _run(tape, ops, leaf)
+
+def _summed_rows(tape, *inputs):
+    """Per sample point, the tuple of the tape's root values summed over
+    its runs on each input's columns, or None where a run at that point
+    would have raised or a value is not finite: no information."""
+    marked = set()
+    cols = functools.reduce(
+        lambda a, b: [list(map(operator.add, x, y)) for x, y in zip(a, b)],
+        [_columns(tape, columns, marked) for columns in inputs])
     return [None if p in marked or not all(map(math.isfinite, row)) else row
-            for p, row in enumerate(zip(*cols) if cols else [()] * n)]
+            for p, row in enumerate(zip(*cols) if cols
+                                    else [()] * ELEM_EQ_SAMPLES)]
+
+
+def _float_rows(tape, columns):     # the rows of a built tape
+    return _summed_rows(tape, columns)
+
+
+def _sampled(k, tape, summands):
+    """The rows of a deferred precomposition (`ElemMap._precompose`)."""
+    cloud = _cloud(summands[0].dom << k)[1]
+    return _summed_rows(tape, *[_columns(pfunctor_apply(g, k).tape, cloud,
+                                         set()) for g in summands])
+
+
+def _fold_free(m):
+    """Whether m's tape, rewritten on its own variables, keeps to the lean
+    opening of `_Builder.rewrite` (nothing folds) and no root is constant."""
+    b, (code, roots, _) = _Builder(), m.tape
+    b.rewrite(m.tape, [var(j) for j in range(m.dom)])
+    return not b.index and all(code[r][0] != "const" for r in roots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -388,10 +420,32 @@ class ElemMap(CoordMap):
     """
 
     base = "elementary"
-    __slots__ = ("tape",)     # (code, roots, nodes), see _Builder
+    __slots__ = ("tape", "_parts")     # see _Builder; `_precompose`
 
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
             "exp": exp, "sum": lambda ts: functools.reduce(add, ts)}
+
+    def __getattr__(self, name):    # of a deferred map: built on first read
+        if name != "tape" and name != "components":
+            raise AttributeError(name)
+        k, tape, summands = self._parts
+        m = _precomposed(k, _map(summands[0].cod << k, tape), summands)
+        self.tape, self.components = m.tape, m.components
+        return getattr(self, name)
+
+    def _precompose(self, k, summands):
+        """Deferred where building would only relabel self's tape, as
+        (k, tape, summands); what `then` or `+` would refuse is built."""
+        h = summands[0]
+        if not (keep(self, "foldfree", _fold_free, self) and all(
+                g.base == self.base and (g.dom, g.cod << k) == (h.dom, self.dom)
+                and "const" not in [c[0] for c in g.components]
+                for g in summands)):
+            return _precomposed(k, self, summands)
+        m = ElemMap.__new__(ElemMap)
+        m.dom, m.cod, m._kept = h.dom << k, self.cod, {}
+        m._parts = k, self.tape, summands
+        return m
 
     def _check_components(self):
         self.tape = _tape(self.components)
@@ -475,9 +529,11 @@ class ElemMap(CoordMap):
         return [list(p) for p in _cloud(self.dom)[0]]
 
     def _rows(self):
-        """`_float_rows` of the tape over the domain's cloud, run once."""
-        return keep(self, "rows", lambda: _float_rows(self.tape,
-                                                      _cloud(self.dom)[1]))
+        """The rows over the domain's cloud, sampled once: `_sampled` for a
+        deferred precomposition, else `_float_rows` of the tape."""
+        return keep(self, "rows", lambda: _sampled(*self._parts)
+                    if hasattr(self, "_parts")
+                    else _float_rows(self.tape, _cloud(self.dom)[1]))
 
     def equal_witness(self, other, tol=None):
         """(equal?, first failing sample point or None)."""
@@ -487,14 +543,13 @@ class ElemMap(CoordMap):
         elif not (math.isfinite(tol) and tol >= 0):
             raise EngineError(f"tolerance must be a finite number >= 0, "
                               f"got {tol!r}")
-        points = _cloud(self.dom)[0]
-        informative = False
-        for point, ref, got in zip(points, self._rows(), other._rows()):
-            if ref is None and got is None:
-                continue
-            if ref is None or got is None or any(
-                    abs(a - b) > tol * max(1.0, abs(a))
-                    for a, b in zip(ref, got)):
-                return False, list(point)
-            informative = True
-        return (True, None) if informative else (False, list(points[0]))
+        points, rows, others = _cloud(self.dom)[0], self._rows(), other._rows()
+        if rows != others:      # equal rows pass without a look at each
+            for point, ref, got in zip(points, rows, others):
+                if (ref is None) != (got is None) or ref and any(
+                        abs(a - b) > tol * max(1.0, abs(a))
+                        for a, b in zip(ref, got)):
+                    return False, list(point)
+        if rows.count(None) < len(rows):    # some point is informative
+            return True, None
+        return False, list(points[0])

@@ -22,12 +22,16 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
   - "routing": a polynomial routing's `_routing` shape (`PolyMap.then`);
   - "rows": an elementary map's float rows over its domain's sample cloud
     (`ElemMap._rows`, read by `equal_witness`);
+  - "foldfree": whether rewriting an elementary map's tape only relabels
+    it (`expr._fold_free`);
   - ((kind, dim, base, k), ...): the sum of the map precomposed with each
     summand `canonical_map(kind, dim, base)` pushed through k doublings
     (`precompose`, which the termwise DS checker and `PreDSeq.lmul` call,
     so the tower-level checker and the tangent read it too).  One summand
     is a precomposition; two are DS.2's right side, whose summands are not
-    kept, since only the sum is compared.
+    kept, since only the sum is compared.  On a fold-free elementary map
+    the value may be deferred (`ElemMap._precompose`): sampled without a
+    tape, it builds one when its tape or components are first read.
 - on a tower (`PreDSeq`): "tangent", its tangent tower (`PreDSeq.tangent`),
   so every `compose` with one left tower reads one chain T f, T^2 f, ...
   The table is not a dataclass field: equality, hashing, printing and JSON
@@ -181,6 +185,9 @@ class CoordMap:
         doublings) only moves and drops the other map's variables."""
         return keep(self, "routes", _read_routes, self)
 
+    def _precompose(self, k, summands):     # what `precompose` keeps
+        return _precomposed(k, self, summands)
+
     def pair(self, other):
         """Pairing into the product of the codomains."""
         self._require_same_kind(other)
@@ -266,7 +273,7 @@ def precompose(h, k, m, *more):
         key = tuple([(*g._kept["structural"], k) for g in summands])
     except KeyError:
         return _precomposed(k, m, summands)
-    return keep(m, key, _precomposed, k, m, summands)
+    return keep(m, key, m._precompose, k, summands)
 
 
 def _precomposed(k, m, summands):

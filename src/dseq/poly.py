@@ -309,7 +309,8 @@ class _Kron:
         """acc over den as a `Poly`.  Adding 2^(B-1) to every slot and
         flipping that bit back leaves the digits in two's complement, so one
         `to_bytes` and one little-endian `struct` unpack cut a value into
-        them; `compress` pairs each nonzero digit with its slot's offset."""
+        them; `compress` pairs each nonzero digit with its slot's offset,
+        and distinct (key, slot) pairs are distinct monomials: no merge."""
         n, bits, grid = self.n, self.bits, self.grid
         width, low, top = bits // 8, (n - 2) * _NARROW, n * _NARROW
         rows = max(map(int.bit_length, acc.values()),
@@ -321,13 +322,15 @@ class _Kron:
         offsets = [a + b for a in range(0, rows * x0, x0)
                    for b in range(0, grid * x1, x1)]
         unpack = struct.Struct(f"<{slots}{_DIGIT[bits]}").unpack
-        out = {}
+        mons, nums = [], []
         for key, v in acc.items():
             digits = unpack(((v + bias) ^ bias).to_bytes(slots * width,
                                                          "little"))
-            out.update(zip(map(key.__add__, compress(offsets, digits)),
-                           filter(None, digits)))
-        return _normal(n, _NARROW, out, den)
+            mons += map(key.__add__, compress(offsets, digits))
+            nums += filter(None, digits)
+        order = sorted(range(len(mons)), key=mons.__getitem__, reverse=True)
+        return _finish(n, _NARROW, [mons[i] for i in order],
+                       [nums[i] for i in order], den)
 
 
 def _merged(nvars, w, mons, nums, dens):

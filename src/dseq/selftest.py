@@ -12,7 +12,8 @@ from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
 from .errors import EngineError
 from .faa import chain_equivalence_check
 from .fixtures import (CORRUPT_BUILDERS, random_dense_map, random_dim,
-                       random_poly_map, random_tower, rng_for)
+                       random_elem_map, random_poly_map, random_tower,
+                       rng_for)
 from .laws import (base_category_laws, omega_structure_laws,
                    tower_axiom_closure_laws, tower_identity_laws,
                    tower_naturality_laws)
@@ -29,18 +30,26 @@ def _collapse(report, source, t, order):
 
 
 def ds_axiom_suite(rng, trials, order, tol):
-    """Both axiom checkers accept random lifted towers and agree; each
+    """Both axiom checkers accept random lifted towers, then composites of
+    random elementary pairs drawn after them, and agree; each
     hand-corrupted fixture is rejected for exactly its target axiom."""
     report = LawReport("ds")
-    for t in range(trials):
-        a, b = random_dim(rng), random_dim(rng)
-        tower = omega(random_poly_map(rng, a, b), order)
-        primed = check_ds_primed(tower, tol)
-        unprimed = check_ds_unprimed(tower, tol)
-        report.add(bool_entry("ds.primed", t, 0, primed.passed, order))
-        report.add(bool_entry("ds.unprimed", t, 0, unprimed.passed, order))
-        report.add(bool_entry("ds.agree", t, 0,
-                              primed.passed == unprimed.passed, order))
+    poly = (omega(random_poly_map(rng, random_dim(rng), random_dim(rng)),
+                  order) for _ in range(trials))
+
+    def elem():     # drawn after every poly tower, one tower at a time
+        for _ in range(trials):
+            a, b, c = (random_dim(rng) for _ in range(3))
+            yield omega(random_elem_map(rng, a, b), order).compose(
+                omega(random_elem_map(rng, b, c), order))
+
+    for family, towers in (("ds.", poly), ("ds.elem.", elem())):
+        for t, tower in enumerate(towers):
+            primed = check_ds_primed(tower, tol).passed
+            unprimed = check_ds_unprimed(tower, tol).passed
+            for name, ok in (("primed", primed), ("unprimed", unprimed),
+                             ("agree", primed == unprimed)):
+                report.add(bool_entry(family + name, t, 0, ok, order))
     for k, (name, build) in enumerate(sorted(CORRUPT_BUILDERS.items())):
         bad = build()
         failing = {e.axiom for e in check_ds_primed(bad, tol).failing()}

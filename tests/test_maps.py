@@ -192,7 +192,8 @@ def kept_shape(owner, key):
     if isinstance(owner, PreDSeq):
         return "tangent" if key == "tangent" else None
     named = {"poly": ("routes", "routing", "structural"),
-             "elementary": ("routes", "rows", "structural")}[owner.base]
+             "elementary": ("routes", "rows", "foldfree",
+                            "structural")}[owner.base]
     if type(key) is str:
         return key if key in named else None
     if type(key) is int:
@@ -236,8 +237,8 @@ def test_every_kept_key_has_a_documented_shape(base):
             if isinstance(value, (CoordMap, PreDSeq)):
                 stack.append(value)
     assert shapes == {"tangent", "doubling", "precomposition", "sum",
-                      "routes", "structural",
-                      "routing" if base == "poly" else "rows"}
+                      "routes", "structural"} | (
+        {"routing"} if base == "poly" else {"rows", "foldfree"})
 
 
 def test_map_class_rejects_unknown_tag():

@@ -3,7 +3,9 @@ random trees against plain recursive reference implementations."""
 
 import math
 import operator
+import os
 import random
+import struct
 from fractions import Fraction
 from functools import reduce
 
@@ -16,9 +18,12 @@ from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
                        exp, mul, neg, pow_, sin, var)
 from dseq.errors import EngineError, ParseError, TagMismatch
+from dseq.fixtures import random_elem_map
+from dseq.jsonio import load_seq, read_json
 from dseq.maps import (CoordMap, canonical_map, coord_slice, identity,
                        pfunctor_apply, proj, zero_map)
 from dseq.parser import format_map, parse_component, parse_map
+from dseq.selftest import run_selftest
 from dseq.sequences import PreDSeq, seq_zero
 
 DOM = 3
@@ -616,22 +621,29 @@ def elem_tower(order):
 @pytest.mark.parametrize("first", [check_ds_primed, check_ds_unprimed])
 def test_both_checkers_build_each_precomposition_once(first, monkeypatch):
     """On an order-4 1->1 tower each checker precomposes 52 times with a
-    pushed structural map; run after the other, it builds none of them."""
+    pushed structural map: the 16 with zpair and lift (whose zero blocks
+    fold) are built, the other 36 are sampled without a tape, each once.
+    Run after the other, a checker builds and samples none of them."""
     tower = elem_tower(4)
     pushed = [structural(kind, dim, k) for kind in KINDS
               for dim in (1, 2, 4, 8) for k in range(4)]
     ids = {id(h) for h in pushed}
-    calls = []
-    real = ElemMap.then
+    calls, sampled = [], []
+    real, real_sampled = ElemMap.then, expr._sampled
     monkeypatch.setattr(ElemMap, "then", lambda h, m: (
         calls.append(m) if id(h) in ids else None) or real(h, m))
+    monkeypatch.setattr(expr, "_sampled", lambda k, tape, summands: (
+        sampled.extend((k, id(tape), g._kept["structural"], i)
+                       for i, g in enumerate(summands))
+        or real_sampled(k, tape, summands)))
     second = check_ds_unprimed if first is check_ds_primed else check_ds_primed
     first(tower)
-    assert len(calls) == 52
+    assert (len(calls), len(sampled)) == (16, 36)
+    assert len(set(sampled)) == 36
     second(tower)
-    assert len(calls) == 52
+    assert (len(calls), len(sampled)) == (16, 36)
     check_ds_primed(tower), check_ds_unprimed(tower)
-    assert len(calls) == 52
+    assert (len(calls), len(sampled)) == (16, 36)
 
 
 def test_both_checkers_sample_each_map_once(monkeypatch):
@@ -747,5 +759,92 @@ def test_a_kept_precomposition_does_not_cross_bases():
     tower = elem_tower(2).differential()
     kept = tower.lmul(canonical_map("zpair", 1, "elementary"))
     assert tower.lmul(canonical_map("zpair", 1, "elementary")) == kept
-    with pytest.raises(TagMismatch):
-        tower.lmul(canonical_map("zpair", 1, "poly"))
+    for kind in ("zpair", "sumv"):      # built, and deferred at its base
+        with pytest.raises(TagMismatch):
+            tower.lmul(canonical_map(kind, 1, "poly"))
+
+
+# Precompositions that rewriting would only relabel are sampled without a
+# tape (`ElemMap._precompose`): the same float operations on the same
+# columns as the built tape, so the rows must match it bit for bit.
+
+OVERFLOW = load_seq(read_json(os.path.join(
+    os.path.dirname(__file__), "fixtures", "corrupt_ds3_overflow.json")))
+UNFOLDED = PreDSeq(1, 1, (      # hand-built: each term folds once rewritten
+    ElemMap(1, 1, [("add", ("const", 0), ("var", 0))]),
+    ElemMap(2, 1, [("mul", ("pow", ("var", 1), 1), ("var", 0))]),
+    ElemMap(4, 1, [("const", Fraction(2))])))
+
+
+@st.composite
+def elem_towers(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    order, a, b = (draw(st.integers(1, hi)) for hi in (3, 2, 2))
+    f, g = random_elem_map(rng, a, b), random_elem_map(rng, b, b)
+    return omega(f, order).compose(omega(g, order))
+
+
+def folds(m):
+    """Whether rewriting m's tape folds: an add or mul with a 0 operand, a
+    mul by 1, an op on two constants, a pow with exponent 0 or 1 or a
+    constant base, or a constant root."""
+    code, roots, _ = m.tape
+    const = [ins[0] == "const" for ins in code]
+    for ins in code:
+        if ins[0] in ("add", "mul"):
+            x, y = (code[i][1] if const[i] else None for i in ins[1:])
+            ends = (0,) if ins[0] == "add" else (0, 1)
+            if (x is not None and y is not None) or x in ends or y in ends:
+                return True
+        elif ins[0] == "pow" and (ins[2] < 2 or const[ins[1]]):
+            return True
+    return any(const[r] for r in roots)
+
+
+def bits(rows):
+    return [None if row is None else [struct.pack("<d", x) for x in row]
+            for row in rows]
+
+
+@settings(max_examples=50, deadline=None)
+@given(elem_towers())
+@example(OVERFLOW)
+@example(UNFOLDED)
+def test_sampled_precompositions_match_their_built_tapes(tower):
+    """Every structural kind, and DS.2's sum, at every k that fits a term:
+    a deferred precomposition's rows are `_float_rows` of its built tape,
+    -0.0 and marked points included, and its tape, once read, is that
+    tape.  Only zpair and lift (zero blocks) and unfolded tapes build."""
+    kinds = [(kind,) for kind in maps._STRUCTURAL]
+    kinds.append(("sumproj0", "sumproj1"))      # DS.2's right side
+    deferred = 0
+    for n, m in enumerate(tower.terms):
+        for kind in kinds:
+            blocks = len(maps._STRUCTURAL[kind[0]][1])
+            for k in range(n + 1):
+                if m.dom % (blocks << k):
+                    continue
+                summands = [canonical_map(c, m.dom // (blocks << k),
+                                          "elementary") for c in kind]
+                got = maps.precompose(summands[0], k, m, *summands[1:])
+                built = maps._precomposed(k, m, summands)
+                cloud = expr._cloud(got.dom)[1]
+                assert bits(got._rows()) == bits(
+                    expr._float_rows(built.tape, cloud))
+                assert got.tape[:2] == built.tape[:2]
+                sampled = hasattr(got, "_parts")
+                assert sampled == (not folds(m) and not {
+                    "zpair", "lift"} & set(kind))
+                deferred += sampled
+    assert deferred == 0 if tower is UNFOLDED else deferred > 0
+
+
+def test_selftest_reaches_the_sampled_precomposition(monkeypatch):
+    """`selftest`'s elementary DS family samples DS.2's right side without
+    a tape, so suite ds, and no other, fails when that route drops the
+    second summand."""
+    real = expr._sampled
+    monkeypatch.setattr(expr, "_sampled", lambda k, tape, summands: real(
+        k, tape, summands[:1]))
+    assert [s["suite"] for s in run_selftest(42, 1)["suites"]
+            if not s["pass"]] == ["ds"]
