@@ -19,15 +19,11 @@ and its partials, one per variable it reads.
 Every rebuild of a tape under a substitution (`then`, the shifted copies
 of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
 constructors run only where an operand is a constant, and the builder
-merges what folding made equal.  Precomposing with a routing (variables
-and zeros: every structural map of the axioms but the sum, pushed through
-any number of doublings) opens that loop by relabelling the other tape's
-instructions as they stand, with no lookup, until one folds or a var
-reads a zero or a repeated variable.
-Where that loop would only relabel (the tape fold-free, and no summand
-with a constant component: every kind but zpair and lift), a precomposition
-is sampled without a tape: `_sampled` runs the built tape's float
-operations on the same columns, so its rows are the same bits.
+merges what folding made equal.  Where that loop would fold nothing (the
+tape fold-free, and no summand with a constant component: every kind but
+zpair and lift), a precomposition is sampled without a tape: `_sampled`
+runs the built tape's float operations on the same columns, so its rows
+are the same bits.
 """
 
 import functools
@@ -137,10 +133,9 @@ class _Builder:
     nodes[k], its tree, is its handle: what operations pass around.
     `intern` takes a smart constructor's result on handles to its handle.
 
-    The lookup tables are built when first needed (`_tables`).  Until then
-    the builder holds one lean tape's instructions as they stand, copied
-    whole or relabelled by `rewrite`, and nothing in it needs merging or
-    pruning."""
+    The lookup tables are rebuilt from code and nodes where they fall
+    short (`_tables`): `copy` into an empty builder takes a tape whole, and
+    `rewrite` writes no handle to `at`."""
 
     def __init__(self):     # index: instruction -> k; at: id(handle) -> k
         self.code, self.nodes, self.index, self.at = [], [], {}, {}
@@ -148,6 +143,7 @@ class _Builder:
     def _tables(self):
         if len(self.index) < len(self.code):
             self.index = {_key(ins): k for k, ins in enumerate(self.code)}
+        if len(self.at) < len(self.code):
             self.at = {id(node): k for k, node in enumerate(self.nodes)}
         return self.at
 
@@ -192,72 +188,47 @@ class _Builder:
         var j read as the node reps[j]: a handle, or a var or zero leaf.
         The smart constructors run only where an operand is a constant, an
         instruction that folds to an operand takes the operand's index, and
-        the lookup merges what folding made equal.  Into an empty builder,
-        instructions are first relabelled as they stand, with no lookup
-        (distinct variables keep them distinct), until a var reads a zero
-        or a repeated variable or an instruction folds."""
+        the lookup merges what folding made equal.  No handle made here is
+        written to `at`: `_tables` adds them when they are next looked up."""
         code, roots, _ = tape
+        at, index = self._tables(), self.index
         out, trees, ops = self.code, self.nodes, ElemMap._ops
         new = []
-        if not out:
-            seen = set()
-            for ins in code:
-                tag = ins[0]
-                if tag == "var":
-                    ins = t = reps[ins[1]]
-                    if t[0] != "var" or t[1] in seen:
-                        break
-                    seen.add(t[1])
-                elif tag == "const":
-                    t = ins
-                elif tag == "add" or tag == "mul":
-                    x, y = trees[ins[1]], trees[ins[2]]
-                    if x[0] == "const" or y[0] == "const":
-                        t = ops[tag](x, y)
-                        if t is x or t is y or t[0] == "const":
-                            break
-                    else:
-                        t = (tag, x, y)
-                elif tag == "pow":
-                    x = trees[ins[1]]
-                    t = pow_(x, ins[2])
-                    if t is x or t[0] == "const":
-                        break
-                else:
-                    t = (tag, trees[ins[1]])
-                out.append(ins)
-                trees.append(t)
-            else:
-                return roots
-            new = list(range(len(out)))
-        at = self._tables()
-        for ins in code[len(new):]:
+        push = new.append
+        for ins in code:
             tag = ins[0]
             if tag == "var":
-                t = reps[ins[1]]
+                ins = t = reps[ins[1]]
                 k = at.get(id(t))
-                new.append(self._add(t, t) if k is None else k)
-                continue
-            if tag == "const":
-                new.append(self._add(ins, ins))
-                continue
-            i = j = new[ins[1]]
-            x = trees[i]
-            if tag == "add" or tag == "mul":
-                j = new[ins[2]]
-                y = trees[j]
-                t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
-                     else (tag, x, y))
-                ins = (tag, i, j)
-            elif tag == "pow":
-                t = pow_(x, ins[2])
-                ins = ("pow", i, ins[2])
+                if k is not None:
+                    push(k)
+                    continue
+            elif tag == "const":
+                t = ins
             else:
-                ins, t = (tag, i), (tag, x)
-            if t is x or t is trees[j]:     # folded to an operand
-                new.append(i if t is x else j)
-                continue
-            new.append(self._add(t if t[0] == "const" else ins, t))
+                i = j = new[ins[1]]
+                x = trees[i]
+                if tag == "add" or tag == "mul":
+                    j = new[ins[2]]
+                    y = trees[j]
+                    t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
+                         else (tag, x, y))
+                    ins = (tag, i, j)
+                elif tag == "pow":
+                    t = pow_(x, ins[2])
+                    ins = ("pow", i, ins[2])
+                else:
+                    ins, t = (tag, i), (tag, x)
+                if t is x or t is trees[j]:     # folded to an operand
+                    push(i if t is x else j)
+                    continue
+            key = ins if t[0] != "const" else _key(t)
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(out)
+                out.append(t if t[0] == "const" else ins)
+                trees.append(t)
+            push(k)
         return [new[r] for r in roots]
 
     def tape(self, comps):
@@ -391,11 +362,20 @@ def _sampled(k, tape, summands):
 
 
 def _fold_free(m):
-    """Whether m's tape, rewritten on its own variables, keeps to the lean
-    opening of `_Builder.rewrite` (nothing folds) and no root is constant."""
-    b, (code, roots, _) = _Builder(), m.tape
-    b.rewrite(m.tape, [var(j) for j in range(m.dom)])
-    return not b.index and all(code[r][0] != "const" for r in roots)
+    """Whether rewriting m's tape on its own variables would fold nothing,
+    and no root is constant: no add or mul with a 0 operand or two constant
+    operands, no mul by 1, no pow with exponent 0 or 1 or a constant base."""
+    code, roots, _ = m.tape
+    for ins in code:
+        tag = ins[0]
+        if tag == "add" or tag == "mul":
+            consts = [c[1] for c in (code[ins[1]], code[ins[2]])
+                      if c[0] == "const"]
+            if 0 in consts or len(consts) == 2 or tag == "mul" and 1 in consts:
+                return False
+        elif tag == "pow" and (ins[2] < 2 or code[ins[1]][0] == "const"):
+            return False
+    return all(code[r][0] != "const" for r in roots)
 
 
 @functools.lru_cache(maxsize=64)
@@ -482,13 +462,15 @@ class ElemMap(CoordMap):
 
         other's tape is rewritten with each var instruction read as self's
         component: as it stands when self only routes variables (see
-        `CoordMap._routes`), else as the handle of a copy of self's tape."""
+        `CoordMap._routes`), else as the handle of a copy of self's tape.
+        After a routing, a rewrite that kept every instruction's tag folded
+        and merged nothing, so nothing in it is dead."""
         self._require_composable(other)
         b = _Builder()
-        reps = self.components if self._routes() is not None else b.copy(self)
-        roots = b.rewrite(other.tape, reps)
-        tape = b.code, roots, b.nodes
-        if len(b.index) < len(b.code):      # no lookup needed: lean
+        routes = self._routes() is not None
+        reps = self.components if routes else b.copy(self)
+        tape = b.code, b.rewrite(other.tape, reps), b.nodes
+        if routes and [i[0] for i in b.code] == [i[0] for i in other.tape[0]]:
             return _map(self.dom, tape)
         return _map(self.dom, _pruned(*tape))
 

@@ -22,8 +22,8 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
   - "routing": a polynomial routing's `_routing` shape (`PolyMap.then`);
   - "rows": an elementary map's float rows over its domain's sample cloud
     (`ElemMap._rows`, read by `equal_witness`);
-  - "foldfree": whether rewriting an elementary map's tape only relabels
-    it (`expr._fold_free`);
+  - "foldfree": whether rewriting an elementary map's tape on its own
+    variables would fold nothing (`expr._fold_free`);
   - ((kind, dim, base, k), ...): the sum of the map precomposed with each
     summand `canonical_map(kind, dim, base)` pushed through k doublings
     (`precompose`, which the termwise DS checker and `PreDSeq.lmul` call,

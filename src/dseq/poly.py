@@ -440,19 +440,9 @@ class Poly:
 
     def __mul__(self, other):
         assert self.nvars == other.nvars
-        if not self._mons or not other._mons:
-            return Poly.zero(self.nvars)
-        if len(self._mons) > 1 and len(other._mons) > 1:
-            w, acc = _width(self.degree() + other.degree()), {}
-            add_product(acc, _at(self, w), _at(other, w))
-            return _normal(self.nvars, w, acc, self._den * other._den)
-        # A monomial factor, as in most products the parser builds, shifts
-        # every term alike: order and distinctness survive.
-        mono, p = (self, other) if len(self._mons) == 1 else (other, self)
-        w = _width(self.degree() + other.degree())
-        m1, c1 = _mons_at(mono, w)[0], mono._nums[0]
-        return _finish(self.nvars, w, [m1 + m for m in _mons_at(p, w)],
-                       [c1 * c for c in p._nums], self._den * other._den)
+        w, acc = _width(max(self.degree() + other.degree(), 0)), {}
+        add_product(acc, _at(self, w), _at(other, w))
+        return _normal(self.nvars, w, acc, self._den * other._den)
 
     def __pow__(self, n):
         """Square-and-multiply from p itself, so p ** 1 is p."""

@@ -142,6 +142,10 @@ def test_add_and_sub(case):
 @given(poly_pairs())
 @example((1, {(128,): Fraction(1, 2), (0,): Fraction(1, 3)},
           {(128,): Fraction(2, 3), (1,): Fraction(3, 4)}))
+# a single monomial whose product crosses the degree-16 width boundary
+@example((2, {(9, 0): Fraction(3, 2)},
+          {(3, 4): Fraction(1, 3), (1, 0): Fraction(-2)}))
+@example((2, {}, {(1, 1): Fraction(1, 2)}))     # a zero factor
 def test_mul(case):
     nvars, p, q = case
     same(packed(nvars, p) * packed(nvars, q), nvars, ref_mul(p, q))

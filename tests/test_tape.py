@@ -444,8 +444,8 @@ def test_zero_power_keeps_the_run_per_point_rule():
 
 
 # Precomposing with a routing (variables and zeros) rewrites the other map's
-# tape into an empty builder, opening with a relabelled stretch; every other
-# left operand is copied first, and its components substituted as handles.
+# tape into an empty builder; every other left operand is copied first, and
+# its components substituted as handles.
 
 KINDS = ("zpair", "sumv", "sumproj0", "sumproj1", "lift", "flip")
 
@@ -486,9 +486,9 @@ def assert_then_matches_reference(h, m):
 
 
 def test_then_after_a_routing_matches_reference(monkeypatch):
-    """Renamings, a diagonal among them, rewrite into an empty builder (the
-    renaming mode), and the sum and a nonzero constant after a copy of the
-    left operand; both agree with the reference."""
+    """Renamings, a diagonal among them, rewrite into an empty builder, and
+    the sum and a nonzero constant after a copy of the left operand; both
+    agree with the reference."""
     renamed = []
     real = expr._Builder.rewrite
     monkeypatch.setattr(expr._Builder, "rewrite", lambda b, *a: renamed.append(
@@ -508,6 +508,30 @@ def test_then_after_a_routing_matches_reference(monkeypatch):
             renamed.clear()
             assert_then_matches_reference(h, ElemMap(h.cod, len(ts), ts))
             assert renamed == [renames]
+
+
+def test_then_prunes_after_a_routing_only_what_folded(monkeypatch):
+    """After an injective routing, a fold-free map keeps every instruction
+    and its tag, so `then` prunes nothing.  A pow by 0 and a sum of two
+    constants fold to new constants, keeping the instruction count but
+    leaving their operands dead: those are pruned."""
+    flip = structural("flip", 1, 1)
+    t = sin(mul(var(0), add(var(5), const(2))))
+    free = ElemMap(8, 2, [t, exp(mul(t, var(3)))])
+    folded = [ElemMap(8, len(ts), ts) for ts in (
+        [("pow", t, 0)], [("add", const(2), const(3))],
+        [("pow", t, 0), ("add", const(2), const(3)), cos(var(7))])]
+    assert expr._fold_free(free) and flip._routes() is not None
+    calls, real = [], expr._pruned
+    monkeypatch.setattr(expr, "_pruned", lambda *a: calls.append(a) or real(
+        *a))
+    for m, prunes in [(free, 0)] + [(m, 1) for m in folded]:
+        calls.clear()
+        got = flip.then(m)
+        assert len(calls) == prunes
+        assert list(got.components) == [ref_subst(c, list(flip.components))
+                                        for c in m.components]
+        assert_lean_tape(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -799,6 +823,27 @@ def folds(m):
         elif ins[0] == "pow" and (ins[2] < 2 or const[ins[1]]):
             return True
     return any(const[r] for r in roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    trees(), leaves(DOM),
+    st.integers(0, 2 ** 32).map(lambda s: unfolded(random.Random(s), DOM))),
+    min_size=1, max_size=3))
+@example([("mul", var(0), const(1))])
+@example([("pow", const(2), 2), var(1)])
+@example([sin(var(0)), const(0)])
+@example([("pow", ("add", const(2), var(1)), 3), exp(const(-1))])
+def test_fold_free_is_a_rewrite_that_changes_nothing(ts):
+    """`_fold_free` reads from the constants what rewriting the tape on its
+    own variables would do: it is True exactly when that rewrite leaves the
+    instructions as they stand and no root is constant."""
+    m = ElemMap(DOM, len(ts), ts)
+    code, roots, _ = m.tape
+    b = expr._Builder()
+    b.rewrite(m.tape, [var(j) for j in range(DOM)])
+    assert expr._fold_free(m) == (b.code == list(code) and all(
+        code[r][0] != "const" for r in roots))
 
 
 def bits(rows):
