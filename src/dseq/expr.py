@@ -6,24 +6,27 @@ Fraction), ("var", i), ("add", a, b), ("mul", a, b), ("pow", a, n), ("sin", a),
 form mirrors how an expression was built.
 
 Terms of a composite tower repeat their subexpressions heavily, so no
-operation walks a tree.  An `ElemMap` keeps a tape, a straight-line program
-with one instruction per distinct subtree, and `_run` evaluates a tape in
-an algebra (a table of add/mul/pow/sin/cos/exp plus a leaf function).
-`_tape` tapes the trees of the parser or of hand-built maps; every
-operation builds its result's tape from its operands' tapes (`_Builder`).
-Sampled equality runs each tape once over columns of floats, one value per
-sample point, and a map keeps those rows (kept state is listed in `maps`).
-The differential is one forward-mode run too: each value carries its tree
-and its partials, one per variable it reads.
+operation walks a tree.  An `ElemMap` is its tape (code, roots): a
+straight-line program with one instruction per distinct subtree, each
+reading earlier instructions by index, and the indices of its components.
+`_run` evaluates a tape in an algebra (a table of add/mul/pow/sin/cos/exp
+plus a leaf function).  `_tape` tapes the trees of the parser or of
+hand-built maps; every operation builds its result's tape from its
+operands' tapes (`_Builder`), and the result's trees are built from its
+tape when its components are first read.  Sampled equality runs each tape
+once over columns of floats, one value per sample point, and a map keeps
+those rows (kept state is listed in `maps`).  The differential is one
+forward-mode run too: each value carries its index and its partials, one
+per variable it reads.
 
-Every rebuild of a tape under a substitution (`then`, the shifted copies
-of `pfunctor_apply`) is one loop, `_Builder.rewrite`: the smart
-constructors run only where an operand is a constant, and the builder
-merges what folding made equal.  Where that loop would fold nothing (the
-tape fold-free, and no summand with a constant component: every kind but
-zpair and lift), a precomposition is sampled without a tape: `_sampled`
-runs the built tape's float operations on the same columns, so its rows
-are the same bits.
+Every instruction an operation builds, in `then`, the shifted copies of
+`pfunctor_apply`, sums and the differential, goes through one step,
+`_Builder.apply`: the smart constructors run only where an operand is a
+constant, and the builder merges what folding made equal.  Where a
+rewrite would fold nothing (the tape fold-free, and no summand with a
+constant component: every kind but zpair and lift), a precomposition is
+sampled without a tape: `_sampled` runs the built tape's float operations
+on the same columns, so its rows are the same bits.
 """
 
 import functools
@@ -110,8 +113,8 @@ def _renumbered(ins, new):
 
 def _run(tape, ops, leaf):
     """Values of the tape's roots in the algebra `ops`; `leaf` maps a
-    const or var node to a value."""
-    code, roots, _ = tape
+    const or var instruction to a value."""
+    code, roots = tape
     vals = []
     push = vals.append
     for ins in code:
@@ -128,128 +131,90 @@ def _run(tape, ops, leaf):
 
 
 class _Builder:
-    """A tape under construction.  Instruction k is a node whose subtrees
-    are replaced by the indices of their own, earlier, instructions, and
-    nodes[k], its tree, is its handle: what operations pass around.
-    `intern` takes a smart constructor's result on handles to its handle.
+    """A tape under construction: `code`, whose instruction k reads the
+    indices of earlier instructions, and `index`, from instruction to k.
+    An index is the only handle an operation holds.  `insert` adds an
+    instruction as it stands; `apply` runs the smart constructors first."""
 
-    The lookup tables are rebuilt from code and nodes where they fall
-    short (`_tables`): `copy` into an empty builder takes a tape whole, and
-    `rewrite` writes no handle to `at`."""
+    def __init__(self):
+        self.code, self.index = [], {}
 
-    def __init__(self):     # index: instruction -> k; at: id(handle) -> k
-        self.code, self.nodes, self.index, self.at = [], [], {}, {}
-
-    def _tables(self):
-        if len(self.index) < len(self.code):
-            self.index = {_key(ins): k for k, ins in enumerate(self.code)}
-        if len(self.at) < len(self.code):
-            self.at = {id(node): k for k, node in enumerate(self.nodes)}
-        return self.at
-
-    def intern(self, node):
-        at = self.at
-        if id(node) in at:
-            return node
-        if node[0] == "const" or node[0] == "var":
-            return self.nodes[self._add(node, node)]
-        x = node[1] if id(node[1]) in at else self.intern(node[1])
-        if node[0] == "add" or node[0] == "mul":
-            y = node[2] if id(node[2]) in at else self.intern(node[2])
-            ins = (node[0], at[id(x)], at[id(y)])
-        else:
-            ins = (node[0], at[id(x)], *node[2:])
-        return self.nodes[self._add(ins, node)]
-
-    def _add(self, ins, node):
-        """The index of the instruction ins, whose tree is node."""
+    def insert(self, ins):
+        """The index of the instruction ins, added if it is new."""
         key = _key(ins)
         k = self.index.get(key)
         if k is None:
-            k = self.index[key] = self.at[id(node)] = len(self.code)
+            k = self.index[key] = len(self.code)
             self.code.append(ins)
-            self.nodes.append(node)
         return k
 
+    def apply(self, tag, i, j=None):
+        """The index of tag applied to instructions i and j (pow's exponent
+        j).  The smart constructors run only where an operand is a
+        constant, on the instructions themselves, so that only const
+        leaves are read; a result that folds to an operand is its index."""
+        x = self.code[i]
+        if tag == "add" or tag == "mul":
+            y = self.code[j]
+            if x[0] == "const" or y[0] == "const":
+                t = ElemMap._ops[tag](x, y)
+                if t is x or t is y:
+                    return i if t is x else j
+                if t[0] == "const":
+                    return self.insert(t)
+        elif tag != "pow":
+            return self.insert((tag, i))
+        elif j < 2 or x[0] == "const":
+            t = pow_(x, j)
+            return i if t is x else self.insert(t)
+        return self.insert((tag, i, j))
+
     def copy(self, m):
-        """Handles of m's components, its instructions taken as they are."""
-        code, roots, nodes = m.tape
-        if not self.code:       # whole: one instruction per distinct subtree
-            self.code, self.nodes = list(code), list(nodes)
-            return [nodes[r] for r in roots]
-        self._tables()
+        """Indices of m's components, its instructions taken as they
+        stand: whole into an empty builder, else one by one."""
+        code, roots = m.tape
+        if not self.code:
+            self.code = list(code)
+            self.index = {_key(ins): k for k, ins in enumerate(code)}
+            return list(roots)
         new = []
-        for ins, node in zip(code, nodes):
-            new.append(self._add(_renumbered(ins, new), node))
-        return [self.nodes[new[r]] for r in roots]
+        for ins in code:
+            new.append(self.insert(_renumbered(ins, new)))
+        return [new[r] for r in roots]
 
     def rewrite(self, tape, reps):
-        """Indices of the tape's roots, its instructions rebuilt here with
-        var j read as the node reps[j]: a handle, or a var or zero leaf.
-        The smart constructors run only where an operand is a constant, an
-        instruction that folds to an operand takes the operand's index, and
-        the lookup merges what folding made equal.  No handle made here is
-        written to `at`: `_tables` adds them when they are next looked up."""
-        code, roots, _ = tape
-        at, index = self._tables(), self.index
-        out, trees, ops = self.code, self.nodes, ElemMap._ops
+        """Indices of the tape's roots, its instructions applied here with
+        var j read as reps[j]: an index, or a var or zero leaf, inserted
+        when it is first read."""
+        code, roots = tape
+        insert, apply = self.insert, self.apply
         new = []
         push = new.append
         for ins in code:
             tag = ins[0]
             if tag == "var":
-                ins = t = reps[ins[1]]
-                k = at.get(id(t))
-                if k is not None:
-                    push(k)
-                    continue
+                k = reps[ins[1]]
+                push(k if type(k) is int else insert(k))
             elif tag == "const":
-                t = ins
+                push(insert(ins))
+            elif tag == "add" or tag == "mul":
+                push(apply(tag, new[ins[1]], new[ins[2]]))
             else:
-                i = j = new[ins[1]]
-                x = trees[i]
-                if tag == "add" or tag == "mul":
-                    j = new[ins[2]]
-                    y = trees[j]
-                    t = (ops[tag](x, y) if x[0] == "const" or y[0] == "const"
-                         else (tag, x, y))
-                    ins = (tag, i, j)
-                elif tag == "pow":
-                    t = pow_(x, ins[2])
-                    ins = ("pow", i, ins[2])
-                else:
-                    ins, t = (tag, i), (tag, x)
-                if t is x or t is trees[j]:     # folded to an operand
-                    push(i if t is x else j)
-                    continue
-            key = ins if t[0] != "const" else _key(t)
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(out)
-                out.append(t if t[0] == "const" else ins)
-                trees.append(t)
-            push(k)
+                push(apply(tag, new[ins[1]], *ins[2:]))
         return [new[r] for r in roots]
 
-    def tape(self, comps):
-        """The tape of these components: handles, or trees to intern."""
-        at = self._tables()
-        return _pruned(self.code, [at[id(self.intern(c))] for c in comps],
-                       self.nodes)
-
-    def map(self, dom, comps):
-        return _map(dom, self.tape(comps))
+    def map(self, dom, roots):
+        return _map(dom, _pruned(self.code, roots))
 
 
 def _map(dom, tape):
     m = ElemMap.__new__(ElemMap)    # no tree to walk or check again
-    m.tape = code, roots, nodes = tape
-    m.dom, m.cod, m._kept = dom, len(roots), {}
-    m.components = tuple(nodes[r] for r in roots)
+    m.tape = tape
+    m.dom, m.cod, m._kept = dom, len(tape[1]), {}
     return m
 
 
-def _pruned(code, roots, nodes):
+def _pruned(code, roots):
     """The tape less the instructions no root reads: a folded-away subtree
     must not reach float evaluation."""
     live = set(roots)
@@ -260,40 +225,48 @@ def _pruned(code, roots, nodes):
         old = sorted(live)
         new = dict(zip(old, range(len(old))))
         code = [_renumbered(code[k], new) for k in old]
-        nodes = [nodes[k] for k in old]
         roots = [new[r] for r in roots]
-    return code, roots, nodes
+    return code, roots
 
 
 def _tape(roots):
-    """The tape of trees made by hand or by the parser, walked iteratively
-    so that tree depth is not bounded by the stack."""
-    b, stack = _Builder(), list(reversed(roots))
+    """The tape of trees made by hand or by the parser, each node taken as
+    it stands, walked iteratively so that tree depth is not bounded by the
+    stack.  `at`, from a node's id to its index, lives for this walk only,
+    while the caller holds every node."""
+    b, at, stack = _Builder(), {}, list(reversed(roots))
     while stack:
-        todo = [p for p in stack[-1] if type(p) is tuple and id(p) not in b.at]
+        todo = [p for p in stack[-1] if type(p) is tuple and id(p) not in at]
         if todo:
             stack.extend(todo)
         else:
             node = stack.pop()
-            b.at[id(node)] = b.at[id(b.intern(node))]   # equal trees share k
-    return b.tape(roots)
+            at[id(node)] = b.insert(tuple(
+                at[id(p)] if type(p) is tuple else p for p in node))
+    return b.code, [at[id(r)] for r in roots]
 
 
 _FLOATS = {"add": operator.add, "mul": operator.mul, "pow": operator.pow,
            "sin": math.sin, "cos": math.cos, "exp": math.exp}
 
-# (tree, partial derivative) pairs: the forward-mode rule along one variable,
-# which `ElemMap.differential` applies once per partial a value carries.
-_PAIRS = {
-    "add": lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
-    "mul": lambda p, q: (mul(p[0], q[0]),
-                         add(mul(p[1], q[0]), mul(p[0], q[1]))),
-    "pow": lambda p, n: (pow_(p[0], n),
-                         mul(mul(const(n), pow_(p[0], n - 1)), p[1])
-                         if n else const(0)),
-    "sin": lambda p: (sin(p[0]), mul(cos(p[0]), p[1])),
-    "cos": lambda p: (cos(p[0]), mul(neg(sin(p[0])), p[1])),
-    "exp": lambda p: (exp(p[0]), mul(exp(p[0]), p[1])),
+# The trees of a tape, each node as its instruction was built.
+_TREES = {tag: functools.partial(lambda *node: node, tag) for tag in _FLOATS}
+
+# The forward-mode rule along one variable, on indices of one builder b:
+# the partial of v, tag applied to x and y (pow's exponent), from the
+# operands' partials dx and dy.  `ElemMap.differential` applies it once per
+# partial a value carries.
+_PARTIALS = {
+    "add": lambda b, v, x, dx, y, dy: b.apply("add", dx, dy),
+    "mul": lambda b, v, x, dx, y, dy: b.apply(
+        "add", b.apply("mul", dx, y), b.apply("mul", x, dy)),
+    "pow": lambda b, v, x, dx, n, dy: b.apply("mul", b.apply(
+        "mul", b.insert(const(n)), b.apply("pow", x, n - 1)), dx)
+        if n else b.insert(const(0)),
+    "sin": lambda b, v, x, dx, y, dy: b.apply("mul", b.apply("cos", x), dx),
+    "cos": lambda b, v, x, dx, y, dy: b.apply("mul", b.apply(
+        "mul", b.insert(const(-1)), b.apply("sin", x)), dx),
+    "exp": lambda b, v, x, dx, y, dy: b.apply("mul", v, dx),
 }
 
 
@@ -365,7 +338,7 @@ def _fold_free(m):
     """Whether rewriting m's tape on its own variables would fold nothing,
     and no root is constant: no add or mul with a 0 operand or two constant
     operands, no mul by 1, no pow with exponent 0 or 1 or a constant base."""
-    code, roots, _ = m.tape
+    code, roots = m.tape
     for ins in code:
         tag = ins[0]
         if tag == "add" or tag == "mul":
@@ -405,13 +378,18 @@ class ElemMap(CoordMap):
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
             "exp": exp, "sum": lambda ts: functools.reduce(add, ts)}
 
-    def __getattr__(self, name):    # of a deferred map: built on first read
-        if name != "tape" and name != "components":
+    def __getattr__(self, name):
+        """Components built from the tape when first read; the tape of a
+        deferred precomposition built when first read."""
+        if name == "components":
+            self.components = tuple(_run(self.tape, _TREES, lambda ins: ins))
+            return self.components
+        if name != "tape":
             raise AttributeError(name)
         k, tape, summands = self._parts
-        m = _precomposed(k, _map(summands[0].cod << k, tape), summands)
-        self.tape, self.components = m.tape, m.components
-        return getattr(self, name)
+        self.tape = _precomposed(k, _map(summands[0].cod << k, tape),
+                                 summands).tape
+        return self.tape
 
     def _precompose(self, k, summands):
         """Deferred where building would only relabel self's tape, as
@@ -419,7 +397,7 @@ class ElemMap(CoordMap):
         h = summands[0]
         if not (keep(self, "foldfree", _fold_free, self) and all(
                 g.base == self.base and (g.dom, g.cod << k) == (h.dom, self.dom)
-                and "const" not in [c[0] for c in g.components]
+                and "const" not in [c[0] for c in g._heads()]
                 for g in summands)):
             return _precomposed(k, self, summands)
         m = ElemMap.__new__(ElemMap)
@@ -449,57 +427,64 @@ class ElemMap(CoordMap):
             return c[1]
         return -1 if c[0] == "const" and not c[1] else None
 
-    def _combine(self, dom, parts, build):
+    def _heads(self):       # a leaf component is its root instruction
+        code, roots = self.tape
+        return [code[r] for r in roots]
+
+    def _combine(self, dom, parts, op=None):
         b = _Builder()
-        blocks = [b.copy(m) if offset is None else
-                  [b.nodes[k] for k in b.rewrite(
-                      m.tape, [var(j + offset) for j in range(m.dom)])]
+        blocks = [b.copy(m) if offset is None else b.rewrite(
+                      m.tape, [var(j + offset) for j in range(m.dom)])
                   for m, offset in parts]
-        return b.map(dom, build(blocks))
+        return b.map(dom, [b.apply(op, *ks) for ks in zip(*blocks)] if op
+                     else [k for block in blocks for k in block])
 
     def then(self, other):
         """other's components with x_j replaced by self's component j.
 
         other's tape is rewritten with each var instruction read as self's
-        component: as it stands when self only routes variables (see
-        `CoordMap._routes`), else as the handle of a copy of self's tape.
-        After a routing, a rewrite that kept every instruction's tag folded
-        and merged nothing, so nothing in it is dead."""
+        component: as its root instruction when self only routes variables
+        (see `CoordMap._routes`), else as its index in a copy of self's
+        tape.  After a routing, a rewrite that kept every instruction's tag
+        folded and merged nothing, so nothing in it is dead."""
         self._require_composable(other)
         b = _Builder()
         routes = self._routes() is not None
-        reps = self.components if routes else b.copy(self)
-        tape = b.code, b.rewrite(other.tape, reps), b.nodes
+        reps = self._heads() if routes else b.copy(self)
+        roots = b.rewrite(other.tape, reps)
         if routes and [i[0] for i in b.code] == [i[0] for i in other.tape[0]]:
-            return _map(self.dom, tape)
-        return _map(self.dom, _pruned(*tape))
+            return _map(self.dom, (b.code, roots))
+        return b.map(self.dom, roots)
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction),
-        in one forward-mode run.  Each value is its tree and its partials
-        {j: d tree / d x_j}, one per variable it reads; an instruction
-        applies its `_PAIRS` rule once per partial either operand carries,
-        reading `zero` where the other has none.  Each component is then
-        the sum of partial_j * x_(d+j) in ascending j."""
+        in one forward-mode run.  Each value is an index and its partials
+        {j: index of d value / d x_j}, one per variable it reads; an
+        instruction's value is `apply` of its tag, and its `_PARTIALS` rule
+        runs once per partial either operand carries, reading `zero` where
+        the other has none.  Each component is then the sum of
+        partial_j * x_(d+j) in ascending j."""
         d, b = self.dom, _Builder()
-        zero, one = b.intern(const(0)), b.intern(const(1))
+        zero, one = b.insert(const(0)), b.insert(const(1))
 
-        def forward(f, *args):      # values, and pow's integer exponent
-            def pair(j):
-                return f(*[(a[0], a[1].get(j, zero)) if type(a) is tuple
-                           else a for a in args])
-            js = set().union(*(a[1] for a in args if type(a) is tuple))
-            return (b.intern(pair(None)[0]),      # j None: the tree alone
-                    {j: b.intern(pair(j)[1]) for j in js})
+        def forward(tag, p, q=None):    # q: an operand, or pow's exponent
+            dual = type(q) is tuple
+            y, dys = (q[0], q[1]) if dual else (q, {})
+            v, rule = b.apply(tag, p[0], y), _PARTIALS[tag]
+            return v, {j: rule(b, v, p[0], p[1].get(j, zero), y,
+                               dys.get(j, zero))
+                       for j in set().union(p[1], dys)}
 
-        rules = {tag: functools.partial(forward, f)
-                 for tag, f in _PAIRS.items()}
         comps = []
-        for _, partials in _run(self.tape, rules, lambda ins: (
-                b.intern(ins), {ins[1]: one} if ins[0] == "var" else {})):
+        for _, partials in _run(
+                self.tape, {tag: functools.partial(forward, tag)
+                            for tag in _PARTIALS},
+                lambda ins: (b.insert(ins),
+                             {ins[1]: one} if ins[0] == "var" else {})):
             total = zero
             for j in sorted(partials):
-                total = b.intern(add(total, mul(partials[j], var(d + j))))
+                total = b.apply("add", total, b.apply(
+                    "mul", partials[j], b.insert(var(d + j))))
             comps.append(total)
         return b.map(2 * d, comps)
 

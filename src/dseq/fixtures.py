@@ -96,15 +96,16 @@ def random_tower(rng, dom, cod, order, max_degree=2):
 
 
 def random_elem_map(rng, dom, cod):
-    """Shallow smooth trees: rational combinations of coordinates and
-    sin/cos/exp applied to single coordinates; constants on no coordinates."""
+    """Shallow smooth trees: rational combinations of coordinates, their
+    cubes and sin/cos/exp applied to single coordinates; constants on no
+    coordinates."""
     comps = []
     for _ in range(cod):
         node = et.const(random_fraction(rng))
         for _ in range(rng.randint(1, 2) if dom else 0):
             j = rng.randrange(dom)
             leaf = rng.choice((et.var(j), et.sin(et.var(j)), et.cos(et.var(j)),
-                               et.exp(et.var(j))))
+                               et.exp(et.var(j)), et.pow_(et.var(j), 3)))
             node = et.add(node, et.mul(et.const(random_fraction(rng, True)), leaf))
         comps.append(node)
     return et.ElemMap(dom, cod, comps)

@@ -19,7 +19,8 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
   - k, an int: its k-fold doubling (`pfunctor_apply`);
   - "routes": the variable or zero each component is, or None if some
     component is neither (`CoordMap._routes`, read by both bases' `then`);
-  - "routing": a polynomial routing's `_routing` shape (`PolyMap.then`);
+  - "routing": a polynomial routing's `_routing` shape, None where two
+    variables route to one (`PolyMap.then`);
   - "rows": an elementary map's float rows over its domain's sample cloud
     (`ElemMap._rows`, read by `equal_witness`);
   - "foldfree": whether rewriting an elementary map's tape on its own
@@ -31,7 +32,9 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
     is a precomposition; two are DS.2's right side, whose summands are not
     kept, since only the sum is compared.  On a fold-free elementary map
     the value may be deferred (`ElemMap._precompose`): sampled without a
-    tape, it builds one when its tape or components are first read.
+    tape, it builds one when its tape is first read, and its trees, as
+    any elementary map built by an operation does, when its components
+    are first read.
 - on a tower (`PreDSeq`): "tangent", its tangent tower (`PreDSeq.tangent`),
   so every `compose` with one left tower reads one chain T f, T^2 f, ...
   The table is not a dataclass field: equality, hashing, printing and JSON
@@ -54,7 +57,6 @@ Four caches live as long as the process:
 import math
 import operator
 from functools import lru_cache, reduce
-from itertools import chain
 
 from .errors import DimensionMismatch, EngineError, TagMismatch
 
@@ -117,7 +119,7 @@ def keep(owner, key, build, *args):
 
 
 def _read_routes(m):
-    routes = tuple(map(m._route, m.components))
+    routes = tuple(map(m._route, m._heads()))
     return None if None in routes else routes
 
 
@@ -131,12 +133,16 @@ class CoordMap:
     `_route`, `then`, `differential`, `eval` and `equal_witness`.
     Composition is written diagrammatically: f.then(g) runs f first.
 
-    `_combine(dom, parts, build)` makes a map on `dom` variables from the
-    components `build(blocks)` yields, one block per (map, offset) part:
-    its components, moved up by `offset` variables unless that is None.
+    `_combine(dom, parts, op=None)` makes a map on `dom` variables from
+    one block per (map, offset) part: its components, moved up by
+    `offset` variables unless that is None.  The map's components are the
+    blocks one after another, or with `op` ("add") the blocks' components
+    combined by position.
 
-    `_route(c)` is the index of the variable the component c is, -1 if c
-    is zero, and None otherwise; `_routes` reads it off every component.
+    `_route(c)` is the index of the variable c is, -1 if c is zero, and
+    None otherwise; `_routes` reads it off each of `_heads()`, which are
+    the components, or on the elementary base their root instructions: a
+    variable or zero component is its own root instruction.
     `_kept` is the map's table of kept state (see the module docstring).
     """
 
@@ -185,6 +191,9 @@ class CoordMap:
         doublings) only moves and drops the other map's variables."""
         return keep(self, "routes", _read_routes, self)
 
+    def _heads(self):       # what `_route` reads, one per component
+        return self.components
+
     def _precompose(self, k, summands):     # what `precompose` keeps
         return _precomposed(k, self, summands)
 
@@ -193,8 +202,7 @@ class CoordMap:
         self._require_same_kind(other)
         if self.dom != other.dom:
             raise DimensionMismatch("pairing needs equal domains")
-        return self._combine(self.dom, [(self, None), (other, None)],
-                             chain.from_iterable)
+        return self._combine(self.dom, [(self, None), (other, None)])
 
     def tangent(self):
         """Pair of (self at the base point, derivative in the direction)."""
@@ -204,8 +212,7 @@ class CoordMap:
     def __add__(self, other):
         self._require_same_signature(
             other, "sum needs equal domains and codomains")
-        return self._combine(self.dom, [(self, None), (other, None)],
-                             lambda ab: map(self._ops["add"], *ab))
+        return self._combine(self.dom, [(self, None), (other, None)], "add")
 
     def equal(self, other, tol=None):
         return self.equal_witness(other, tol)[0]
@@ -260,8 +267,7 @@ def pfunctor_apply(h, k):
     """k-fold doubling: 2^k block-diagonal copies of h, kept on h."""
     assert k >= 0
     return keep(h, k, lambda: h._combine(
-        h.dom << k, [(h, c * h.dom) for c in range(1 << k)],
-        chain.from_iterable))
+        h.dom << k, [(h, c * h.dom) for c in range(1 << k)]))
 
 
 def precompose(h, k, m, *more):

@@ -536,9 +536,9 @@ class Poly:
         """Substitution where variable j becomes variable routes[j], or
         zero where routes[j] < 0, given the routing's `_routing` shape:
         each monomial's nonzero fields move, and a monomial with a zeroed
-        field is dropped.  The relabeled monomials are written straight
-        into a list: they merge in a dict only when two variables route to
-        one, and are sorted only when the live routes do not increase.
+        field is dropped.  No two variables route to one, so the relabeled
+        monomials are distinct: they are written straight into a list, and
+        sorted only when the live routes do not increase.
         When no monomial is dropped, the numerators and the denominator
         stand as they are."""
         dests, how = shape
@@ -556,10 +556,6 @@ class Poly:
             else:
                 mons.append(out)
                 nums.append(c)
-        if how == "merge":
-            acc = {}
-            add(acc, 1, zip(mons, nums))
-            return _normal(nvars_out, w, acc, self._den)
         if how == "sort":
             pairs = sorted(zip(mons, nums), reverse=True)
             mons, nums = [m for m, _ in pairs], [c for _, c in pairs]
@@ -571,14 +567,15 @@ class Poly:
 
 def _routing(routes, nvars_out):
     """The shape of a routing into nvars_out variables, for `_routed`:
-    (dests, how).  dests[i] is the field, counted from the least
-    significant, that field i moves to, -1 where its variable is zeroed.
-    how is "merge" when two variables route to one, "keep" when the live
-    routes increase, so relabeled monomials stay in descending order, and
-    "sort" otherwise."""
+    (dests, how), or None when two variables route to one, which
+    `PolyMap.then` substitutes instead.  dests[i] is the field, counted
+    from the least significant, that field i moves to, -1 where its
+    variable is zeroed.  how is "keep" when the live routes increase, so
+    relabeled monomials stay in descending order, and "sort" otherwise."""
     live = [r for r in routes if r >= 0]
-    how = ("merge" if len(set(live)) < len(live)
-           else "keep" if live == sorted(live) else "sort")
+    if len(set(live)) < len(live):
+        return None
+    how = "keep" if live == sorted(live) else "sort"
     return [nvars_out - 1 - r if r >= 0 else -1 for r in reversed(routes)], how
 
 
@@ -610,10 +607,12 @@ class PolyMap(CoordMap):
     _ops = {"add": operator.add, "mul": _parsed_mul, "pow": _parsed_pow,
             "sum": _sum}
 
-    def _combine(self, dom, parts, build):
-        comps = tuple(build([m.components if offset is None else
-                             [p.shift(offset, dom) for p in m.components]
-                             for m, offset in parts]))
+    def _combine(self, dom, parts, op=None):
+        blocks = [m.components if offset is None else
+                  [p.shift(offset, dom) for p in m.components]
+                  for m, offset in parts]
+        comps = (list(map(self._ops[op], *blocks)) if op
+                 else [p for block in blocks for p in block])
         return PolyMap(dom, len(comps), comps)
 
     def then(self, other):
@@ -621,8 +620,8 @@ class PolyMap(CoordMap):
         is substituted by `Poly.subst`, densely where `_Kron.rule` says."""
         self._require_composable(other)
         routes = self._routes()
-        if routes is not None:
-            shape = keep(self, "routing", _routing, routes, self.dom)
+        shape = routes and keep(self, "routing", _routing, routes, self.dom)
+        if shape:
             comps = [p._routed(shape, self.dom) for p in other.components]
         else:
             maps, comps = self.components, other.components

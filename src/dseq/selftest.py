@@ -7,9 +7,12 @@ stream, so reruns with the same seed and trial count reproduce the same
 fixtures and the same report, byte for byte.
 """
 
+import math
+
 from .axioms import DSeq, check_ds_primed, check_ds_unprimed
 from .comonad import check_cd_axioms, check_coalgebra, check_comonad_laws, omega
 from .errors import EngineError
+from .expr import ELEM_TOLERANCE, _run
 from .faa import chain_equivalence_check
 from .fixtures import (CORRUPT_BUILDERS, random_dense_map, random_dim,
                        random_elem_map, random_poly_map, random_tower,
@@ -88,9 +91,39 @@ def cd_suite(rng, trials, order, tol):
     return report
 
 
+# Forward mode on dual numbers (value, derivative) of floats: derivative
+# rules of their own, which share none with `ElemMap.differential`.
+_DUALS = {
+    "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "mul": lambda a, b: (a[0] * b[0], a[1] * b[0] + a[0] * b[1]),
+    "pow": lambda a, n: (a[0] ** n, n * a[0] ** (n - 1) * a[1] if n else 0.0),
+    "sin": lambda a: (math.sin(a[0]), math.cos(a[0]) * a[1]),
+    "cos": lambda a: (math.cos(a[0]), -math.sin(a[0]) * a[1]),
+    "exp": lambda a: (math.exp(a[0]), math.exp(a[0]) * a[1]),
+}
+
+
+def _dual_agrees(f, tol):
+    """Whether term 1 of f's tower is, at each of its sample points
+    (x, v), the derivative of f at x along v that a dual-number run of
+    f's tape gives."""
+    df = omega(f, 1).terms[1]
+    tol = ELEM_TOLERANCE if tol is None else tol
+    for point in df.sample_points():
+        x, v = point[:f.dom], point[f.dom:]
+        want = [dv for _, dv in _run(f.tape, _DUALS, lambda ins: (
+            (x[ins[1]], v[ins[1]]) if ins[0] == "var"
+            else (float(ins[1]), 0.0)))]
+        if any(abs(a - b) > tol * max(1.0, abs(a))
+               for a, b in zip(want, df.eval(point))):
+            return False
+    return True
+
+
 def chain_suite(rng, trials, order, tol):
     """Three-route chain rule on 1->1 pairs; then, drawn after them, dense
-    cubic 2->2 pairs, whose towers compose on `poly._Kron`."""
+    cubic 2->2 pairs, whose towers compose on `poly._Kron`; then random
+    elementary maps, whose first differential must match a dual-number run."""
     report = LawReport("chain")
     for t in range(trials):
         inner = random_poly_map(rng, 1, 1)
@@ -102,6 +135,9 @@ def chain_suite(rng, trials, order, tol):
         f, g = random_dense_map(rng, 2, 2), random_dense_map(rng, 2, 2)
         report.add(bool_entry("chain.dense", t, 0, omega(f, 2).compose(
             omega(g, 2)) == omega(f.then(g), 2), 2))
+    for t in range(trials):
+        f = random_elem_map(rng, random_dim(rng), random_dim(rng))
+        report.add(bool_entry("chain.dual", t, 0, _dual_agrees(f, tol), 1))
     return report
 
 

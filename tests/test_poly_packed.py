@@ -341,18 +341,36 @@ def substitutions(draw, general):
 @example((2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3),
                  (1, 1): Fraction(1, 6)},
           [{(1, 0): Fraction(1)}, {}]))
-# x0 and x1 both become x0: monomials merge, and x0 - x0 cancels
+# x0 and x1 both become x0: a diagonal, which `subst` takes; x0 - x0 cancels
 @example((2, 1, {(1, 0): Fraction(1), (0, 1): Fraction(-1),
                  (2, 0): Fraction(1, 2), (1, 1): Fraction(1, 3)},
           [{(1,): Fraction(1)}, {(1,): Fraction(1)}]))
 def test_subst_routing(case):
     """A `then` whose first map's components are variables and zeros moves
-    the exponent fields of the second map's monomials."""
+    the exponent fields of the second map's monomials, or substitutes them
+    where two variables route to one."""
     nvars, nvars_out, p, maps = case
     routing = PolyMap(nvars_out, nvars, [packed(nvars_out, q) for q in maps])
     assert routing._routes() is not None
     (got,) = routing.then(PolyMap(nvars, 1, [packed(nvars, p)])).components
     same(got, nvars_out, ref_subst(p, maps, nvars_out))
+
+
+def test_a_diagonal_routing_substitutes(monkeypatch):
+    """Routes that repeat a variable have no `_routed` shape: `then` takes
+    them through `subst`, and moves the fields of an injective routing."""
+    calls = []
+    real = Poly.subst
+    monkeypatch.setattr(Poly, "subst", lambda q, *a: calls.append(q) or real(
+        q, *a))
+    p = parse_map(["x0^2*x1 - x1"], 2, 1)
+    assert parse_map(["x0", "x0"], 1, 2).then(p) == parse_map(
+        ["x0^3 - x0"], 1, 1)
+    assert len(calls) == 1
+    calls.clear()
+    assert parse_map(["x1", "x0"], 2, 2).then(p) == parse_map(
+        ["x1^2*x0 - x0"], 2, 1)
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)
