@@ -19,6 +19,26 @@ Axiom identifiers:
     DS.3': embedding (a,0,0,b) recovers the previous term   (lift)
     DS.4': swapping the two middle blocks fixes the term    (symmetry)
 with DS.1 .. DS.4 the tower-level counterparts.
+
+On polynomial terms DS.1' and DS.2' are read off the monomials, with no
+map built (`poly._settled`); these are the additivity and linearity axioms
+of Blute, Cockett and Seely's Cartesian differential categories.  At an
+instance (n, k) let Y be the variables of term m = f_(n+1) that zpair
+zeroes and sumv splits: the second block of each of the 2^k copies of the
+pushed map.
+- DS.1' holds iff every monomial of m reads some variable of Y.  Zeroing
+  Y keeps exactly the monomials that miss Y, relabeled one to one, so the
+  precomposition is zero iff there are none.
+- DS.2' holds iff every monomial has degree exactly 1 in Y.  Split m into
+  its Y-homogeneous parts m_d, of degree d in Y.  The law reads
+  m(a, b + c) = m(a, b) + m(a, c) as polynomials in the blocks a, b, c;
+  put c = b: sum_d 2^d m_d(a, b) = 2 sum_d m_d(a, b), so each m_d with
+  2^d != 2, that is d != 1, is zero.  Conversely a part linear in Y is
+  additive in it.
+So no polynomial term fails DS.1' alone: a monomial that misses Y has
+degree 0 in it.  Each test is one AND of a monomial with a field mask
+(`maps.direction_fields`); where it fails, the maps are built and
+compared as on every other law, and the witness is their difference.
 """
 
 from dataclasses import dataclass

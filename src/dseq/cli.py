@@ -92,9 +92,8 @@ def _trials(text):
 
 
 def _emit(payload, out):
-    text = to_canonical_json(payload)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(to_canonical_json(payload))
     else:
         write_json(out, payload)
 

@@ -134,10 +134,12 @@ class _Builder:
     """A tape under construction: `code`, whose instruction k reads the
     indices of earlier instructions, and `index`, from instruction to k.
     An index is the only handle an operation holds.  `insert` adds an
-    instruction as it stands; `apply` runs the smart constructors first."""
+    instruction as it stands; `apply` runs the smart constructors first,
+    and `folded` records whether one folded, the only way an instruction
+    of operands read whole can be left unread."""
 
     def __init__(self):
-        self.code, self.index = [], {}
+        self.code, self.index, self.folded = [], {}, False
 
     def insert(self, ins):
         """The index of the instruction ins, added if it is new."""
@@ -159,12 +161,15 @@ class _Builder:
             if x[0] == "const" or y[0] == "const":
                 t = ElemMap._ops[tag](x, y)
                 if t is x or t is y:
+                    self.folded = True
                     return i if t is x else j
                 if t[0] == "const":
+                    self.folded = True
                     return self.insert(t)
         elif tag != "pow":
             return self.insert((tag, i))
         elif j < 2 or x[0] == "const":
+            self.folded = True
             t = pow_(x, j)
             return i if t is x else self.insert(t)
         return self.insert((tag, i, j))
@@ -203,8 +208,11 @@ class _Builder:
                 push(apply(tag, new[ins[1]], *ins[2:]))
         return [new[r] for r in roots]
 
-    def map(self, dom, roots):
-        return _map(dom, _pruned(self.code, roots))
+    def map(self, dom, roots, prune=False):
+        """The map of these roots: pruned after a fold, or where the caller
+        says its instructions may go unread."""
+        return _map(dom, _pruned(self.code, roots) if prune or self.folded
+                    else (self.code, roots))
 
 
 def _map(dom, tape):
@@ -445,16 +453,13 @@ class ElemMap(CoordMap):
         other's tape is rewritten with each var instruction read as self's
         component: as its root instruction when self only routes variables
         (see `CoordMap._routes`), else as its index in a copy of self's
-        tape.  After a routing, a rewrite that kept every instruction's tag
-        folded and merged nothing, so nothing in it is dead."""
+        tape.  After a routing, each leaf is inserted when first read, so
+        only a fold leaves an instruction dead; a copy may go unread."""
         self._require_composable(other)
         b = _Builder()
         routes = self._routes() is not None
         reps = self._heads() if routes else b.copy(self)
-        roots = b.rewrite(other.tape, reps)
-        if routes and [i[0] for i in b.code] == [i[0] for i in other.tape[0]]:
-            return _map(self.dom, (b.code, roots))
-        return b.map(self.dom, roots)
+        return b.map(self.dom, b.rewrite(other.tape, reps), prune=not routes)
 
     def differential(self):
         """Directional derivative on the doubled domain (point, direction),
@@ -486,7 +491,7 @@ class ElemMap(CoordMap):
                 total = b.apply("add", total, b.apply(
                     "mul", partials[j], b.insert(var(d + j))))
             comps.append(total)
-        return b.map(2 * d, comps)
+        return b.map(2 * d, comps, prune=True)
 
     def eval(self, point):
         self._require_point(point)

@@ -119,7 +119,18 @@ def random_map(rng, dom, cod, base):
 
 # Hand-broken towers.  Each surgical fixture violates exactly one axiom
 # family; the joint fixture breaks the lift law (and necessarily, since its
-# top term is not multilinear, the additivity law too).
+# top term is not multilinear, the additivity law too), and `corrupt_ds1`
+# vanishing and additivity both: no polynomial term fails vanishing alone,
+# since a monomial that reads no direction has degree 0, not 1, in them.
+
+def corrupt_ds1():
+    """Order-1 tower failing DS.1' and DS.2' only: term 1 has the
+    direction-free monomial x0."""
+    return PreDSeq(1, 1, (
+        parse_map(["x0^2"], 1, 1),
+        parse_map(["2*x0*x1 + x0"], 2, 1),
+    ))
+
 
 def corrupt_ds2():
     """Order-2 tower failing only DS.2': top term has a quadratic direction."""

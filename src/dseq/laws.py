@@ -10,8 +10,8 @@ with the draw.
 
 from .axioms import check_ds_primed, check_ds_unprimed, is_linear, t2
 from .comonad import _cd_laws, comult, omega
-from .fixtures import (corrupt_ds2, corrupt_ds3, corrupt_ds3_joint, corrupt_ds4,
-                       random_dim, random_linear_map, random_map,
+from .fixtures import (corrupt_ds1, corrupt_ds2, corrupt_ds3, corrupt_ds3_joint,
+                       corrupt_ds4, random_dim, random_linear_map, random_map,
                        random_nonlinear_map, random_poly_map, random_tower)
 from .maps import canonical_map, identity, pfunctor_apply, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
@@ -234,7 +234,7 @@ def tower_axiom_closure_laws(rng, trials, order=3, tol=None):
         agree_on = [F, F + W, F.compose(G)]
         if t == 0:
             agree_on += [corrupt_ds2(), corrupt_ds3(), corrupt_ds4(),
-                         corrupt_ds3_joint()]
+                         corrupt_ds3_joint(), corrupt_ds1()]
         for k_, tower in enumerate(agree_on):
             primed = check_ds_primed(tower, tol)
             unprimed = check_ds_unprimed(tower, tol)

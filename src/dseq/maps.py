@@ -34,7 +34,11 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
     the value may be deferred (`ElemMap._precompose`): sampled without a
     tape, it builds one when its tape is first read, and its trees, as
     any elementary map built by an operation does, when its components
-    are first read.
+    are first read.  On a polynomial map the zpair, sumv and sumproj0 +
+    sumproj1 values are deferred (`PolyMap._precompose`): `equal_witness`
+    settles DS.1' and DS.2' on them from the term's monomials and the
+    `direction_fields` masks, and one is built when its components are
+    first read, as it is when the law fails.
 - on a tower (`PreDSeq`): "tangent", its tangent tower (`PreDSeq.tangent`),
   so every `compose` with one left tower reads one chain T f, T^2 f, ...
   The table is not a dataclass field: equality, hashing, printing and JSON
@@ -44,9 +48,11 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
 base) that `canonical_map` writes on what it built and `precompose` reads
 to decide whether to keep.
 
-Four caches live as long as the process:
+Five caches live as long as the process:
 - `canonical_map`: one object per structural map, so that each doubling
   of it is built once and its stamp names it;
+- `direction_fields`: the field masks of a pushed structural map's zeroed
+  and summed variables, one per (kind, block size, k, field width);
 - `zero_map`: one per signature and base, so DS.1's zero map is sampled once;
 - `expr._cloud`: a domain's seeded sample points and their columns, for
   the last 64 domains, shared by every map on that domain;
@@ -151,7 +157,8 @@ class CoordMap:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        _BASES[cls.base] = cls
+        if "base" in vars(cls):     # a base's own class, not a subclass
+            _BASES[cls.base] = cls
 
     def __init__(self, dom, cod, components):
         components = tuple(components)
@@ -165,7 +172,7 @@ class CoordMap:
         self._check_components()
 
     def _require_same_kind(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, _BASES[self.base]):
             raise TagMismatch("cannot mix polynomial and elementary maps")
 
     def _require_composable(self, other):
@@ -218,7 +225,7 @@ class CoordMap:
         return self.equal_witness(other, tol)[0]
 
     def __eq__(self, other):
-        return (isinstance(other, type(self)) and self.dom == other.dom
+        return (isinstance(other, _BASES[self.base]) and self.dom == other.dom
                 and self.cod == other.cod and self.components == other.components)
 
     def __hash__(self):
@@ -320,6 +327,24 @@ def canonical_map(kind, dim, base="poly"):
     h = reduce(lambda out, b: out.pair(b), map(block, sources))
     h._kept["structural"] = (kind, dim, base)
     return h
+
+
+@lru_cache(maxsize=None)
+def direction_fields(kind, dim, k, w):
+    """(mask, units) over the w-bit exponent fields of a packed monomial of
+    a map that `canonical_map(kind, dim)` pushed through k doublings
+    precomposes: the fields of the variables it does not take from one
+    input block, those it zeroes or sums (for zpair and sumv, the second
+    block of each of the 2^k copies).  units has the lowest bit of each
+    such field, mask all its bits; the field of variable 0 is the most
+    significant, as in `poly`."""
+    sources = _STRUCTURAL[kind][1]
+    run = ((1 << dim * w) - 1) // ((1 << w) - 1)    # units of dim fields
+    copy = sum(run << (len(sources) - 1 - b) * dim * w
+               for b, source in enumerate(sources) if type(source) is not int)
+    size = len(sources) * dim * w
+    units = copy * (((1 << (size << k)) - 1) // ((1 << size) - 1))
+    return units * ((1 << w) - 1), units
 
 
 def compare_maps(f, g, tol=None):

@@ -39,7 +39,8 @@ from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch
-from .maps import CoordMap, _check_constant_power, keep
+from .maps import (CoordMap, _check_constant_power, _precomposed,
+                   direction_fields, keep)
 
 # Term products one parsed product or power may cost before it is refused,
 # as an OverflowError that the parser reports as a ParseError.  (x0+1)^499
@@ -535,27 +536,31 @@ class Poly:
     def _routed(self, shape, nvars_out):
         """Substitution where variable j becomes variable routes[j], or
         zero where routes[j] < 0, given the routing's `_routing` shape:
-        each monomial's nonzero fields move, and a monomial with a zeroed
-        field is dropped.  No two variables route to one, so the relabeled
-        monomials are distinct: they are written straight into a list, and
-        sorted only when the live routes do not increase.
+        a monomial that reads a zeroed variable is dropped by one AND with
+        the shape's mask of zeroed fields at this width, and each other
+        monomial's nonzero fields move.  No two variables route to one, so
+        the relabeled monomials are distinct: they are written straight
+        into a list, and sorted only when the live routes do not increase.
         When no monomial is dropped, the numerators and the denominator
         stand as they are."""
-        dests, how = shape
+        dests, how, dead = shape
         n, w = self.nvars, self._w
         top, new_top = n * w, nvars_out * w
         low = (1 << top) - 1
+        pairs = zip(self._mons, self._nums)
+        if dead is not None:
+            mask = dead.get(w)
+            if mask is None:
+                mask = dead[w] = sum(((1 << w) - 1) << i * w
+                                     for i, dst in enumerate(dests) if dst < 0)
+            pairs = [(m, c) for m, c in pairs if not m & mask]
         mons, nums = [], []
-        for m, c in zip(self._mons, self._nums):
+        for m, c in pairs:
             out = (m >> top) << new_top
             for shift, e in _factors(m & low, w):
-                dst = dests[shift // w]
-                if dst < 0:
-                    break
-                out += e << dst * w
-            else:
-                mons.append(out)
-                nums.append(c)
+                out += e << dests[shift // w] * w
+            mons.append(out)
+            nums.append(c)
         if how == "sort":
             pairs = sorted(zip(mons, nums), reverse=True)
             mons, nums = [m for m, _ in pairs], [c for _, c in pairs]
@@ -567,23 +572,94 @@ class Poly:
 
 def _routing(routes, nvars_out):
     """The shape of a routing into nvars_out variables, for `_routed`:
-    (dests, how), or None when two variables route to one, which
+    (dests, how, dead), or None when two variables route to one, which
     `PolyMap.then` substitutes instead.  dests[i] is the field, counted
     from the least significant, that field i moves to, -1 where its
     variable is zeroed.  how is "keep" when the live routes increase, so
-    relabeled monomials stay in descending order, and "sort" otherwise."""
+    relabeled monomials stay in descending order, and "sort" otherwise.
+    dead is None when no variable is zeroed, else a table from a field
+    width to the mask of the zeroed fields, filled as widths are met."""
     live = [r for r in routes if r >= 0]
     if len(set(live)) < len(live):
         return None
     how = "keep" if live == sorted(live) else "sort"
-    return [nvars_out - 1 - r if r >= 0 else -1 for r in reversed(routes)], how
+    dests = [nvars_out - 1 - r if r >= 0 else -1 for r in reversed(routes)]
+    return dests, how, {} if len(live) < len(routes) else None
+
+
+def _vanishes(mons, mask, units):
+    """DS.1': every monomial reads a direction."""
+    return all(m & mask for m in mons)
+
+
+def _additive(mons, mask, units):
+    """DS.2': every monomial has degree exactly 1 in the directions, its
+    direction fields y = m & mask one unit: a power of two that is the
+    lowest bit of a field."""
+    for m in mons:
+        y = m & mask
+        if y & (y - 1) or not y & units:
+            return False
+    return True
+
+
+# The precompositions `PolyMap._precompose` defers, by the kinds of their
+# summands, with the law that settles one and the kinds of the deferred
+# map it is compared with (None: a zero map).
+_SETTLED_BY = {("zpair",): (_vanishes, None),
+               ("sumv",): (_additive, ("sumproj0", "sumproj1"))}
+_DEFERRED = {*_SETTLED_BY, ("sumproj0", "sumproj1")}
+
+
+def _kinds(summands):
+    return tuple(g._kept["structural"][0] for g in summands)
+
+
+def _settled(m, other):
+    """Whether DS.1' or DS.2' shows m equal to other from the monomials of
+    the term m precomposes, with no map built: m a deferred zpair
+    precomposition and other a zero map, or m a deferred sumv one and
+    other the sumproj0 + sumproj1 one of the same term at the same k (see
+    `axioms` for both laws and their proofs)."""
+    if type(m) is not _Deferred:
+        return False
+    k, comps, summands = m._parts
+    law, partner = _SETTLED_BY.get(_kinds(summands), (None, None))
+    if law is None:
+        return False
+    if type(other) is _Deferred:
+        if (other._parts[:2] != (k, comps)
+                or _kinds(other._parts[2]) != partner):
+            return False
+    elif partner or any(p._mons for p in other.components):
+        return False
+    kind, dim, _ = summands[0]._kept["structural"]
+    return all(law(p._mons, *direction_fields(kind, dim, k, p._w))
+               for p in comps)
 
 
 class PolyMap(CoordMap):
     """Map between coordinate spaces with one polynomial per output coordinate."""
 
     base = "poly"
-    __slots__ = ()
+    __slots__ = ("_parts",)     # `_Deferred`'s, here so that it can become a
+                                # PolyMap once built
+
+    def _precompose(self, k, summands):
+        """Deferred for zpair, sumv and sumproj0 + sumproj1, which
+        `equal_witness` may settle unbuilt (`_settled`), as (k,
+        components, summands): self's parts, not self, so that the kept
+        value makes no reference cycle.  What `then` or `+` would refuse
+        is built."""
+        h = summands[0]
+        if not (_kinds(summands) in _DEFERRED and h.cod << k == self.dom
+                and all(g.base == self.base and (g.dom, g.cod) == (h.dom, h.cod)
+                        for g in summands)):
+            return _precomposed(k, self, summands)
+        m = _Deferred.__new__(_Deferred)
+        m.dom, m.cod, m._kept = h.dom << k, self.cod, {}
+        m._parts = k, self.components, summands
+        return m
 
     def _check_components(self):
         for p in self.components:
@@ -666,9 +742,27 @@ class PolyMap(CoordMap):
         return tuple(p.eval(point) for p in self.components)
 
     def equal_witness(self, other, tol=None):
-        """(equal?, difference map or None): exact equality of canonical
-        forms."""
+        """(equal?, difference map or None): DS.1' or DS.2' read off a
+        deferred precomposition's term (`_settled`), else exact equality
+        of canonical forms."""
         self._require_same_signature(other, "comparison needs equal signatures")
-        if self.components == other.components:
+        if _settled(self, other) or self.components == other.components:
             return True, None
         return False, self - other
+
+
+class _Deferred(PolyMap):
+    """A precomposition not built yet (`PolyMap._precompose`).  Reading its
+    components builds them and makes it a plain `PolyMap`: only a deferred
+    map pays for `__getattr__` on every attribute it reads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "components":
+            raise AttributeError(name)
+        k, comps, summands = self._parts
+        term = PolyMap(summands[0].cod << k, len(comps), comps)
+        self.components = _precomposed(k, term, summands).components
+        self.__class__ = PolyMap
+        return self.components

@@ -62,6 +62,30 @@ def test_derive_to_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["order"] == 3
 
 
+def test_a_written_tower_is_serialized_once(tmp_path, capsys, monkeypatch):
+    """`--out` writes the bytes stdout would show, serialized once."""
+    from dseq import cli, jsonio
+    calls = []
+    real = jsonio.to_canonical_json
+
+    def counted(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "to_canonical_json", counted)
+    monkeypatch.setattr(jsonio, "to_canonical_json", counted)
+    out_path = tmp_path / "tower.json"
+    for argv in (["derive", "--map", fx("map_square.json")],
+                 ["compose", "--first", fx("map_square.json"), "--second",
+                  fx("map_cube.json"), "--term", "2"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1
+        calls.clear()
+        assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+        assert len(calls) == 1 and out_path.read_text() == out
+        calls.clear()
+
+
 def test_order_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "derive", "--map", fx("map_square.json"),
                        "--order", "5")

@@ -44,6 +44,14 @@ CASES = {
     "check_sin_ds_order4_json": (0, ["check", "--input", fx("map_sin.json"),
                                      "--suite", "ds", "--order", "4",
                                      "--format", "json"]),
+    # A direction-free monomial in term 1: DS.1 and DS.2 fail, each with
+    # its built difference map as the witness.
+    "check_corrupt_ds1_ds_json": (1, ["check", "--input",
+                                      fx("corrupt_ds1.json"), "--suite", "ds",
+                                      "--format", "json"]),
+    "check_corrupt_ds1_ds_text": (1, ["check", "--input",
+                                      fx("corrupt_ds1.json"), "--suite", "ds",
+                                      "--format", "text"]),
     "check_corrupt_ds2_json": (1, ["check", "--input", fx("corrupt_ds2.json"),
                                    "--format", "json"]),
     "check_corrupt_ds2_text": (1, ["check", "--input", fx("corrupt_ds2.json"),

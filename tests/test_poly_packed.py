@@ -356,6 +356,27 @@ def test_subst_routing(case):
     same(got, nvars_out, ref_subst(p, maps, nvars_out))
 
 
+def test_a_routing_drops_what_reads_a_zeroed_field_unwalked(monkeypatch):
+    """`lift` pushed through a doubling zeroes x1, x2, x5 and x6: its
+    routing keeps one mask of those fields per field width met, and drops
+    a monomial that reads one before walking its fields.  `flip` zeroes
+    nothing and has no mask."""
+    from dseq.maps import canonical_map, pfunctor_apply
+    lift, flip = (pfunctor_apply(canonical_map(kind, 1), 1)
+                  for kind in ("lift", "flip"))
+    f = parse_map(["x0*x3 + x1 + x2^2*x5 + x4*x7", "x0^17 + x6"], 8, 2)
+    walked = []
+    real = poly._factors
+    monkeypatch.setattr(poly, "_factors", lambda m, w: walked.append(m)
+                        or real(m, w))
+    got = lift.then(f)
+    assert len(walked) == 3
+    assert got == parse_map(["x0*x1 + x2*x3", "x0^17"], 4, 2)
+    assert sorted(lift._kept["routing"][2]) == [4, 5]
+    flip.then(f)
+    assert flip._kept["routing"][2] is None
+
+
 def test_a_diagonal_routing_substitutes(monkeypatch):
     """Routes that repeat a variable have no `_routed` shape: `then` takes
     them through `subst`, and moves the fields of an injective routing."""

@@ -533,6 +533,39 @@ def test_then_prunes_after_a_routing_only_what_folded(monkeypatch):
         assert_lean_tape(got)
 
 
+def test_combine_prunes_only_after_a_fold(monkeypatch):
+    """`pair` and `+` copy fold-free operands as they stand, so nothing in
+    the result is dead and nothing is pruned.  A zero summand, a hand-built
+    pow by 0 and a product with 0 fold, leaving an operand unread: those
+    results are pruned, and their rows are those of their own trees taped
+    afresh, even where the unread operand is a constant beyond float range,
+    whose column would mark every sample point."""
+    t = sin(mul(var(0), add(var(1), const(2))))
+    free = ElemMap(2, 2, [t, exp(mul(t, var(1)))])
+    other = ElemMap(2, 2, [cos(var(0)), mul(var(0), var(1))])
+    calls, real = [], expr._pruned
+    monkeypatch.setattr(expr, "_pruned", lambda *a: calls.append(a) or real(
+        *a))
+
+    def built(m, prunes):
+        assert len(calls) == prunes
+        calls.clear()
+        assert_lean_tape(m)
+        assert m._rows() == expr._float_rows(_tape(list(m.components)),
+                                             expr._cloud(m.dom)[1])
+        return m
+
+    built(free.pair(other), 0)
+    built(free + other, 0)
+    assert built(free + zero_map(2, 2, "elementary"), 1) == free
+    huge = ("mul", const(0), const(10 ** 400))
+    for hand in (("pow", t, 0), add(var(1), huge)):
+        m = ElemMap(2, 1, [hand])
+        assert built(pfunctor_apply(m, 1), 1).components == (
+            ref_subst(hand, [var(0), var(1)]),
+            ref_subst(hand, [var(2), var(3)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_then_after_a_pushed_structural_map_matches_reference(data):
