@@ -14,7 +14,7 @@ from functools import reduce
 
 from .axioms import DSeq, _ds_laws
 from .errors import AxiomViolation, InsufficientOrder
-from .maps import canonical_map, identity, proj, zero_map
+from .maps import canonical_map, identity, keep, proj, zero_map
 from .reports import LawReport, bool_entry, map_entry, seq_entry
 from .sequences import PreDSeq, seq_identity
 
@@ -154,8 +154,9 @@ def check_cd_axioms(fixtures, tol=None):
         f, g = group * 2 if len(group) == 1 else group
         chain = len(group) == 2 and f.cod == g.dom
 
-        def lift(k, order=f.order, base=f.base):
-            return seq_identity(k.dom, order, base).rmul(k)
+        def lift(k, order=f.order):
+            return keep(k, ("rmul", order),
+                        seq_identity(k.dom, order, k.base).rmul, k)
 
         laws = _cd_laws(
             lift, PreDSeq.compose, single=f if len(group) == 1 else None,

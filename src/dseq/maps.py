@@ -25,6 +25,13 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
     (`ElemMap._rows`, read by `equal_witness`);
   - "foldfree": whether rewriting an elementary map's tape on its own
     variables would fold nothing (`expr._fold_free`);
+  - "settled": on a deferred polynomial zpair or sumv precomposition,
+    whether its term's monomials pass DS.1' or DS.2' (`poly._settled`),
+    so that the second DS checker reads the verdict of the first;
+  - ("rmul", order): on a map the CD battery lifts, all of which it
+    builds from structural maps, the morphism `seq_identity(dom,
+    order).rmul(map)` (`comonad.check_cd_axioms`), so that a structural
+    map's lifted tower and its tangents are built once per map and order;
   - ((kind, dim, base, k), ...): the sum of the map precomposed with each
     summand `canonical_map(kind, dim, base)` pushed through k doublings
     (`precompose`, which the termwise DS checker and `PreDSeq.lmul` call,
@@ -48,21 +55,34 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
 base) that `canonical_map` writes on what it built and `precompose` reads
 to decide whether to keep.
 
-Five caches live as long as the process:
+These caches live as long as the process.  Each holds constants of a
+signature, never a value derived from a caller's map or tower, so each is
+bounded by the signatures seen:
 - `canonical_map`: one object per structural map, so that each doubling
   of it is built once and its stamp names it;
+- `coord_slice`, and so `identity` and `proj`: one per signature and base,
+  so that a slice's doublings and routing are worked out once.
+  `canonical_map` builds its blocks afresh, since its stamp must land on
+  no shared slice: a caller's map precomposed with `proj` is not kept;
+- `zero_map`: one per signature and base, so DS.1's zero map is sampled once;
+- `sequences.seq_identity`, `seq_zero` and `seq_proj`: one tower per
+  signature, order and base, so that its tangents and what its terms keep
+  are worked out once;
 - `direction_fields`: the field masks of a pushed structural map's zeroed
   and summed variables, one per (kind, block size, k, field width);
-- `zero_map`: one per signature and base, so DS.1's zero map is sampled once;
 - `expr._cloud`: a domain's seeded sample points and their columns, for
   the last 64 domains, shared by every map on that domain;
 - `cli.build_parser`: the argument parser, which parsing reads and does
   not change, built once for every in-process `main`.
+The builders of structural maps and towers are memoized by
+`per_signature`, so a call that leaves the base to its default gets the
+object of one that names it.
 """
 
+import inspect
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 
 from .errors import DimensionMismatch, EngineError, TagMismatch
 
@@ -244,14 +264,39 @@ def map_class(base):
         raise TagMismatch(f"unknown base tag {base!r}") from None
 
 
+def per_signature(build):
+    """build, whose last parameter is the base and the only one with a
+    default, memoized by `lru_cache` on its arguments with the base
+    written out: one object per signature and base however a call spells
+    them.  For the builders of structural maps and towers (see the list
+    of caches above); the memo's `cache_info` and `cache_clear` are
+    exposed."""
+    memo = lru_cache(maxsize=None)(build)
+    signature = inspect.signature(build)
+    arity = len(signature.parameters)
+
+    @wraps(build)
+    def once(*args, **kwargs):
+        if kwargs or len(args) < arity - 1:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        elif len(args) < arity:
+            args += build.__defaults__
+        return memo(*args)
+
+    once.cache_info, once.cache_clear = memo.cache_info, memo.cache_clear
+    return once
+
+
 def identity(dim, base="poly"):
     return coord_slice(dim, 0, dim, base)
 
 
-@lru_cache(maxsize=None)
+@per_signature
 def zero_map(dom, cod, base="poly"):
-    """The zero map, one object per signature and base, so that what it
-    keeps (its sampled rows) is worked out once."""
+    """The zero map, so that what it keeps (its sampled rows) is worked
+    out once."""
     cls = map_class(base)
     return cls(dom, cod, [cls._constant(dom, 0)] * cod)
 
@@ -262,6 +307,7 @@ def proj(a, b, j, base="poly"):
     return coord_slice(a + b, 0 if j == 0 else a, a if j == 0 else b, base)
 
 
+@per_signature
 def coord_slice(total, start, size, base="poly"):
     """Projection keeping coordinates [start, start+size)."""
     assert 0 <= start and start + size <= total
@@ -308,7 +354,7 @@ _STRUCTURAL = {
 }
 
 
-@lru_cache(maxsize=None)
+@per_signature
 def canonical_map(kind, dim, base="poly"):
     """The structural block map `kind` of `_STRUCTURAL`, at block size dim."""
     try:
@@ -322,7 +368,9 @@ def canonical_map(kind, dim, base="poly"):
             return zero_map(total, dim, base)
         if isinstance(source, tuple):
             return block(source[0]) + block(source[1])
-        return coord_slice(total, source * dim, dim, base)
+        # afresh: proj0 is its own one block, and the stamp below must
+        # land on no shared slice (see the list of caches above)
+        return coord_slice.__wrapped__(total, source * dim, dim, base)
 
     h = reduce(lambda out, b: out.pair(b), map(block, sources))
     h._kept["structural"] = (kind, dim, base)

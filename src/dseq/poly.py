@@ -634,8 +634,8 @@ def _settled(m, other):
     elif partner or any(p._mons for p in other.components):
         return False
     kind, dim, _ = summands[0]._kept["structural"]
-    return all(law(p._mons, *direction_fields(kind, dim, k, p._w))
-               for p in comps)
+    return keep(m, "settled", lambda: all(
+        law(p._mons, *direction_fields(kind, dim, k, p._w)) for p in comps))
 
 
 class PolyMap(CoordMap):

@@ -10,14 +10,18 @@ TagMismatch or DimensionMismatch before heavy work.  Only the constructor
 checks a tower's own terms.
 
 A tower keeps its tangent once built (see the list of kept state in `maps`).
+The structural towers, `seq_identity`, `seq_zero` and `seq_proj`, are
+shared: one object per signature, order and base, as the structural maps
+of `maps` are, so that their tangents and what their terms keep are
+worked out once.
 """
 
 from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InsufficientOrder, OrderMismatch,
                      TagMismatch)
-from .maps import (canonical_map, coord_slice, keep, precompose, proj,
-                   zero_map)
+from .maps import (canonical_map, coord_slice, keep, per_signature,
+                   precompose, proj, zero_map)
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,7 @@ class PreDSeq:
         return PreDSeq(self.dom, self.cod, terms)
 
 
+@per_signature
 def seq_identity(dim, order, base="poly"):
     """Identity tower: term n selects the all-ones block (the innermost
     direction of every doubling)."""
@@ -124,11 +129,13 @@ def seq_identity(dim, order, base="poly"):
     return PreDSeq(dim, dim, tuple(terms))
 
 
+@per_signature
 def seq_zero(dom, cod, order, base="poly"):
     terms = tuple(zero_map(dom << n, cod, base) for n in range(order + 1))
     return PreDSeq(dom, cod, terms)
 
 
+@per_signature
 def seq_proj(a, b, j, order, base="poly"):
     return seq_identity(a + b, order, base).rmul(proj(a, b, j, base))
 

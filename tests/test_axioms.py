@@ -261,6 +261,25 @@ def test_unprimed_checker_alone_builds_no_vanishing_or_additivity_map(
     assert set(built) == {"lift", "flip"}
 
 
+@pytest.mark.parametrize("first", [check_ds_primed, check_ds_unprimed])
+def test_the_second_checker_reads_the_kept_verdicts(first, monkeypatch):
+    """A deferred precomposition keeps the verdict of its monomial test:
+    run after either checker on a passing polynomial tower, the other
+    tests no monomial."""
+    tested = []
+    for kinds, (law, partner) in list(poly._SETTLED_BY.items()):
+        monkeypatch.setitem(poly._SETTLED_BY, kinds, (
+            lambda *args, law=law: tested.append(law.__name__) or law(*args),
+            partner))
+    tower = omega(pm(["x0^3*x1 - 2*x1^2", "x0*x1 + 3*x0^2"], 2), 4)
+    assert first(tower).passed
+    assert set(tested) == {"_vanishes", "_additive"}
+    tested.clear()
+    second = check_ds_unprimed if first is check_ds_primed else check_ds_primed
+    assert second(tower).passed
+    assert tested == []
+
+
 def test_a_deferred_precomposition_reads_as_its_build():
     """Reading a deferred map's components builds it, as the tower-level
     checker's `lmul` towers, printing and `==` do."""

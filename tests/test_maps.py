@@ -1,18 +1,25 @@
 """Base-category helpers: canonical block maps, tangent, block tiling."""
 
+import inspect
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from dseq import maps, poly
-from dseq.axioms import check_ds_primed, check_ds_unprimed
-from dseq.comonad import omega
+from dseq.axioms import DSeq, check_ds_primed, check_ds_unprimed
+from dseq.cli import main
+from dseq.comonad import check_cd_axioms, omega
 from dseq.errors import DimensionMismatch, TagMismatch
 from dseq.maps import (CoordMap, canonical_map, coord_slice, identity,
-                       map_class, pfunctor_apply, proj, zero_map)
+                       map_class, pfunctor_apply, precompose, proj, zero_map)
 from dseq.parser import format_map, parse_map
 from dseq.poly import Poly
-from dseq.sequences import PreDSeq
+from dseq.selftest import run_selftest
+from dseq.sequences import PreDSeq, seq_identity, seq_proj, seq_zero
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "golden")
 
 
 def ev(m, *xs):
@@ -191,13 +198,16 @@ def kept_shape(owner, key):
     `_kept` table is, or None."""
     if isinstance(owner, PreDSeq):
         return "tangent" if key == "tangent" else None
-    named = {"poly": ("routes", "routing", "structural"),
+    named = {"poly": ("routes", "routing", "settled", "structural"),
              "elementary": ("routes", "rows", "foldfree",
                             "structural")}[owner.base]
     if type(key) is str:
         return key if key in named else None
     if type(key) is int:
         return "doubling" if key >= 0 else None
+    if (type(key) is tuple and len(key) == 2 and key[0] == "rmul"
+            and type(key[1]) is int and key[1] >= 0):
+        return "lift"
     if type(key) is tuple and len(key) in (1, 2) and all(
             type(s) is tuple and len(s) == 4 and s[0] in maps._STRUCTURAL
             and type(s[1]) is int and s[1] > 0 and s[2] == owner.base
@@ -208,9 +218,10 @@ def kept_shape(owner, key):
 
 @pytest.mark.parametrize("base", ["poly", "elementary"])
 def test_every_kept_key_has_a_documented_shape(base):
-    """Composing towers and running both DS checkers on them keeps state
-    only under the keys the module docstring of `maps` lists, on the tower
-    terms, the tangents and the pushed structural maps alike."""
+    """Composing towers and running both DS checkers and the CD battery on
+    them keeps state only under the keys the module docstring of `maps`
+    lists, on the tower terms, the tangents, the pushed structural maps
+    and the CD battery's lifted ones alike."""
     dom, order = (2, 3) if base == "poly" else (1, 3)
     texts = ((["x0^2*x1 + x1", "x0 - x1^2"], ["x0*x1", "x0^3 - x1"])
              if base == "poly" else (["sin(x0)*exp(x0)"], ["cos(x0) + x0^2"]))
@@ -219,6 +230,7 @@ def test_every_kept_key_has_a_documented_shape(base):
     for tower in (f, composite):
         assert check_ds_primed(tower).passed
         assert check_ds_unprimed(tower).passed
+    assert check_cd_axioms([DSeq.verify(f)]).passed
     stack = [f, g, composite] + [canonical_map(kind, dom << j, base)
                                  for kind in maps._STRUCTURAL
                                  for j in range(order + 1)]
@@ -237,8 +249,8 @@ def test_every_kept_key_has_a_documented_shape(base):
             if isinstance(value, (CoordMap, PreDSeq)):
                 stack.append(value)
     assert shapes == {"tangent", "doubling", "precomposition", "sum",
-                      "routes", "structural"} | (
-        {"routing"} if base == "poly" else {"rows", "foldfree"})
+                      "routes", "structural", "lift"} | (
+        {"routing", "settled"} if base == "poly" else {"rows", "foldfree"})
 
 
 def test_map_class_rejects_unknown_tag():
@@ -267,3 +279,114 @@ def test_differential_is_linear_in_direction():
     base = ev(df, 2, 3, 1, 5)
     twice = ev(df, 2, 3, 2, 10)
     assert tuple(2 * v for v in base) == twice
+
+
+# The structural maps and towers are constants of a signature: one object
+# per signature and base (`maps.per_signature`), shared by every caller.
+
+MEMOIZED = (coord_slice, zero_map, canonical_map, seq_identity, seq_zero,
+            seq_proj)
+ARGS = {coord_slice: (4, 1, 2), identity: (3,), proj: (2, 1, 1),
+        zero_map: (2, 3), canonical_map: ("sumv", 2), seq_identity: (2, 3),
+        seq_zero: (1, 2, 3), seq_proj: (1, 2, 0, 3)}
+
+
+@pytest.mark.parametrize("build", ARGS, ids=lambda build: build.__name__)
+def test_a_structural_builder_gives_one_object_per_signature(build):
+    """However a call spells the base, a signature and base give one
+    object; another base gives another."""
+    args = ARGS[build]
+    first = build(*args)
+    assert build(*args) is first
+    assert build(*args, "poly") is first and build(*args, base="poly") is first
+    elem = build(*args, "elementary")
+    assert elem is not first and elem.base == "elementary"
+    assert build(*args, base="elementary") is elem
+
+
+def test_the_proj0_stamp_lands_on_no_shared_slice():
+    """canonical_map("proj0", d) is the map proj(d, d, 0) returns, but not
+    that object: a map precomposed with a shared projection keeps
+    nothing, as it kept nothing before the projection was shared."""
+    pi0, p = canonical_map("proj0", 2), proj(2, 2, 0)
+    assert pi0 == p and pi0 is not p
+    assert "structural" not in p._kept
+    m = parse_map(["x0*x3 + x1"], 4, 1, "poly")
+    assert precompose(p, 1, m) == precompose(pi0, 1, m)
+    assert list(m._kept) == [(("proj0", 2, "poly", 1),)]
+
+
+def spy_on_builders(monkeypatch):
+    """Record each call of a memoized builder, from any dseq module, as
+    (builder, its arguments with the defaults bound)."""
+    calls = set()
+    modules = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "dseq"]
+    for build in MEMOIZED:
+        signature = inspect.signature(build)
+
+        def spy(*args, build=build, signature=signature, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.add((build, bound.args))
+            return build(*args, **kwargs)
+
+        spy.__wrapped__ = build.__wrapped__
+        for module in modules:
+            if vars(module).get(build.__name__) is build:
+                monkeypatch.setattr(module, build.__name__, spy)
+    return calls
+
+
+def run_batteries():
+    """Every law battery (`run_selftest`), both DS checkers and the CD
+    battery, on both bases."""
+    assert run_selftest(5, 2)["pass"]
+    for base, text in (("poly", ["x0^3*x1 - x1^2", "x0*x1"]),
+                       ("elementary", ["sin(x0)*exp(x1)", "cos(x0 - x1)"])):
+        tower = omega(parse_map(text, 2, 2, base), 3)
+        assert check_ds_primed(tower).passed
+        assert check_ds_unprimed(tower).passed
+        assert check_cd_axioms([DSeq.verify(tower)]).passed
+
+
+def test_shared_structural_constants_are_left_as_built(monkeypatch):
+    """After the batteries, each cached structural map and tower still
+    equals a fresh build and carries its stamp, and so does each tower the
+    CD battery kept on one: a caller that changes a shared constant fails
+    here."""
+    for build in MEMOIZED:
+        build.cache_clear()
+    calls = spy_on_builders(monkeypatch)
+    run_batteries()
+    for build in MEMOIZED:      # each cached object is one checked below
+        assert build.cache_info().currsize == len(
+            {args for b, args in calls if b is build}), build.__name__
+    lifts = 0
+    for build, args in list(calls):
+        kept, fresh = build(*args), build.__wrapped__(*args)
+        assert kept == fresh, (build.__name__, args)
+        if isinstance(kept, PreDSeq):
+            pairs = zip(kept.terms, fresh.terms)
+        else:
+            pairs = [(kept, fresh)]
+        for k, f in pairs:
+            assert k._kept.get("structural") == f._kept.get("structural")
+            for key, lift in k._kept.items():
+                if type(key) is tuple and key[0] == "rmul":
+                    lifts += 1
+                    assert lift == seq_identity.__wrapped__(
+                        f.dom, key[1], f.base).rmul(f)
+    assert lifts
+
+
+def test_selftest_prints_its_golden_bytes_on_warm_caches(capsys):
+    """The in-process selftest prints its recorded bytes after the
+    batteries have filled the shared constants, and again after itself."""
+    run_batteries()
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN, "selftest_42_trials25.out"), "rb") as fh:
+        expected = fh.read()
+    for _ in range(2):
+        assert main(["selftest", "--seed", "42", "--trials", "25"]) == 0
+        assert capsys.readouterr().out.encode("ascii") == expected

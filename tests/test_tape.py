@@ -12,7 +12,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from dseq import axioms, expr, maps
+from dseq import axioms, expr, maps, sequences
 from dseq.axioms import check_ds_primed, check_ds_unprimed
 from dseq.comonad import omega
 from dseq.expr import (ElemMap, _float_values, _run, _tape, add, const, cos,
@@ -404,6 +404,15 @@ def test_differential_is_one_forward_mode_run(monkeypatch):
     assert len(runs) == 1
 
 
+def clear_structural_caches():
+    """Forget every shared structural map and tower, with all they keep,
+    so that the next use builds it again."""
+    for build in (maps.canonical_map, maps.coord_slice, maps.zero_map,
+                  sequences.seq_identity, sequences.seq_zero,
+                  sequences.seq_proj):
+        build.cache_clear()
+
+
 def test_operations_build_tapes_without_walking_trees(monkeypatch):
     """Only maps made from trees are taped: after parsing, an operation on
     elementary maps builds its tape from its operands' tapes."""
@@ -415,7 +424,7 @@ def test_operations_build_tapes_without_walking_trees(monkeypatch):
     real = expr._tape
     monkeypatch.setattr(expr, "_tape", lambda roots: trees_taped.append(
         [r for r in roots if r[0] not in ("const", "var")]) or real(roots))
-    canonical_map.cache_clear()     # so `tangent` builds its projection
+    clear_structural_caches()       # so `tangent` builds its projection
     f.then(g), f + g, f.pair(g), f.differential(), pfunctor_apply(f, 3)
     f.equal_witness(g), f.tangent()
     assert trees_taped == [[]]      # that projection: leaves only
@@ -652,7 +661,7 @@ def test_checkers_build_each_pushed_structural_map_once(monkeypatch):
         return real(h, dom, parts, op)
 
     monkeypatch.setattr(ElemMap, "_combine", combine)
-    maps.canonical_map.cache_clear()
+    clear_structural_caches()
     tower = omega(parse_map(["sin(x0)*exp(x0)"], 1, 1, "elementary"), 4)
     pi0 = canonical_map("proj0", 2, "elementary")
     runs = []
