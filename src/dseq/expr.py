@@ -24,9 +24,10 @@ Every instruction an operation builds, in `then`, the shifted copies of
 `_Builder.apply`: the smart constructors run only where an operand is a
 constant, and the builder merges what folding made equal.  Where a
 rewrite would fold nothing (the tape fold-free, and no summand with a
-constant component: every kind but zpair and lift), a precomposition is
-sampled without a tape: `_sampled` runs the built tape's float operations
-on the same columns, so its rows are the same bits.
+constant component: every kind but zpair and lift), `ElemMap._defers` a
+kept precomposition (`maps.precompose`), which is sampled without a tape:
+`_sampled` runs the built tape's float operations on the same columns,
+so its rows are the same bits.  Its tape is built when first read.
 """
 
 import functools
@@ -36,7 +37,7 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EngineError
-from .maps import (CoordMap, _check_constant_power, _precomposed, keep,
+from .maps import (CoordMap, _check_constant_power, _Deferred, keep,
                    pfunctor_apply)
 
 ELEM_EQ_SEED = 0xD5E0          # seed for the sampled-equality point cloud
@@ -336,7 +337,9 @@ def _float_rows(tape, columns):     # the rows of a built tape
 
 
 def _sampled(k, tape, summands):
-    """The rows of a deferred precomposition (`ElemMap._precompose`)."""
+    """The rows of a deferred precomposition, from its `_parts`: the
+    summands pushed through k doublings run on the cloud, and the term's
+    tape run on their columns."""
     cloud = _cloud(summands[0].dom << k)[1]
     return _summed_rows(tape, *[_columns(pfunctor_apply(g, k).tape, cloud,
                                          set()) for g in summands])
@@ -377,41 +380,27 @@ class ElemMap(CoordMap):
     Trees that agree on the cloud but differ elsewhere are declared equal;
     that false-positive risk is accepted by design for this base.  A
     comparison with no sample point where both sides are finite fails, and
-    a tolerance that is not a finite number >= 0 is refused.
+    a tolerance that is not a finite number >= 0 is refused.  A deferred
+    precomposition is sampled from its parts, and builds its tape when read.
     """
 
     base = "elementary"
-    __slots__ = ("tape", "_parts")     # see _Builder; `_precompose`
+    __slots__ = ("tape",)     # see _Builder
+    _slot = "tape"
 
     _ops = {"add": add, "mul": mul, "pow": pow_, "sin": sin, "cos": cos,
             "exp": exp, "sum": lambda ts: functools.reduce(add, ts)}
 
     def __getattr__(self, name):
-        """Components built from the tape when first read; the tape of a
-        deferred precomposition built when first read."""
-        if name == "components":
-            self.components = tuple(_run(self.tape, _TREES, lambda ins: ins))
-            return self.components
-        if name != "tape":
+        """Components built from the tape when first read."""
+        if name != "components":
             raise AttributeError(name)
-        k, tape, summands = self._parts
-        self.tape = _precomposed(k, _map(summands[0].cod << k, tape),
-                                 summands).tape
-        return self.tape
+        self.components = tuple(_run(self.tape, _TREES, lambda ins: ins))
+        return self.components
 
-    def _precompose(self, k, summands):
-        """Deferred where building would only relabel self's tape, as
-        (k, tape, summands); what `then` or `+` would refuse is built."""
-        h = summands[0]
-        if not (keep(self, "foldfree", _fold_free, self) and all(
-                g.base == self.base and (g.dom, g.cod << k) == (h.dom, self.dom)
-                and "const" not in [c[0] for c in g._heads()]
-                for g in summands)):
-            return _precomposed(k, self, summands)
-        m = ElemMap.__new__(ElemMap)
-        m.dom, m.cod, m._kept = h.dom << k, self.cod, {}
-        m._parts = k, self.tape, summands
-        return m
+    def _defers(self, summands):    # where building only relabels the tape
+        return keep(self, "foldfree", _fold_free, self) and all(
+            "const" not in [c[0] for c in g._heads()] for g in summands)
 
     def _check_components(self):
         self.tape = _tape(self.components)
@@ -504,7 +493,7 @@ class ElemMap(CoordMap):
         """The rows over the domain's cloud, sampled once: `_sampled` for a
         deferred precomposition, else `_float_rows` of the tape."""
         return keep(self, "rows", lambda: _sampled(*self._parts)
-                    if hasattr(self, "_parts")
+                    if isinstance(self, _Deferred)
                     else _float_rows(self.tape, _cloud(self.dom)[1]))
 
     def equal_witness(self, other, tol=None):

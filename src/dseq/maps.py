@@ -37,15 +37,15 @@ table by `keep(owner, key, build, *args)`, the one memo.  The keys:
     (`precompose`, which the termwise DS checker and `PreDSeq.lmul` call,
     so the tower-level checker and the tangent read it too).  One summand
     is a precomposition; two are DS.2's right side, whose summands are not
-    kept, since only the sum is compared.  On a fold-free elementary map
-    the value may be deferred (`ElemMap._precompose`): sampled without a
-    tape, it builds one when its tape is first read, and its trees, as
-    any elementary map built by an operation does, when its components
-    are first read.  On a polynomial map the zpair, sumv and sumproj0 +
-    sumproj1 values are deferred (`PolyMap._precompose`): `equal_witness`
-    settles DS.1' and DS.2' on them from the term's monomials and the
-    `direction_fields` masks, and one is built when its components are
-    first read, as it is when the law fails.
+    kept, since only the sum is compared.  Where the map's base can
+    compare the value unbuilt (`_defers`), it is a `_Deferred` map, which
+    the first read of its defining slot or components builds into a plain
+    map of its base, its kept state kept.  The polynomial base defers
+    zpair, sumv and sumproj0 + sumproj1, on which `equal_witness` settles
+    DS.1' and DS.2' from the term's monomials and the `direction_fields`
+    masks (`poly._settled`), building one only when its law fails; the
+    elementary base every kind with no zero block on a fold-free map,
+    whose rows it samples without a tape (`expr._sampled`).
 - on a tower (`PreDSeq`): "tangent", its tangent tower (`PreDSeq.tangent`),
   so every `compose` with one left tower reads one chain T f, T^2 f, ...
   The table is not a dataclass field: equality, hashing, printing and JSON
@@ -149,6 +149,27 @@ def _read_routes(m):
     return None if None in routes else routes
 
 
+class _Deferred:
+    """A precomposition not built yet: its base's `_deferred` class mixes
+    this in.  Reading its `_slot` or components builds it from `_parts`
+    and makes it a plain map of its base, which has no such hook."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("components", self._slot):
+            raise AttributeError(name)
+        k, value, summands = self._parts
+        cls = map_class(self.base)
+        term = cls.__new__(cls)
+        term.dom, term.cod, term._kept = summands[0].cod << k, self.cod, {}
+        setattr(term, cls._slot, value)
+        built = _precomposed(k, term, summands)
+        setattr(self, cls._slot, getattr(built, cls._slot))
+        self.__class__ = cls
+        return getattr(self, name)
+
+
 class CoordMap:
     """Map between coordinate spaces with one component per output coordinate.
 
@@ -156,7 +177,8 @@ class CoordMap:
     `map_class`, and supplies the component algebra the parser also builds
     with: `_constant`, `_variable`, `_ops` (add, sum, mul, pow and the
     functions the base admits); plus `_check_components`, `_combine`,
-    `_route`, `then`, `differential`, `eval` and `equal_witness`.
+    `_route`, `then`, `differential`, `eval`, `equal_witness`; `_slot`, the
+    slot that defines a map, and `_defers(summands)` (see `precompose`).
     Composition is written diagrammatically: f.then(g) runs f first.
 
     `_combine(dom, parts, op=None)` makes a map on `dom` variables from
@@ -169,16 +191,18 @@ class CoordMap:
     None otherwise; `_routes` reads it off each of `_heads()`, which are
     the components, or on the elementary base their root instructions: a
     variable or zero component is its own root instruction.
-    `_kept` is the map's table of kept state (see the module docstring).
+    `_kept` is the map's table of kept state (see the module docstring),
+    `_parts` a deferred map's (k, the term's slot, summands).
     """
 
     base = None
-    __slots__ = ("dom", "cod", "components", "_kept")
+    __slots__ = ("dom", "cod", "components", "_kept", "_parts")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "base" in vars(cls):     # a base's own class, not a subclass
             _BASES[cls.base] = cls
+            cls._deferred = type("Deferred", (_Deferred, cls), {"__slots__": ()})
 
     def __init__(self, dom, cod, components):
         components = tuple(components)
@@ -220,9 +244,6 @@ class CoordMap:
 
     def _heads(self):       # what `_route` reads, one per component
         return self.components
-
-    def _precompose(self, k, summands):     # what `precompose` keeps
-        return _precomposed(k, self, summands)
 
     def pair(self, other):
         """Pairing into the product of the codomains."""
@@ -332,7 +353,22 @@ def precompose(h, k, m, *more):
         key = tuple([(*g._kept["structural"], k) for g in summands])
     except KeyError:
         return _precomposed(k, m, summands)
-    return keep(m, key, m._precompose, k, summands)
+    return keep(m, key, _kept_precomposition, k, m, summands)
+
+
+def _kept_precomposition(k, m, summands):
+    """Deferred where m's base can compare it unbuilt (`_defers`), holding
+    m's slot, not m, so that the kept value makes no reference cycle; what
+    `then` or `+` would refuse is built, so that it raises as they do."""
+    h = summands[0]
+    if not (h.cod << k == m.dom and all(
+            g.base == m.base and (g.dom, g.cod) == (h.dom, h.cod)
+            for g in summands) and m._defers(summands)):
+        return _precomposed(k, m, summands)
+    d = m._deferred.__new__(m._deferred)
+    d.dom, d.cod, d._kept = h.dom << k, m.cod, {}
+    d._parts = k, getattr(m, m._slot), summands
+    return d
 
 
 def _precomposed(k, m, summands):

@@ -39,7 +39,7 @@ from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch
-from .maps import (CoordMap, _check_constant_power, _precomposed,
+from .maps import (CoordMap, _check_constant_power, _Deferred,
                    direction_fields, keep)
 
 # Term products one parsed product or power may cost before it is refused,
@@ -603,9 +603,9 @@ def _additive(mons, mask, units):
     return True
 
 
-# The precompositions `PolyMap._precompose` defers, by the kinds of their
-# summands, with the law that settles one and the kinds of the deferred
-# map it is compared with (None: a zero map).
+# The precompositions a polynomial map defers (`PolyMap._defers`), by the
+# kinds of their summands, with the law that settles one and the kinds of
+# the deferred map it is compared with (None: a zero map).
 _SETTLED_BY = {("zpair",): (_vanishes, None),
                ("sumv",): (_additive, ("sumproj0", "sumproj1"))}
 _DEFERRED = {*_SETTLED_BY, ("sumproj0", "sumproj1")}
@@ -621,13 +621,13 @@ def _settled(m, other):
     precomposition and other a zero map, or m a deferred sumv one and
     other the sumproj0 + sumproj1 one of the same term at the same k (see
     `axioms` for both laws and their proofs)."""
-    if type(m) is not _Deferred:
+    if not isinstance(m, _Deferred):
         return False
     k, comps, summands = m._parts
     law, partner = _SETTLED_BY.get(_kinds(summands), (None, None))
     if law is None:
         return False
-    if type(other) is _Deferred:
+    if isinstance(other, _Deferred):
         if (other._parts[:2] != (k, comps)
                 or _kinds(other._parts[2]) != partner):
             return False
@@ -642,24 +642,11 @@ class PolyMap(CoordMap):
     """Map between coordinate spaces with one polynomial per output coordinate."""
 
     base = "poly"
-    __slots__ = ("_parts",)     # `_Deferred`'s, here so that it can become a
-                                # PolyMap once built
+    __slots__ = ()
+    _slot = "components"
 
-    def _precompose(self, k, summands):
-        """Deferred for zpair, sumv and sumproj0 + sumproj1, which
-        `equal_witness` may settle unbuilt (`_settled`), as (k,
-        components, summands): self's parts, not self, so that the kept
-        value makes no reference cycle.  What `then` or `+` would refuse
-        is built."""
-        h = summands[0]
-        if not (_kinds(summands) in _DEFERRED and h.cod << k == self.dom
-                and all(g.base == self.base and (g.dom, g.cod) == (h.dom, h.cod)
-                        for g in summands)):
-            return _precomposed(k, self, summands)
-        m = _Deferred.__new__(_Deferred)
-        m.dom, m.cod, m._kept = h.dom << k, self.cod, {}
-        m._parts = k, self.components, summands
-        return m
+    def _defers(self, summands):    # those `equal_witness` may settle unbuilt
+        return _kinds(summands) in _DEFERRED
 
     def _check_components(self):
         for p in self.components:
@@ -749,20 +736,3 @@ class PolyMap(CoordMap):
         if _settled(self, other) or self.components == other.components:
             return True, None
         return False, self - other
-
-
-class _Deferred(PolyMap):
-    """A precomposition not built yet (`PolyMap._precompose`).  Reading its
-    components builds them and makes it a plain `PolyMap`: only a deferred
-    map pays for `__getattr__` on every attribute it reads."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "components":
-            raise AttributeError(name)
-        k, comps, summands = self._parts
-        term = PolyMap(summands[0].cod << k, len(comps), comps)
-        self.components = _precomposed(k, term, summands).components
-        self.__class__ = PolyMap
-        return self.components

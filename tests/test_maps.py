@@ -316,6 +316,59 @@ def test_the_proj0_stamp_lands_on_no_shared_slice():
     assert list(m._kept) == [(("proj0", 2, "poly", 1),)]
 
 
+# The kinds of summands each base defers a precomposition by: on the
+# polynomial base those DS.1' and DS.2' settle, on the elementary base
+# every kind with no zero block, so that building only relabels a tape.
+DEFERRED = [("poly", kinds) for kinds in sorted(poly._DEFERRED)] + [
+    ("elementary", kinds) for kinds in sorted(
+        [(kind,) for kind, (_, sources) in maps._STRUCTURAL.items()
+         if None not in sources] + [("sumproj0", "sumproj1")])]
+
+
+def deferrable(base, dom):
+    """A term on dom variables whose precompositions its base defers and,
+    on the polynomial base, DS.1' and DS.2' settle at k = 1."""
+    texts = (["x0^2*x1 + 3*x3", "x1*x2"] if base == "poly" else
+             [f"sin(x0)*x1 + exp(x{dom - 1})", f"cos(x{dom - 1})"])
+    return parse_map(texts, dom, 2, base)
+
+
+@pytest.mark.parametrize("base, kinds", DEFERRED, ids=[
+    f"{base}-{'+'.join(kinds)}" for base, kinds in DEFERRED])
+def test_one_deferral_on_both_bases(base, kinds):
+    """`precompose` defers a precomposition its base can compare unbuilt.
+    Reading the defining slot builds it into a plain map of the base that
+    keeps what comparing it kept; reading another missing attribute builds
+    nothing; and what `then` or `+` would refuse raises as they do."""
+    cls, other = map_class(base), "elementary" if base == "poly" else "poly"
+    summands = [canonical_map(kind, 1, base) for kind in kinds]
+    term = deferrable(base, summands[0].cod << 1)
+    m = precompose(summands[0], 1, term, *summands[1:])
+    assert type(m) is cls._deferred and m._parts[1] is getattr(term, cls._slot)
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        m.no_such_attribute
+    assert type(m) is cls._deferred
+    if base == "elementary":
+        m._rows()
+    elif kinds != ("sumproj0", "sumproj1"):
+        partner = (zero_map(m.dom, m.cod) if kinds == ("zpair",) else
+                   precompose(canonical_map("sumproj0", 1), 1, term,
+                              canonical_map("sumproj1", 1)))
+        assert m.equal(partner) and type(m) is cls._deferred
+    kept = dict(m._kept)
+    assert set(kept) == ({"rows"} if base == "elementary" else
+                         set() if len(kinds) == 2 else {"settled"})
+    getattr(m, cls._slot)
+    built = maps._precomposed(1, term, summands)
+    assert type(m) is cls and m._kept == kept and m == built
+    assert getattr(m, cls._slot) == getattr(built, cls._slot)
+    tagged = [canonical_map(kind, 1, other) for kind in kinds]
+    sized = [canonical_map(kind, 2, base) for kind in kinds]
+    for wrongs, error in ((tagged, TagMismatch), (sized, DimensionMismatch)):
+        with pytest.raises(error):
+            precompose(wrongs[0], 1, term, *wrongs[1:])
+
+
 def spy_on_builders(monkeypatch):
     """Record each call of a memoized builder, from any dseq module, as
     (builder, its arguments with the defaults bound)."""

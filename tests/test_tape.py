@@ -819,18 +819,21 @@ def test_kept_rows_give_the_same_witness_again():
 
 
 def test_a_kept_precomposition_does_not_cross_bases():
-    """A term keeps its precompositions per base: the structural map of
-    the other base is still refused."""
-    tower = elem_tower(2).differential()
-    kept = tower.lmul(canonical_map("zpair", 1, "elementary"))
-    assert tower.lmul(canonical_map("zpair", 1, "elementary")) == kept
-    for kind in ("zpair", "sumv"):      # built, and deferred at its base
-        with pytest.raises(TagMismatch):
-            tower.lmul(canonical_map(kind, 1, "poly"))
+    """A term keeps its precompositions per base: on either base, the
+    structural map of the other base is still refused."""
+    poly_tower = omega(parse_map(["x0^3 + 2*x0"], 1, 1, "poly"), 2)
+    for tower, base, other in (
+            (elem_tower(2).differential(), "elementary", "poly"),
+            (poly_tower.differential(), "poly", "elementary")):
+        for kind in ("zpair", "sumv"):      # built or deferred at its base
+            kept = tower.lmul(canonical_map(kind, 1, base))
+            assert tower.lmul(canonical_map(kind, 1, base)) == kept
+            with pytest.raises(TagMismatch):
+                tower.lmul(canonical_map(kind, 1, other))
 
 
 # Precompositions that rewriting would only relabel are sampled without a
-# tape (`ElemMap._precompose`): the same float operations on the same
+# tape (`ElemMap._defers`): the same float operations on the same
 # columns as the built tape, so the rows must match it bit for bit.
 
 OVERFLOW = load_seq(read_json(os.path.join(
